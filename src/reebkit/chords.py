@@ -6,9 +6,10 @@ Two complementary strategies:
   pair of slice points with equal (x, y)-projection and distinct height,
   found by Newton refinement of projection double points seeded from
   close mesh pairs.
-* ``chords_shooting`` (any model): integrate the Reeb flow from mesh
-  nodes, detect re-entries into a neighborhood of the slice with a grid
-  index, and refine (start, time, end) with Newton on the landing system.
+* ``chords_shooting`` (any model): follow the closed-form Reeb flow
+  ``model.flow`` from mesh nodes, detect re-entries into a neighborhood of
+  the slice with a grid index, and refine (start, time, end) with Newton
+  on the landing system.
 
 Chord orientation convention: the start point is the flow source, i.e.
 the Reeb flow reaches the end point in positive time (in Euclidean models
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import NewtonFailuresExceeded, WrongModel
 from .models import StandardRModel, StandardSphereModel
-from .numerics import NewtonOptions, integrate_flow, newton_solve, rk4_step
+from .numerics import NewtonOptions, newton_solve
 from .slices import ParamSlice
 from .spatial import GridIndex
 
@@ -201,10 +202,16 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
     when the trajectory escapes the slice's bounding box by more than its
     diameter.  Each dip below the capture radius yields one candidate at
     the minimal-distance sample.
+
+    All launches advance together; per step the escape, arming and box-gap
+    tests are masks, and only the remaining candidates query the grid
+    index.  Candidates are flushed in ascending launch order within a step,
+    so the event order matches a per-trajectory loop.
     """
     mesh = slc.mesh
-    launches = list(range(0, mesh.n_nodes, max(1, opts.launch_stride)))
-    states = slc.points[launches].copy()
+    launches = np.arange(0, mesh.n_nodes, max(1, opts.launch_stride))
+    starts = slc.points[launches]
+    states = starts.copy()
     idx = GridIndex(slc.points, cell_size=capture_radius)
 
     lo = slc.points.min(axis=0)
@@ -219,57 +226,51 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
     best = [None] * n
     events = []
 
-    def flush(i):
-        if best[i] is not None:
-            events.append(best[i])
-            best[i] = None
+    def flush(mask):
+        for k in np.flatnonzero(mask):
+            if best[k] is not None:
+                events.append(best[k])
+                best[k] = None
 
     t = 0.0
     dt = opts.monitor_dt
     while t < opts.max_time and np.any(alive):
-        states[alive] = rk4_step(model.reeb, states[alive], dt)
+        states[alive] = model.flow(states[alive], dt)
         t += dt
-        for k in range(n):
-            if not alive[k]:
-                continue
-            p = states[k]
-            start = slc.points[launches[k]]
-            box_gap = np.linalg.norm(np.maximum(lo - p, 0) + np.maximum(p - hi, 0))
-            if box_gap > escape:
-                flush(k)
-                alive[k] = False
-                continue
-            if not armed[k]:
-                if np.linalg.norm(p - start) > 2.0 * capture_radius:
-                    armed[k] = True
-                continue
-            if box_gap > capture_radius:  # cannot be near any mesh point
-                flush(k)
-                inside[k] = -1.0
-                continue
-            hit = idx.nearest_within(p, capture_radius)
+        box_gap = np.linalg.norm(np.maximum(lo - states, 0) + np.maximum(states - hi, 0), axis=1)
+        escaped = alive & (box_gap > escape)
+        live = alive & ~escaped
+        arming = live & ~armed
+        armed[arming] = np.linalg.norm(states[arming] - starts[arming], axis=1) > 2.0 * capture_radius
+        far = live & ~arming & (box_gap > capture_radius)  # cannot be near any mesh point
+        missed = np.zeros(n, dtype=bool)
+        for k in np.flatnonzero(live & ~arming & ~far):
+            hit = idx.nearest_within(states[k], capture_radius)
             if hit is None:
-                flush(k)
-                inside[k] = -1.0
+                missed[k] = True
                 continue
             node, dist = hit
             if t <= opts.min_length:
                 continue
             if inside[k] < 0 or dist < inside[k]:
                 inside[k] = dist
-                best[k] = (launches[k], t, node)
-    for k in range(n):
-        flush(k)
+                best[k] = (int(launches[k]), t, node)
+        flush(escaped | far | missed)
+        inside[far | missed] = -1.0
+        alive &= ~escaped
+    flush(np.ones(n, dtype=bool))
     return events
 
 
 def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
     """Reeb chords by flow shooting, for any built-in model.
 
-    Capture events are pre-clustered so one Newton refinement runs per
-    candidate chord; the landing system G(u, T, v) = flow_T(i(u)) - i(v)
-    is squared up on spheres by projecting the residual onto the tangent
-    space at the seed's end point.  Every returned chord satisfies the
+    Trajectories and the landing system use the model's closed-form flow
+    ``model.flow``.  Capture events are pre-clustered so one Newton
+    refinement runs per candidate chord; the landing system
+    G(u, T, v) = flow_T(i(u)) - i(v) is squared up on spheres by
+    projecting the residual onto the tangent space at the seed's end
+    point.  Every returned chord satisfies the
     flow-landing invariant; chords shorter than twice the capture radius
     are below the arming distance and are only found by the projection
     method.
@@ -296,7 +297,6 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
 
     pdim = slc.param_dim
     is_sphere = isinstance(model, StandardSphereModel)
-    flow_tol = 1e-10
 
     failures = 0
     raw: list[ChordRecord] = []
@@ -307,8 +307,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
             u, big_t, v = w[:pdim], w[pdim], w[pdim + 1 :]
             if big_t <= 0:
                 big_t = 1e-12
-            landed = integrate_flow(model.reeb, slc.immerse(u), float(big_t), tol=flow_tol)
-            residual = landed - slc.immerse(v)
+            residual = model.flow(slc.immerse(u), big_t) - slc.immerse(v)
             return basis @ residual if basis is not None else residual
 
         seed = np.concatenate([mesh.params[node_u], [t_hit], mesh.params[node_v]])
@@ -323,7 +322,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
         if length <= opts.min_length:
             continue
         p_u, p_v = slc.immerse(u), slc.immerse(v)
-        landing = float(np.linalg.norm(integrate_flow(model.reeb, p_u, length, tol=flow_tol) - p_v))
+        landing = float(np.linalg.norm(model.flow(p_u, length) - p_v))
         if landing > 1e-6:
             failures += 1
             continue

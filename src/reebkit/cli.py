@@ -127,7 +127,8 @@ def cmd_export_plot(args) -> int:
     opts = collar_options(manifest)
     model, slc, expected = resolve(manifest)
     chords = None
-    if args.what == "chords":
+    # on other models export_plot raises its own WrongModel before plotting
+    if args.what == "chords" and isinstance(model, StandardRModel):
         if expected is not None and "max_time" not in manifest.search:
             opts.search.max_time = expected.search_max_time
         chords = chords_projection(model, slc, opts.search)

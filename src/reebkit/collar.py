@@ -37,9 +37,10 @@ from .models import (
     StandardRModel,
     StandardSphereModel,
     SymplectizationModel,
+    _smoothstep,
     liouville_deformed,
 )
-from .numerics import integrate_flow, rk4_step
+from .numerics import integrate_flow
 from .slices import (
     DEFAULT_CLOSED_TOL,
     DEFAULT_TRANSVERSE_TOL,
@@ -127,11 +128,6 @@ def feasibility_oracle_1d(length: float, h_start: float, h_end: float, margin: f
 # ---------------------------------------------------------------------------
 # profile construction along Reeb fibers
 # ---------------------------------------------------------------------------
-
-
-def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
 @dataclass(frozen=True)
@@ -446,10 +442,11 @@ def reeb_reparam_check(
     """Verify that rescaling the Reeb field by 1/(1 + dh(R)) changes chord
     flow times but not endpoints.
 
-    For each chord the original trajectory is sampled, the rescaled flow
-    time is obtained by Simpson quadrature of 1 + dh(R) along it, and the
-    rescaled field is integrated for that time; the endpoint must land
-    back on the recorded end point.
+    For each chord the original trajectory is sampled from the closed-form
+    flow ``model.flow``, the rescaled flow time is obtained by Simpson
+    quadrature of 1 + dh(R) along it, and the rescaled field, which has no
+    closed form, is integrated numerically for that time; the endpoint
+    must land back on the recorded end point.
 
     Raises:
         ReparamDegenerate: 1 + dh(R) drops to zero on some chord.
@@ -467,9 +464,7 @@ def reeb_reparam_check(
     for chord in chords:
         n = samples if samples % 2 == 0 else samples + 1
         dt = chord.length / n
-        states = [np.asarray(chord.start_point, dtype=float)]
-        for _ in range(n):
-            states.append(rk4_step(model.reeb, states[-1], dt))
+        states = model.flow(chord.start_point, dt * np.arange(n + 1))
         vals = np.array([1.0 + directional_dh_reeb(model, h_fn, p) for p in states])
         if np.min(vals) <= 1e-6:
             raise ReparamDegenerate(

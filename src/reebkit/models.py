@@ -11,6 +11,10 @@ Two families with closed-form contact data are provided:
   of this toolkit; with it the Reeb field is 2(-y_1, x_1, ..., -y_n, x_n)
   and the flow is the rotation z_j -> e^{2it} z_j with period pi.
 
+Both Reeb flows have closed forms, so ``model.flow(points, t)`` evaluates
+the exact time-t map; chord search and the reparametrized-flow check use
+it instead of integrating ``model.reeb`` numerically.
+
 All evaluators broadcast over leading axes: points and vectors have shape
 (..., ambient_dim).  Models are immutable after construction.
 """
@@ -55,6 +59,18 @@ class StandardRModel:
         r[..., -1] = 1.0
         return r
 
+    def flow(self, points, t):
+        """Exact time-t Reeb flow: translation by t in z.
+
+        Broadcasts ``t`` against the leading axes of ``points``.
+        """
+        p = np.asarray(points, dtype=float)
+        t = np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(p.shape[:-1], t.shape) + p.shape[-1:]
+        out = np.broadcast_to(p, shape).copy()
+        out[..., -1] += t
+        return out
+
     def on_manifold(self, points, tol: float = 1e-9):
         p = np.asarray(points, dtype=float)
         return np.all(np.isfinite(p), axis=-1)
@@ -84,13 +100,16 @@ class StandardSphereModel:
         self.ambient_dim = 2 * n
         self.name = f"s{2 * n - 1}"
 
-    def project(self, points):
-        p = np.asarray(points, dtype=float)
+    def _radius(self, p: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(p, axis=-1)
         if np.any(np.abs(r - 1.0) > self.PROJECT_TOL):
             worst = float(np.max(np.abs(r - 1.0)))
             raise OffManifold(f"point off S^{self.contact_dim} by {worst:.3e}")
-        return p / r[..., None]
+        return r
+
+    def project(self, points):
+        p = np.asarray(points, dtype=float)
+        return p / self._radius(p)[..., None]
 
     def alpha(self, points, vectors):
         p = self.project(points)
@@ -111,6 +130,23 @@ class StandardSphereModel:
         r[..., 0::2] = -2.0 * p[..., 1::2]
         r[..., 1::2] = 2.0 * p[..., 0::2]
         return r
+
+    def flow(self, points, t):
+        """Exact time-t Reeb flow: z_j -> e^{2it/|p|} z_j.
+
+        Off the sphere (inside the band) ``reeb`` is the scale-invariant
+        extension, whose flow keeps |p| and turns at angular speed 2/|p|.
+        Broadcasts ``t`` against the leading axes of ``points``.
+        """
+        p = np.asarray(points, dtype=float)
+        angle = 2.0 * np.asarray(t, dtype=float) / self._radius(p)
+        c = np.cos(angle)[..., None]
+        s = np.sin(angle)[..., None]
+        x, y = p[..., 0::2], p[..., 1::2]
+        out = np.empty(angle.shape + p.shape[-1:])
+        out[..., 0::2] = c * x - s * y
+        out[..., 1::2] = s * x + c * y
+        return out
 
     def on_manifold(self, points, tol: float = 1e-9):
         p = np.asarray(points, dtype=float)

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from reebkit.chords import ChordRecord, chords_projection, dedup_chords
+from reebkit.chords import (
+    ChordRecord,
+    SearchOptions,
+    _ambient_spacing,
+    _capture_events,
+    chords_projection,
+    dedup_chords,
+)
 from reebkit.errors import WrongModel
 from reebkit.numerics import integrate_flow
+from reebkit.spatial import GridIndex
 
 TWO_PI = 2 * np.pi
 
@@ -126,6 +134,83 @@ def test_search_determinism(unknot_entry):
         assert np.array_equal(x.start_param, y.start_param)
         assert np.array_equal(x.end_param, y.end_param)
         assert x.length == y.length
+
+
+def capture_events_loop(model, slc, opts, capture_radius):
+    """Reference for ``_capture_events``: one trajectory at a time."""
+    mesh = slc.mesh
+    launches = list(range(0, mesh.n_nodes, max(1, opts.launch_stride)))
+    states = slc.points[launches].copy()
+    idx = GridIndex(slc.points, cell_size=capture_radius)
+    lo = slc.points.min(axis=0)
+    hi = slc.points.max(axis=0)
+    escape = float(np.linalg.norm(hi - lo)) + 4.0 * capture_radius
+    n = len(launches)
+    armed = np.zeros(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    inside = np.full(n, -1.0)
+    best = [None] * n
+    events = []
+
+    def flush(i):
+        if best[i] is not None:
+            events.append(best[i])
+            best[i] = None
+
+    t = 0.0
+    while t < opts.max_time and np.any(alive):
+        states[alive] = model.flow(states[alive], opts.monitor_dt)
+        t += opts.monitor_dt
+        for k in range(n):
+            if not alive[k]:
+                continue
+            p = states[k]
+            box_gap = np.linalg.norm(np.maximum(lo - p, 0) + np.maximum(p - hi, 0))
+            if box_gap > escape:
+                flush(k)
+                alive[k] = False
+                continue
+            if not armed[k]:
+                if np.linalg.norm(p - slc.points[launches[k]]) > 2.0 * capture_radius:
+                    armed[k] = True
+                continue
+            if box_gap > capture_radius:
+                flush(k)
+                inside[k] = -1.0
+                continue
+            hit = idx.nearest_within(p, capture_radius)
+            if hit is None:
+                flush(k)
+                inside[k] = -1.0
+                continue
+            node, dist = hit
+            if t <= opts.min_length:
+                continue
+            if inside[k] < 0 or dist < inside[k]:
+                inside[k] = dist
+                best[k] = (launches[k], t, node)
+    for k in range(n):
+        flush(k)
+    return events
+
+
+@pytest.mark.parametrize(
+    "entry_name, opts",
+    [
+        ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=1)),
+        ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=2)),
+        ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=4)),
+        ("unknot_entry", SearchOptions(max_time=3.0)),
+        ("torus_entry", SearchOptions(max_time=3.0, launch_stride=128)),
+    ],
+)
+def test_capture_events_match_loop(entry_name, opts, request):
+    entry = request.getfixturevalue(entry_name)
+    slc = entry.slice
+    capture_radius = 2.0 * _ambient_spacing(slc.points, slc.mesh.edges())
+    events = _capture_events(entry.model, slc, opts, capture_radius)
+    assert bool(events) == (entry.expected.chord_count != 0)
+    assert events == capture_events_loop(entry.model, slc, opts, capture_radius)
 
 
 def _mk(start, end, length, residual=0.0):

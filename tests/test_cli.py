@@ -205,6 +205,15 @@ def test_export_chords_marker(manifest_path, tmp_path):
     assert "circle" in svg
 
 
+def test_export_chords_on_sphere_reports_wrong_model(manifest_path, tmp_path):
+    path = manifest_path("hopf", {"slice": {"catalog": "hopf_circle", "params": {"resolution": 64}}})
+    code, out, err = run_cli(["export-plot", path, "chords", "-o", str(tmp_path / "h")])
+    assert code == 1
+    assert out == ""
+    assert "plot export is defined for Euclidean models" in err
+    assert "projection chord search" not in err
+
+
 def test_export_unsupported_dimension_falls_back(manifest_path, tmp_path):
     path = manifest_path("torus", {"slice": {"catalog": "torus_r5"}})
     code, out, err = run_cli(["export-plot", path, "front", "-o", str(tmp_path / "t")])

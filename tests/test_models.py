@@ -107,10 +107,81 @@ def test_sphere_flow_closed_form():
     model = StandardSphereModel(2)
     p = np.array([0.6, 0.0, 0.8, 0.0])
     t = 0.7
-    end = integrate_flow(model.reeb, p, t, tol=1e-12)
     z1 = (p[0] + 1j * p[1]) * np.exp(2j * t)
     z2 = (p[2] + 1j * p[3]) * np.exp(2j * t)
-    assert np.allclose(end, [z1.real, z1.imag, z2.real, z2.imag], atol=1e-9)
+    expected = [z1.real, z1.imag, z2.real, z2.imag]
+    assert np.allclose(integrate_flow(model.reeb, p, t, tol=1e-12), expected, atol=1e-9)
+    assert np.allclose(model.flow(p, t), expected, atol=1e-15)
+    # model.flow is the time-t map of model.reeb on every model, including
+    # the scale-invariant extension inside the sphere band
+    rng = np.random.default_rng(5)
+    for name in ALL_MODEL_NAMES:
+        model = make_model(name)
+        pts = sample_points(model, 4, seed=6)
+        if isinstance(model, StandardSphereModel):
+            pts[-1] *= 1.0 + 0.5 * model.PROJECT_TOL
+        for p, t in zip(pts, rng.uniform(0.0, 6.0, size=len(pts))):
+            reference = integrate_flow(model.reeb, p, t, tol=1e-10)
+            assert np.linalg.norm(model.flow(p, t) - reference) < 1e-8
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_NAMES)
+def test_flow_group_law(name):
+    model = make_model(name)
+    rng = np.random.default_rng(12)
+    pts = sample_points(model, 8, seed=13)
+    s, t = rng.uniform(-3.0, 3.0, size=(2, 8))
+    assert np.allclose(model.flow(model.flow(pts, s), t), model.flow(pts, s + t), atol=1e-12)
+    assert np.array_equal(model.flow(pts, 0.0), pts)
+
+
+@pytest.mark.parametrize("name", ["s3", "s5"])
+def test_sphere_flow_period_and_unitary_symmetry(name):
+    model = make_model(name)
+    n = model.n
+    pts = sample_points(model, 6, seed=14)
+    assert np.allclose(model.flow(pts, np.pi), pts, atol=1e-12)
+    # a random U(n) acting on the complex pairs (x_j + i y_j) commutes with the flow
+    rng = np.random.default_rng(15)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+    def rotate(p):
+        w = (p[..., 0::2] + 1j * p[..., 1::2]) @ q.T
+        out = np.empty_like(p)
+        out[..., 0::2], out[..., 1::2] = w.real, w.imag
+        return out
+
+    t = rng.uniform(0.0, 6.0, size=len(pts))
+    assert np.allclose(model.flow(rotate(pts), t), rotate(model.flow(pts, t)), atol=1e-12)
+
+
+def test_sphere_flow_off_manifold():
+    model = StandardSphereModel(2)
+    p = np.array([1.0, 0.0, 0.0, 0.0])
+    inside = p * (1.0 + 0.5 * model.PROJECT_TOL)
+    assert np.linalg.norm(model.flow(inside, 2.5)) == pytest.approx(np.linalg.norm(inside), abs=1e-15)
+    with pytest.raises(OffManifold):
+        model.flow(p * (1.0 + 2.0 * model.PROJECT_TOL), 0.5)
+    with pytest.raises(OffManifold):
+        model.flow(np.stack([p, 2.0 * p]), 0.5)
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_NAMES)
+def test_flow_broadcasts_times(name):
+    model = make_model(name)
+    pts = sample_points(model, 3, seed=16)
+    ts = np.linspace(0.0, 6.0, 5)
+    fan = model.flow(pts[0], ts)
+    assert fan.shape == (5, model.ambient_dim)
+    for t, row in zip(ts, fan):
+        assert np.allclose(row, model.flow(pts[0], t), atol=1e-15)
+    per_point = model.flow(pts, ts[:3])
+    assert per_point.shape == pts.shape
+    for p, t, row in zip(pts, ts[:3], per_point):
+        assert np.allclose(row, model.flow(p, t), atol=1e-15)
+    grid = model.flow(pts[:, None, :], ts[None, :])
+    assert grid.shape == (3, 5, model.ambient_dim)
+    assert np.allclose(grid[:, 2], model.flow(pts, ts[2]), atol=1e-15)
 
 
 def test_rho_profile_shape():
