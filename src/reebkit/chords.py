@@ -14,7 +14,8 @@ Two complementary strategies:
 Chord orientation convention: the start point is the flow source, i.e.
 the Reeb flow reaches the end point in positive time (in Euclidean models
 the lower z of the pair).  Records are canonically sorted by
-(length, start parameters, end parameters) so output is deterministic.
+(length at 9 significant digits, start parameters, end parameters) so
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ class ChordRecord:
     residual: float = 0.0  # refinement residual, used for dedup preference
 
     def sort_key(self):
-        return (self.length, *self.start_param.tolist(), *self.end_param.tolist())
+        # length at the printed precision, so lengths tied up to solver
+        # noise are ordered by their parameters
+        return (float(f"{self.length:.9g}"), *self.start_param.tolist(), *self.end_param.tolist())
 
 
 @dataclass
@@ -67,13 +70,9 @@ class SearchOptions:
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(residual_tol=1e-10, max_iterations=60))
 
 
-def _ambient_spacing(points: np.ndarray, mesh_edges) -> float:
-    lengths = [np.linalg.norm(points[a] - points[b]) for a, b in mesh_edges]
-    return float(np.median(lengths))
-
-
-def _sorted_records(records: list[ChordRecord]) -> list[ChordRecord]:
-    return sorted(records, key=ChordRecord.sort_key)
+def _ambient_spacing(points: np.ndarray, edges: np.ndarray) -> float:
+    """Median length of the mesh edges (an (E, 2) index array) under ``points``."""
+    return float(np.median(np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)))
 
 
 def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[ChordRecord]:
@@ -104,16 +103,16 @@ def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[C
         if not close:
             buckets.setdefault(key, []).append(len(kept))
             kept.append(rec)
-    return _sorted_records(kept)
+    return sorted(kept, key=ChordRecord.sort_key)
 
 
 def _resolve_projection_options(slc: ParamSlice, opts: SearchOptions):
-    mesh = slc.mesh
-    proj_spacing = _ambient_spacing(slc.points[:, :-1], mesh.edges())
+    edges = slc.mesh.edges()
+    proj_spacing = _ambient_spacing(slc.points[:, :-1], edges)
     if proj_spacing <= 0.0:  # projection-degenerate slice (e.g. a Reeb fiber)
-        proj_spacing = max(_ambient_spacing(slc.points, mesh.edges()), 1e-3)
+        proj_spacing = max(_ambient_spacing(slc.points, edges), 1e-3)
     seed_radius = opts.seed_radius or 3.0 * proj_spacing
-    exclusion = opts.exclusion_radius or 5.0 * mesh.max_spacing()
+    exclusion = opts.exclusion_radius or 5.0 * slc.mesh.max_spacing()
     return seed_radius, exclusion
 
 

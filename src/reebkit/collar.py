@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chords import ChordRecord, SearchOptions, chords_projection, chords_shooting
+from .chords import ChordRecord, SearchOptions, _ambient_spacing, chords_projection, chords_shooting
 from .errors import (
     MissingPrimitive,
     MixedChord,
@@ -214,11 +214,9 @@ class FiberBumpField:
         self.proj = slc.points[:, :-1]
         self.heights = slc.points[:, -1]
         self.prescriptions = -prim.values
-        spacing = np.median(
-            [np.linalg.norm(self.proj[a] - self.proj[b]) for a, b in slc.mesh.edges()]
-        )
-        self.r_plateau = 1.5 * float(spacing)
-        self.r_cut = 3.0 * float(spacing)
+        spacing = _ambient_spacing(self.proj, slc.mesh.edges())
+        self.r_plateau = 1.5 * spacing
+        self.r_cut = 3.0 * spacing
         self._adjacency = slc.mesh.neighbors()
         self._profile_cache: dict[bytes, tuple] = {}
 
@@ -539,7 +537,8 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     ``SchemeObstructed`` means small pure chords exist under the active
     convention (non-collarability is NOT concluded — the criterion is
     one-directional); ``Collarable`` requires no small pure chords plus a
-    successful, verified profile construction.
+    successful profile construction that passes the deformation check and,
+    when it runs, the reparametrized-flow check.
     """
     opts = opts or CollarOptions()
     is_euclidean = isinstance(model, StandardRModel)
@@ -680,6 +679,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
             reparam = reeb_reparam_check(model, slc, h_field, [c for c in found if c.pure])
             h_diag["reparam_max_drift"] = reparam["max_endpoint_drift"]
             h_diag["reparam_pass"] = reparam["pass"]
+            construction_ok = reparam["pass"]
 
     if active_small:
         verdict, note = Verdict.SCHEME_OBSTRUCTED, SCHEME_OBSTRUCTED_NOTE

@@ -1,5 +1,5 @@
 """Shared numerical kernel: flow integration, finite differences, damped
-Newton iteration, and composite Simpson quadrature.
+Newton iteration, and composite Simpson quadrature over stacks of segments.
 
 Every routine here is a pure function of its arguments; there is no
 shared mutable state, so concurrent use is safe.
@@ -241,12 +241,15 @@ def newton_solve(system: Callable[[np.ndarray], np.ndarray], seed, opts: Optiona
     return NewtonResult(False, x, res, opts.max_iterations, failure=reason)
 
 
-def line_quadrature(form: Callable[[np.ndarray], np.ndarray], a, b, segments: int = 16) -> float:
-    """Composite Simpson integral of a 1-form along the straight segment a->b.
+def line_quadrature(form: Callable[[np.ndarray], np.ndarray], a, b, segments: int = 16):
+    """Composite Simpson integrals of a 1-form along straight segments a->b.
 
-    ``form(u)`` returns the covector at parameter point ``u``; the integrand
-    is its pairing with the constant direction ``b - a``.  Scalars are
-    accepted for one-dimensional parameter spaces.  Error is O(segments^-4).
+    ``a`` and ``b`` have shape (..., d), a stack of segments; scalars are
+    accepted for one-dimensional parameter spaces.  ``form(u)`` maps points
+    of shape (..., d) to covectors of the same shape and is called once per
+    Simpson node on all segments at once; the integrand is the pairing with
+    the constant direction ``b - a``.  Returns a float for one segment and
+    an array of shape (...) for a stack.  Error is O(segments^-4).
     """
     if segments < 1:
         raise ValueError("segments must be >= 1")
@@ -255,14 +258,15 @@ def line_quadrature(form: Callable[[np.ndarray], np.ndarray], a, b, segments: in
     direction = b - a
     n = 2 * segments  # subintervals; Simpson needs an even count
     tau = np.linspace(0.0, 1.0, n + 1)
-    vals = np.empty(n + 1)
+    vals = np.empty((n + 1,) + a.shape[:-1])
     for i, s in enumerate(tau):
-        cov = np.atleast_1d(np.asarray(form(a + s * direction), dtype=float))
-        vals[i] = float(np.dot(cov, direction))
+        cov = np.asarray(form(a + s * direction), dtype=float)
+        vals[i] = np.sum(cov * direction, axis=-1)
     if not np.all(np.isfinite(vals)):
         raise NonFinite("form returned non-finite values along the segment")
     h = 1.0 / n
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, vals))
+    total = h / 3.0 * np.tensordot(weights, vals, axes=(0, 0))
+    return float(total) if total.ndim == 0 else total

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,26 @@ def test_mixed_chord_flag():
     )
     assert rec.start_component != rec.end_component
     assert not rec.pure
+
+
+def test_sort_key_ignores_length_noise(shooting_chords):
+    # hopf_circle chord lengths all equal pi/2 up to Newton noise; jitter
+    # below the printed precision must not reorder the rows
+    chords = shooting_chords["hopf_circle"]
+    assert len(chords) > 2
+    order = [c.start_param.tolist() for c in chords]
+    assert order == sorted(order)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        jitter = rng.choice([-1e-11, 1e-11], size=len(chords))
+        noisy = [replace(c, length=np.pi / 2 + d) for c, d in zip(chords, jitter)]
+        assert [c.start_param.tolist() for c in sorted(noisy, key=ChordRecord.sort_key)] == order
+
+
+@pytest.mark.parametrize("entry_name", ["unknot_entry", "torus_entry"])
+def test_ambient_spacing_matches_loop(entry_name, request):
+    slc = request.getfixturevalue(entry_name).slice
+    edges = slc.mesh.edges()
+    for points in (slc.points, slc.points[:, :-1]):
+        looped = np.median([np.linalg.norm(points[a] - points[b]) for a, b in edges.tolist()])
+        assert _ambient_spacing(points, edges) == pytest.approx(looped, rel=1e-15)

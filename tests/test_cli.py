@@ -261,3 +261,34 @@ def test_mesh_file_manifest(manifest_path, tmp_path):
     code, out, _ = run_cli(["chords", path])
     assert code == 0
     assert "1.33333" in out
+
+
+def test_mesh_file_manifest_2d(manifest_path, tmp_path):
+    # torus_r5 exported at 24 nodes per axis: the linear interpolant traces
+    # the inscribed 24-gon in each (x_i, y_i) plane, so Simpson gives its
+    # area 12 sin(pi/12) exactly for both periods
+    from reebkit import catalog_get
+
+    slc = catalog_get("torus_r5", {"resolution": 24}).slice
+    mesh_path = tmp_path / "torus_mesh.csv"
+    with open(mesh_path, "w") as fh:
+        fh.write("u,v,x1,y1,x2,y2,z\n")
+        for u, p in zip(slc.mesh.params, slc.points):
+            fh.write(",".join(f"{v:.17g}" for v in [*u, *p]) + "\n")
+    path = manifest_path(
+        "torusmesh",
+        {"model": "r5", "slice": {"mesh_file": str(mesh_path), "param_dim": 2, "periodic": [True, True]}},
+    )
+    from reebkit.models import StandardRModel
+    from reebkit.report import round_sig
+    from reebkit.slices import load_mesh_slice, periods
+
+    area = 12 * np.sin(np.pi / 12)
+    loaded = load_mesh_slice(mesh_path, 2, [True, True])
+    assert np.allclose(periods(StandardRModel(3), loaded), [area, area], rtol=0, atol=1e-9)
+    code, out, _ = run_cli(["check", path])
+    assert code == 0
+    assert json.loads(out)["periods"] == [round_sig(area)] * 2
+    code, out, _ = run_cli(["collar", path])
+    assert code == 4
+    assert json.loads(out)["verdict"] == "NonExact"

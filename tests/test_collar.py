@@ -364,3 +364,15 @@ def test_collar_verdict_consistency(collar_reports):
             small = rep.conventions["small_direct" if active == "direct" else "small_feasibility"]
             assert small == 0
             assert rep.h_diagnostics["constructed"]
+
+
+def test_failed_reparam_check_blocks_collarable(unknot_entry, monkeypatch):
+    from reebkit import collar
+
+    opts = collar.CollarOptions(search=collar.SearchOptions(max_time=3.0))
+    assert collar.collar_report(unknot_entry.model, unknot_entry.slice, opts).verdict == Verdict.COLLARABLE
+    failing = lambda *args, **kwargs: {"max_endpoint_drift": 1.0, "pass": False, "rescaled_times": []}
+    monkeypatch.setattr(collar, "reeb_reparam_check", failing)
+    report = collar.collar_report(unknot_entry.model, unknot_entry.slice, opts)
+    assert report.h_diagnostics["reparam_pass"] is False
+    assert report.verdict != Verdict.COLLARABLE

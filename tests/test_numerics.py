@@ -141,17 +141,17 @@ def test_newton_failure_report():
 
 
 def test_quadrature_dx():
-    assert line_quadrature(lambda u: np.array([1.0]), 0.0, 1.0, segments=1) == pytest.approx(1.0, abs=1e-14)
+    assert line_quadrature(lambda u: np.ones_like(u), 0.0, 1.0, segments=1) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_quadrature_sin_squared_full_period():
-    val = line_quadrature(lambda u: np.array([np.sin(u[0]) ** 2]), 0.0, 2 * np.pi, segments=64)
+    val = line_quadrature(lambda u: np.sin(u) ** 2, 0.0, 2 * np.pi, segments=64)
     assert abs(val - np.pi) < 1e-8
 
 
 def test_quadrature_cosine_antiderivative():
     eps = 0.1
-    val = line_quadrature(lambda u: np.array([eps * np.cos(u[0])]), np.pi / 2, 3 * np.pi / 2, segments=128)
+    val = line_quadrature(lambda u: eps * np.cos(u), np.pi / 2, 3 * np.pi / 2, segments=128)
     assert abs(val - (-0.2)) < 1e-9
 
 
@@ -161,8 +161,21 @@ def test_quadrature_additive_on_cubics(seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-2, 2, size=4)
     a, b, c = sorted(rng.uniform(-3, 3, size=3))
-    form = lambda u: np.array([np.polyval(coeffs, u[0])])
+    form = lambda u: np.polyval(coeffs, u)
     left = line_quadrature(form, a, b, segments=8)
     right = line_quadrature(form, b, c, segments=8)
     whole = line_quadrature(form, a, c, segments=8)
     assert abs(left + right - whole) < 1e-10
+
+
+def test_quadrature_stack_shapes():
+    # a (2, 3) stack of segments in the plane gives a (2, 3) array; the
+    # exact 1-form d(xy) integrates to the endpoint differences of xy
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1, 1, size=(2, 3, 2))
+    b = rng.uniform(-1, 1, size=(2, 3, 2))
+    form = lambda u: np.stack([u[..., 1], u[..., 0]], axis=-1)
+    vals = line_quadrature(form, a, b, segments=2)
+    assert vals.shape == (2, 3)
+    assert np.allclose(vals, b[..., 0] * b[..., 1] - a[..., 0] * a[..., 1], atol=1e-14)
+    assert isinstance(line_quadrature(form, a[0, 0], b[0, 0], segments=2), float)

@@ -3,7 +3,9 @@ import pytest
 
 from reebkit.errors import NonExact, NotClosed
 from reebkit.models import StandardRModel
+from reebkit.numerics import line_quadrature
 from reebkit.slices import (
+    Mesh,
     ParamSlice,
     check_closed,
     check_transverse,
@@ -216,3 +218,62 @@ def test_interval_factor_mesh():
     assert slc.mesh.params[-1, 0] == 1.0
     res = check_transverse(StandardRModel(2), slc)
     assert res.passed  # horizontal segment is transverse to the vertical Reeb field
+
+
+def test_mesh_edges_order():
+    # axis 0 edges first (periodic, wrapping), then axis 1 (interval), each
+    # in row-major order of the first node
+    mesh = Mesh([circle_factor(TWO_PI), interval_factor(0.0, 1.0)], [3, 2])
+    expected = [(0, 2), (1, 3), (2, 4), (3, 5), (4, 0), (5, 1), (0, 1), (2, 3), (4, 5)]
+    assert mesh.edges().tolist() == [list(e) for e in expected]
+    assert mesh.neighbors()[0] == [2, 4, 1]
+    vec = mesh.edge_vector(mesh.edges()[:, 0], mesh.edges()[:, 1])
+    assert np.allclose(vec[:6], [[TWO_PI / 3, 0.0]] * 6)  # the seam edge is unwrapped
+    assert np.allclose(vec[6:], [[0.0, 1.0]] * 3)
+
+
+@pytest.mark.parametrize("name, params", [("sheared_unknot", {"c": -0.5}), ("torus_r5", {"resolution": 16})])
+def test_stacked_quadrature_matches_per_edge_loop(name, params):
+    from reebkit.catalog import catalog_get
+
+    entry = catalog_get(name, params)
+    model, slc = entry.model, entry.slice
+    edges = slc.mesh.edges()
+    u_a = slc.mesh.params[edges[:, 0]]
+    u_b = u_a + slc.mesh.edge_vector(edges[:, 0], edges[:, 1])
+    form = lambda u: pullback_alpha(model, slc, u)
+    stacked = line_quadrature(form, u_a, u_b, segments=4)
+    looped = np.array([line_quadrature(form, a, b, segments=4) for a, b in zip(u_a, u_b)])
+    assert stacked.shape == (len(edges),)
+    # the stack sums in another order, so allow a few ulp of the edge values
+    assert np.max(np.abs(stacked - looped)) <= 8 * np.finfo(float).eps
+
+
+def test_primitive_exact_torus():
+    # y = 0 makes the pullback of dz - y1 dx1 - y2 dx2 equal to dg, so the
+    # primitive anchored at node 0 = (0, 0) is g - g(0, 0)
+    g = lambda u, v: np.sin(u) * np.cos(v) + 0.3 * np.sin(2 * v) + 0.5 * np.cos(u - v)
+    g_u = lambda u, v: np.cos(u) * np.cos(v) - 0.5 * np.sin(u - v)
+    g_v = lambda u, v: -np.sin(u) * np.sin(v) + 0.6 * np.cos(2 * v) + 0.5 * np.sin(u - v)
+
+    def immersion(w):
+        u, v = w[..., 0], w[..., 1]
+        zero = np.zeros_like(u)
+        return np.stack([np.cos(u), zero, np.cos(v), zero, g(u, v)], axis=-1)
+
+    def jacobian(w):
+        u, v = w[..., 0], w[..., 1]
+        zero = np.zeros_like(u)
+        du = np.stack([-np.sin(u), zero, zero, zero, g_u(u, v)], axis=-1)
+        dv = np.stack([zero, zero, -np.sin(v), zero, g_v(u, v)], axis=-1)
+        return np.stack([du, dv], axis=-1)
+
+    slc = ParamSlice([circle_factor(TWO_PI)] * 2, immersion, jacobian, resolution=[48, 48])
+    model = StandardRModel(3)  # r5
+    assert periods(model, slc) == [0.0, 0.0]
+    f = primitive(model, slc)
+    u, v = slc.mesh.params[:, 0], slc.mesh.params[:, 1]
+    assert np.max(np.abs(f.values - (g(u, v) - g(0.0, 0.0)))) < 1e-6
+    assert f.cycle_residual < 1e-6
+    for w in ([1.0, 2.0], [6.2, 0.05], [3.3, 5.9]):
+        assert f.value_at(w) == pytest.approx(g(*w) - g(0.0, 0.0), abs=1e-6)
