@@ -75,35 +75,29 @@ def _ambient_spacing(points: np.ndarray, edges: np.ndarray) -> float:
     return float(np.median(np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)))
 
 
+def _chord_record(slc: ParamSlice, u, v, p_u, p_v, length: float, residual: float) -> ChordRecord:
+    """The chord from parameters u to v, pure when both lie on one component."""
+    comp_u, comp_v = slc.component_at(u), slc.component_at(v)
+    return ChordRecord(u, v, p_u, p_v, length, comp_u == comp_v, comp_u, comp_v, residual=residual)
+
+
 def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[ChordRecord]:
     """Merge chords whose (start, end, length) triples nearly coincide.
 
     Within a cluster the record with the smallest refinement residual
-    wins.  Output is canonically sorted.  Kept records are bucketed by
-    length so candidate comparisons stay local.
+    wins.  Output is canonically sorted.  Candidate pairs come from a grid
+    index over the lengths, so comparisons stay local.
     """
-    kept: list[ChordRecord] = []
-    buckets: dict[int, list[int]] = {}
-    for rec in sorted(raw, key=lambda r: (r.residual, r.sort_key())):
-        key = int(np.floor(rec.length / cluster_radius))
-        close = False
-        for b in (key - 1, key, key + 1):
-            for idx in buckets.get(b, ()):
-                other = kept[idx]
-                d = max(
-                    float(np.max(np.abs(rec.start_param - other.start_param), initial=0.0)),
-                    float(np.max(np.abs(rec.end_param - other.end_param), initial=0.0)),
-                    abs(rec.length - other.length),
-                )
-                if d <= cluster_radius:
-                    close = True
-                    break
-            if close:
-                break
-        if not close:
-            buckets.setdefault(key, []).append(len(kept))
-            kept.append(rec)
-    return sorted(kept, key=ChordRecord.sort_key)
+    recs = sorted(raw, key=lambda r: (r.residual, r.sort_key()))
+    if not recs:
+        return []
+    keys = np.array([[*r.start_param, *r.end_param, r.length] for r in recs])
+    pairs = np.concatenate(list(GridIndex(keys[:, -1:], cell_size=cluster_radius).close_pairs(cluster_radius)))
+    pairs = pairs[np.max(np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]]), axis=1) <= cluster_radius]
+    keep = np.ones(len(recs), dtype=bool)
+    for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
+        keep[j] = keep[j] and not keep[i]  # dropped next to a kept earlier record
+    return sorted((r for r, k in zip(recs, keep) if k), key=ChordRecord.sort_key)
 
 
 def _resolve_projection_options(slc: ParamSlice, opts: SearchOptions):
@@ -135,13 +129,11 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
     opts = opts or SearchOptions()
     mesh = slc.mesh
     seed_radius, exclusion = _resolve_projection_options(slc, opts)
-    proj = slc.points[:, :-1]
 
-    index = GridIndex(proj, cell_size=seed_radius)
     seeds = []
-    for a, b in index.close_pairs(seed_radius):
-        if slc.mesh.param_distance(mesh.params[a], mesh.params[b]) > exclusion:
-            seeds.append((a, b))
+    for pairs in GridIndex(slc.points[:, :-1], cell_size=seed_radius).close_pairs(seed_radius):
+        far = mesh.param_distance(mesh.params[pairs[:, 0]], mesh.params[pairs[:, 1]]) > exclusion
+        seeds.extend(pairs[far].tolist())
 
     pdim = slc.param_dim
 
@@ -165,20 +157,7 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
             u, v, p_u, p_v, length = v, u, p_v, p_u, -length
         if length <= opts.min_length:
             continue
-        comp_u, comp_v = slc.component_at(u), slc.component_at(v)
-        raw.append(
-            ChordRecord(
-                start_param=u,
-                end_param=v,
-                start_point=p_u,
-                end_point=p_v,
-                length=length,
-                pure=comp_u == comp_v,
-                start_component=comp_u,
-                end_component=comp_v,
-                residual=result.residual_norm,
-            )
-        )
+        raw.append(_chord_record(slc, u, v, p_u, p_v, length, result.residual_norm))
     if seeds and failures > 0.5 * len(seeds):
         raise NewtonFailuresExceeded(
             f"{failures}/{len(seeds)} projection seeds failed to converge"
@@ -325,20 +304,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
         if landing > 1e-6:
             failures += 1
             continue
-        comp_u, comp_v = slc.component_at(u), slc.component_at(v)
-        raw.append(
-            ChordRecord(
-                start_param=u,
-                end_param=v,
-                start_point=p_u,
-                end_point=p_v,
-                length=length,
-                pure=comp_u == comp_v,
-                start_component=comp_u,
-                end_component=comp_v,
-                residual=result.residual_norm,
-            )
-        )
+        raw.append(_chord_record(slc, u, v, p_u, p_v, length, result.residual_norm))
     if reps and failures > 0.5 * len(reps):
         raise NewtonFailuresExceeded(f"{failures}/{len(reps)} shooting candidates failed")
     cluster = opts.cluster_radius

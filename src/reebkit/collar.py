@@ -51,6 +51,7 @@ from .slices import (
     periods,
     primitive,
 )
+from .spatial import GridIndex
 
 _SMOOTHSTEP_MAX_SLOPE = 1.875  # max of d/du [u^3 (10 - 15u + 6u^2)] on [0, 1]
 LEGENDRIAN_TOL = 1e-9
@@ -218,39 +219,39 @@ class FiberBumpField:
         self.r_plateau = 1.5 * spacing
         self.r_cut = 3.0 * spacing
         self._adjacency = slc.mesh.neighbors()
+        self._index = GridIndex(self.proj, cell_size=self.r_cut)
         self._profile_cache: dict[bytes, tuple] = {}
 
-    def _clusters(self, near: np.ndarray) -> list[np.ndarray]:
-        near_set = set(near.tolist())
+    def _clusters(self, near: np.ndarray) -> list[list[int]]:
+        """Positions in ``near`` grouped by mesh connectivity among the
+        nodes of ``near``."""
+        pos = {node: k for k, node in enumerate(near.tolist())}
         seen: set[int] = set()
         out = []
         for start in near.tolist():
             if start in seen:
                 continue
-            comp = [start]
+            comp = [pos[start]]
             seen.add(start)
             stack = [start]
             while stack:
                 a = stack.pop()
                 for b in self._adjacency[a]:
-                    if b in near_set and b not in seen:
+                    if b in pos and b not in seen:
                         seen.add(b)
-                        comp.append(b)
+                        comp.append(pos[b])
                         stack.append(b)
-            out.append(np.array(comp))
+            out.append(comp)
         return out
 
     def fiber_data(self, shadow_point: np.ndarray):
         """(heights, prescriptions, representative nodes) of the fiber
         intersections over a projected point, sorted by height."""
-        d2 = np.sum((self.proj - shadow_point) ** 2, axis=1)
-        near = np.nonzero(d2 <= self.r_cut * self.r_cut)[0]
+        near = self._index.query_ball(shadow_point, self.r_cut)
         if near.size == 0:
             return None
-        reps = []
-        for cluster in self._clusters(near):
-            rep = cluster[int(np.argmin(d2[cluster]))]
-            reps.append(rep)
+        d2 = np.sum((self.proj[near] - shadow_point) ** 2, axis=1)
+        reps = [near[c[int(np.argmin(d2[c]))]] for c in self._clusters(near)]
         reps = sorted(reps, key=lambda r: self.heights[r])
         zs = np.array([self.heights[r] for r in reps])
         vs = np.array([self.prescriptions[r] for r in reps])

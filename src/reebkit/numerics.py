@@ -47,7 +47,6 @@ def integrate_flow(
     duration: float,
     tol: float = 1e-10,
     dense_output: bool = False,
-    max_step: Optional[float] = None,
 ):
     """Integrate the autonomous ODE y' = field(y) for the given duration.
 
@@ -61,7 +60,6 @@ def integrate_flow(
         tol: local error tolerance per step.
         dense_output: when True, also return the accepted (time, state)
             samples along the trajectory.
-        max_step: optional cap on the step size.
 
     Returns:
         The endpoint state, or ``(endpoint, samples)`` with
@@ -82,8 +80,6 @@ def integrate_flow(
 
     h_floor = 1e-14 * max(1.0, duration)
     h = duration / 100.0
-    if max_step is not None:
-        h = min(h, max_step)
     t = 0.0
     k1 = _eval_field(field, y)
     n_stages = 7
@@ -109,8 +105,6 @@ def integrate_flow(
         else:
             factor = min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
         h *= factor
-        if max_step is not None:
-            h = min(h, max_step)
     return (y, samples) if dense_output else y
 
 
@@ -185,11 +179,14 @@ class NewtonResult:
 
 
 def newton_solve(system: Callable[[np.ndarray], np.ndarray], seed, opts: Optional[NewtonOptions] = None) -> NewtonResult:
-    """Damped Newton iteration for a square nonlinear system.
+    """Damped Newton iteration for a nonlinear system.
 
-    On a residual increase the update is halved, up to 20 times, before the
-    step is accepted anyway; a seed that already satisfies the tolerance is
-    returned unchanged.
+    A singular or non-square Jacobian takes the least-squares step: the
+    minimum-norm one, or Gauss-Newton for an overdetermined system (such
+    as the projection system of a curve in r5).  On a residual increase
+    the update is halved, up to 20 times, before the step is accepted
+    anyway; a seed that already satisfies the tolerance is returned
+    unchanged.
 
     Returns:
         NewtonResult with ``converged`` set when the final residual norm is
@@ -199,8 +196,6 @@ def newton_solve(system: Callable[[np.ndarray], np.ndarray], seed, opts: Optiona
     opts = opts or NewtonOptions()
     x = np.atleast_1d(np.array(seed, dtype=float))
     fx = np.atleast_1d(np.asarray(system(x), dtype=float))
-    if fx.shape != x.shape:
-        raise ValueError("system must be square (output dimension == input dimension)")
     if not np.all(np.isfinite(fx)):
         raise NonFinite("system returned non-finite values at the seed")
     res = float(np.linalg.norm(fx))
@@ -212,9 +207,7 @@ def newton_solve(system: Callable[[np.ndarray], np.ndarray], seed, opts: Optiona
         jac = jacobian_fd(lambda v: np.atleast_1d(system(v)), x, opts.fd_step)
         try:
             delta = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            # rank-deficient systems (e.g. chord families) fall back to the
-            # min-norm least-squares direction
+        except np.linalg.LinAlgError:  # singular (e.g. chord families) or non-square
             delta, _, rank, _ = np.linalg.lstsq(jac, -fx, rcond=None)
             singular_seen = rank < x.size
         if not np.all(np.isfinite(delta)):

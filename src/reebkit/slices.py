@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NonExact, NotClosed, OffManifold
 from .numerics import line_quadrature
+from .spatial import GridIndex
 
 DEFAULT_CIRCLE_NODES = 256
 DEFAULT_INTERVAL_NODES = 129
@@ -221,32 +222,21 @@ class ParamSlice:
     def component_at(self, u) -> int:
         return int(self.components[self.nearest_node(u)])
 
-    def coincident_point_pairs(self, ambient_tol: float = 1e-9):
-        """Mesh node pairs whose ambient images collide within tolerance.
+    def coincident_point_pairs(self, ambient_tol: float = 1e-9) -> np.ndarray:
+        """Mesh node pairs i < j, as an (P, 2) array in ascending order,
+        whose ambient images are within ``ambient_tol`` times the scale
+        max(1, max |coordinate|) of each other.
 
         Used by the embedding proxy: any such pair must be at parameter
         distance below the exclusion radius to count as benign.
         """
-        scale = max(1.0, float(np.max(np.abs(self.points))))
-        keys: dict[tuple, list[int]] = {}
-        q = np.round(self.points / (ambient_tol * scale)).astype(np.int64)
-        for i, key in enumerate(map(tuple, q)):
-            keys.setdefault(key, []).append(i)
-        pairs = []
-        for bucket in keys.values():
-            for i in range(len(bucket)):
-                for j in range(i + 1, len(bucket)):
-                    a, b = bucket[i], bucket[j]
-                    if np.linalg.norm(self.points[a] - self.points[b]) <= ambient_tol * scale:
-                        pairs.append((a, b))
-        return pairs
+        tol = ambient_tol * max(1.0, float(np.max(np.abs(self.points))))
+        return np.concatenate(list(GridIndex(self.points, cell_size=tol).close_pairs(tol)))
 
     def embedded_at_mesh_scale(self, exclusion_radius: float) -> bool:
-        return all(
-            self.mesh.param_distance(self.mesh.params[a], self.mesh.params[b])
-            <= exclusion_radius
-            for a, b in self.coincident_point_pairs()
-        )
+        pairs = self.coincident_point_pairs()
+        params = self.mesh.params
+        return bool(np.all(self.mesh.param_distance(params[pairs[:, 0]], params[pairs[:, 1]]) <= exclusion_radius))
 
 
 @dataclass

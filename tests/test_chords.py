@@ -252,6 +252,33 @@ def test_dedup_cluster_collapse():
     assert len(dedup_chords(records, cluster_radius=1e-4)) == 1
 
 
+def test_dedup_matches_greedy_all_pairs():
+    # 120 records with lengths about a quarter cluster radius apart and
+    # parameters jittered by up to one radius: clusters chain, so which
+    # records survive depends on the residual order
+    rng = np.random.default_rng(5)
+    r = 1e-4
+    records = [
+        _mk(1.0 + r * rng.uniform(-1, 1), 2.0 + r * rng.uniform(-1, 1), 0.5 + r * rng.uniform(0, 30), rng.uniform())
+        for _ in range(120)
+    ]
+
+    def distance(a, b):
+        return max(
+            np.max(np.abs(a.start_param - b.start_param)),
+            np.max(np.abs(a.end_param - b.end_param)),
+            abs(a.length - b.length),
+        )
+
+    kept = []  # reference: compare each record with every kept one
+    for rec in sorted(records, key=lambda x: (x.residual, x.sort_key())):
+        if all(distance(rec, other) > r for other in kept):
+            kept.append(rec)
+    out = dedup_chords(records, cluster_radius=r)
+    assert 10 < len(out) < len(records)
+    assert [id(x) for x in out] == [id(x) for x in sorted(kept, key=ChordRecord.sort_key)]
+
+
 def test_mixed_chord_flag():
     rec = ChordRecord(
         start_param=np.array([0.0]),

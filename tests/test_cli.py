@@ -292,3 +292,34 @@ def test_mesh_file_manifest_2d(manifest_path, tmp_path):
     code, out, _ = run_cli(["collar", path])
     assert code == 4
     assert json.loads(out)["verdict"] == "NonExact"
+
+
+def test_mesh_file_curve_in_r5(manifest_path, tmp_path):
+    # the r3 unknot embedded as (x, y, 0, 0, z) in r5: its projection
+    # system has 4 equations in 2 unknowns, so Newton takes Gauss-Newton
+    # steps, and the chord is the r3 chord
+    from reebkit import catalog_get
+
+    slc = catalog_get("unknot").slice
+    mesh_path = tmp_path / "unknot_r5.csv"
+    with open(mesh_path, "w") as fh:
+        fh.write("t,x1,y1,x2,y2,z\n")
+        for u, (x, y, z) in zip(slc.mesh.params, slc.points):
+            fh.write(",".join(f"{v:.17g}" for v in [u[0], x, y, 0.0, 0.0, z]) + "\n")
+    path = manifest_path(
+        "unknot_r5",
+        {"model": "r5", "slice": {"mesh_file": str(mesh_path), "periodic": [True], "param_dim": 1}},
+    )
+    code, out, err = run_cli(["chords", path])
+    assert code == 0, err
+    header, *rows = out.splitlines()
+    assert len(rows) == 1
+    chord = dict(zip(header.split(","), rows[0].split(",")))
+    assert float(chord["start_param_0"]) == pytest.approx(3 * np.pi / 2, abs=1e-6)
+    assert float(chord["end_param_0"]) == pytest.approx(np.pi / 2, abs=1e-6)
+    assert float(chord["length"]) == pytest.approx(4.0 / 3.0, abs=1e-6)
+    # 3 Reeb-axis nodes keep the 5-D verification grid at 7^4 * 3 points
+    code, out, err = run_cli(["collar", path, "--grid", "3"])
+    assert code == 0, err
+    assert "Traceback" not in err
+    assert json.loads(out)["verdict"] == "Collarable"

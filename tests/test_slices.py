@@ -174,6 +174,20 @@ def test_embedding_proxy(unknot_entry):
         resolution=[32],
     )
     assert not squash.embedded_at_mesh_scale(5.0 * squash.mesh.max_spacing())
+    # the end nodes t = 0 and t = pi collide 2e-16 apart (scale 1), on
+    # either side of z = 0.5e-9: rounding z / 1e-9 to buckets splits them
+    straddle = ParamSlice(
+        [interval_factor(0.0, np.pi)],
+        lambda u: np.stack(
+            [np.sin(u[..., 0]), np.sin(2 * u[..., 0]) / 2, 0.4999999e-9 + 2e-16 * u[..., 0] / np.pi], axis=-1
+        ),
+        resolution=[32],
+    )
+    assert np.max(np.abs(straddle.points)) <= 1.0
+    assert straddle.points[0, 2] == 0.4999999e-9
+    assert straddle.points[-1, 2] == pytest.approx(0.5000001e-9, abs=1e-22)
+    assert straddle.coincident_point_pairs().tolist() == [[0, 31]]
+    assert not straddle.embedded_at_mesh_scale(5.0 * straddle.mesh.max_spacing())
 
 
 def test_on_manifold_at_nodes(hopf_entry):
