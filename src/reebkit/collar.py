@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chords import ChordRecord, SearchOptions, _ambient_spacing, chords_projection, chords_shooting
+from .chords import ChordRecord, SearchOptions, _ambient_spacing, _chord_record, chords_projection, chords_shooting
 from .errors import (
     MissingPrimitive,
     MixedChord,
@@ -50,6 +50,7 @@ from .slices import (
     check_transverse,
     periods,
     primitive,
+    pullback_alpha,
 )
 from .spatial import GridIndex
 
@@ -131,25 +132,12 @@ def feasibility_oracle_1d(length: float, h_start: float, h_end: float, margin: f
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Piece:
-    z0: float
-    z1: float
-    v0: float
-    v1: float
-    blend: float  # 0 = linear, 1 = pure smoothstep
-
-    def eval(self, z):
-        u = (z - self.z0) / (self.z1 - self.z0)
-        u = np.clip(u, 0.0, 1.0)
-        ramp = (1.0 - self.blend) * u + self.blend * _smoothstep(u)
-        return self.v0 + (self.v1 - self.v0) * ramp
-
-    def min_slope(self) -> float:
-        mean = (self.v1 - self.v0) / (self.z1 - self.z0)
-        if mean >= 0:
-            return mean * (1.0 - self.blend)
-        return mean * (1.0 - self.blend + _SMOOTHSTEP_MAX_SLOPE * self.blend)
+# A profile is a (K, 5) array of rows (z0, z1, v0, v1, blend), one per
+# piece, ordered along the fiber: on [z0, z1] the value runs from v0 to v1
+# along a ramp that is linear for blend 0 and a pure smoothstep for blend 1.
+# Rows 1.. start at the prescribed heights and values: columns z0 and v0.
+# _FLAT is the zero profile of a fiber that no mesh node reaches.
+_FLAT = np.array([[0.0, 1.0, 0.0, 0.0, 1.0]])
 
 
 def _blend_for(mean: float, margin: float) -> float:
@@ -169,27 +157,40 @@ def _blend_for(mean: float, margin: float) -> float:
     return min(1.0, max(0.0, (budget - 1.0) / (_SMOOTHSTEP_MAX_SLOPE - 1.0)))
 
 
-def _build_profile(zs: np.ndarray, vs: np.ndarray, margin: float, runway: float) -> list[_Piece]:
-    """Piecewise profile through prescribed (z, value) pairs, decaying to
-    zero over slope-safe runways beyond the extremes."""
-    pieces: list[_Piece] = []
+def _build_profile(zs: np.ndarray, vs: np.ndarray, margin: float, runway: float) -> np.ndarray:
+    """Profile through prescribed (z, value) pairs, decaying to zero over
+    slope-safe runways beyond the extremes."""
     run_lo = max(runway, _SMOOTHSTEP_MAX_SLOPE * abs(vs[0]) / (1.0 - margin) * 1.02 + 1e-9)
-    pieces.append(_Piece(zs[0] - run_lo, zs[0], 0.0, float(vs[0]), 1.0))
-    for i in range(len(zs) - 1):
-        mean = (vs[i + 1] - vs[i]) / (zs[i + 1] - zs[i])
-        pieces.append(_Piece(float(zs[i]), float(zs[i + 1]), float(vs[i]), float(vs[i + 1]), _blend_for(mean, margin)))
     run_hi = max(runway, _SMOOTHSTEP_MAX_SLOPE * abs(vs[-1]) / (1.0 - margin) * 1.02 + 1e-9)
-    pieces.append(_Piece(zs[-1], zs[-1] + run_hi, float(vs[-1]), 0.0, 1.0))
-    return pieces
+    z = [zs[0] - run_lo, *zs, zs[-1] + run_hi]
+    v = [0.0, *vs, 0.0]
+    blend = [1.0, *(_blend_for(mean, margin) for mean in np.diff(vs) / np.diff(zs)), 1.0]
+    return np.array(list(zip(z[:-1], z[1:], v[:-1], v[1:], blend)))
 
 
-def _eval_profile(pieces: list[_Piece], z: float) -> float:
-    if z <= pieces[0].z0 or z >= pieces[-1].z1:
-        return 0.0
-    for piece in pieces:
-        if z <= piece.z1:
-            return float(piece.eval(z))
-    return 0.0
+def _stack_profiles(profiles: list[np.ndarray]) -> np.ndarray:
+    """(U, K, 5) stack of profiles, the shorter ones padded by repeating
+    their last row, which leaves their values unchanged."""
+    out = np.empty((len(profiles), max(len(p) for p in profiles), 5))
+    for row, p in zip(out, profiles):
+        row[: len(p)] = p
+        row[len(p) :] = p[-1]
+    return out
+
+
+def _eval_profile(profile: np.ndarray, z) -> np.ndarray:
+    """Values at heights z (...) of profiles (..., K, 5) broadcast against
+    them, 0 outside a profile's span; each height is evaluated on the
+    first piece whose z1 reaches it."""
+    z = np.asarray(z, dtype=float)
+    profile = np.broadcast_to(profile, z.shape + profile.shape[-2:])
+    k = np.minimum(np.sum(profile[..., 1] < z[..., None], axis=-1), profile.shape[-2] - 1)
+    row = np.take_along_axis(profile, k[..., None, None], axis=-2)[..., 0, :]
+    z0, z1, v0, v1, blend = np.moveaxis(row, -1, 0)
+    u = np.clip((z - z0) / (z1 - z0), 0.0, 1.0)
+    ramp = (1.0 - blend) * u + blend * _smoothstep(u)
+    inside = (z > profile[..., 0, 0]) & (z < profile[..., -1, 1])
+    return np.where(inside, v0 + (v1 - v0) * ramp, 0.0)
 
 
 class FiberBumpField:
@@ -206,6 +207,10 @@ class FiberBumpField:
     Only derivatives along the Reeb direction (the last coordinate) are
     controlled; the verification checks differentiate along that
     direction only.
+
+    Each distinct shadow (a point with its last coordinate dropped) gets
+    one cache entry (fiber nodes, profile, bump), keyed by the shadow
+    rounded to 12 digits; a call groups its points by shadow.
     """
 
     def __init__(self, slc: ParamSlice, prim: PrimitiveField, margin: float, runway: float):
@@ -220,7 +225,7 @@ class FiberBumpField:
         self.r_cut = 3.0 * spacing
         self._adjacency = slc.mesh.neighbors()
         self._index = GridIndex(self.proj, cell_size=self.r_cut)
-        self._profile_cache: dict[bytes, tuple] = {}
+        self._cache: dict[bytes, tuple] = {}
 
     def _clusters(self, near: np.ndarray) -> list[list[int]]:
         """Positions in ``near`` grouped by mesh connectivity among the
@@ -257,51 +262,46 @@ class FiberBumpField:
         vs = np.array([self.prescriptions[r] for r in reps])
         return zs, vs, reps, float(np.sqrt(np.min(d2)))
 
-    def _profile_at(self, shadow_point: np.ndarray):
-        key = np.round(shadow_point, 12).tobytes()
-        hit = self._profile_cache.get(key)
-        if hit is not None:
-            return hit
-        data = self.fiber_data(shadow_point)
-        if data is None:
-            entry = (None, 0.0)
-        else:
-            zs, vs, _, dist = data
-            pieces = _build_profile(zs, vs, self.margin, self.runway)
-            bump = float(
-                1.0
-                - _smoothstep((dist - self.r_plateau) / max(self.r_cut - self.r_plateau, 1e-12))
-            )
-            entry = (pieces, bump)
-        self._profile_cache[key] = entry
-        return entry
+    def _entry(self, shadow_point: np.ndarray, key: bytes):
+        """(representative nodes, profile, bump) over a shadow point from
+        its fiber data; no nodes and a flat profile where none is in reach."""
+        hit = self._cache.get(key)
+        if hit is None:
+            data = self.fiber_data(shadow_point)
+            if data is None:
+                hit = (None, _FLAT, 0.0)
+            else:
+                zs, vs, reps, dist = data
+                u = (dist - self.r_plateau) / max(self.r_cut - self.r_plateau, 1e-12)
+                bump = float(1.0 - _smoothstep(u))
+                hit = (np.array(reps), _build_profile(zs, vs, self.margin, self.runway), bump)
+            self._cache[key] = hit
+        return hit
 
-    def __call__(self, point) -> float:
-        p = np.asarray(point, dtype=float)
-        pieces, bump = self._profile_at(p[:-1])
-        if pieces is None or bump == 0.0:
-            return 0.0
-        return bump * _eval_profile(pieces, float(p[-1]))
+    def _entries(self, shadows: np.ndarray):
+        """Cache entries of the distinct rows of ``shadows`` (N, d-1), each
+        built from the row's first occurrence, and each row's entry index."""
+        keys = np.round(shadows, 12)
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()  # one bytes key per row
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return [self._entry(shadows[i], keys[i].tobytes()) for i in first], inverse
 
-    def min_slope(self) -> float:
-        """Analytic minimum of the fiber slope over all mesh-node fibers.
-
-        The planar bump only scales profiles by a factor in [0, 1], which
-        cannot push a slope below the per-piece bound.
-        """
-        worst = 0.0
-        for node in range(self.slice.mesh.n_nodes):
-            pieces, _ = self._profile_at(self.proj[node])
-            if pieces is None:
-                continue
-            worst = min(worst, min(piece.min_slope() for piece in pieces))
-        return worst
+    def __call__(self, points) -> np.ndarray:
+        """Field values at points of shape (..., d), with shape (...): one
+        cache lookup per distinct shadow, then one evaluation of all heights."""
+        p = np.asarray(points, dtype=float)
+        flat = p.reshape(-1, p.shape[-1])
+        entries, inverse = self._entries(flat[:, :-1])
+        profiles = _stack_profiles([profile for _, profile, _ in entries])[inverse]
+        bump = np.array([b for _, _, b in entries])[inverse]
+        values = np.where(bump != 0.0, bump * _eval_profile(profiles, flat[:, -1]), 0.0)
+        return values.reshape(p.shape[:-1])
 
 
 @dataclass
 class ExtendResult:
     ok: bool
-    h: Optional[Callable[[np.ndarray], float]]
+    h: Optional[Callable[[np.ndarray], np.ndarray]]
     obstructions: list[ChordRecord] = field(default_factory=list)
     min_slope: float = 0.0
     max_h_plus_f: float = 0.0
@@ -326,45 +326,37 @@ def extend_h(
     if not isinstance(model, StandardRModel):
         raise WrongModel("fiber extension requires a Euclidean model")
     fld = FiberBumpField(slc, prim, margin, runway)
+    entries, _ = fld._entries(fld.proj)
 
     obstructions: list[ChordRecord] = []
     seen_pairs: set[tuple[int, int]] = set()
-    for node in range(slc.mesh.n_nodes):
-        data = fld.fiber_data(fld.proj[node])
-        if data is None:
+    for reps, profile, _ in entries:
+        if reps is None:
             continue
-        zs, vs, reps, _ = data
+        zs, vs = profile[1:, 0], profile[1:, 2]
         for i in range(len(zs) - 1):
             length = float(zs[i + 1] - zs[i])
             if length <= 0:
                 continue
             if feasibility_oracle_1d(length, float(vs[i]), float(vs[i + 1]), margin):
                 continue
-            pair = (min(reps[i], reps[i + 1]), max(reps[i], reps[i + 1]))
-            if pair in seen_pairs:
+            a, b = reps[i], reps[i + 1]  # a below b, so the pair is ordered
+            if (a, b) in seen_pairs:
                 continue
-            seen_pairs.add(pair)
-            a, b = reps[i], reps[i + 1]
-            obstructions.append(
-                ChordRecord(
-                    start_param=slc.mesh.params[a],
-                    end_param=slc.mesh.params[b],
-                    start_point=slc.points[a],
-                    end_point=slc.points[b],
-                    length=length,
-                    pure=slc.components[a] == slc.components[b],
-                    start_component=int(slc.components[a]),
-                    end_component=int(slc.components[b]),
-                )
-            )
+            seen_pairs.add((a, b))
+            u, v = slc.mesh.params[a], slc.mesh.params[b]
+            obstructions.append(_chord_record(slc, u, v, slc.points[a], slc.points[b], length, 0.0))
     if obstructions:
         return ExtendResult(False, None, obstructions=sorted(obstructions, key=ChordRecord.sort_key))
 
-    max_defect = max(
-        abs(fld(slc.points[node]) - (-prim.values[node]))
-        for node in range(slc.mesh.n_nodes)
-    )
-    return ExtendResult(True, fld, min_slope=float(fld.min_slope()), max_h_plus_f=float(max_defect))
+    # analytic slope bound per piece; the planar bump only scales profiles
+    # by a factor in [0, 1], which cannot push a slope below it
+    z0, z1, v0, v1, blend = np.concatenate([prof for _, prof, _ in entries]).T
+    mean = (v1 - v0) / (z1 - z0)
+    slopes = np.where(mean >= 0, mean * (1.0 - blend), mean * (1.0 - blend + _SMOOTHSTEP_MAX_SLOPE * blend))
+    min_slope = min(0.0, float(np.min(slopes)))
+    max_defect = float(np.max(np.abs(fld(slc.points) - (-prim.values))))
+    return ExtendResult(True, fld, min_slope=min_slope, max_h_plus_f=max_defect)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +364,15 @@ def extend_h(
 # ---------------------------------------------------------------------------
 
 
-def directional_dh_reeb(model, h: Callable[[np.ndarray], float], point, step: float = 1e-6) -> float:
-    """Directional derivative of h along the (unnormalized) Reeb vector."""
-    p = np.asarray(point, dtype=float)
+def directional_dh_reeb(model, h: Callable[[np.ndarray], np.ndarray], points, step: float = 1e-6) -> np.ndarray:
+    """Directional derivatives of h along the (unnormalized) Reeb vector
+    at points of shape (..., d), by central differences with a per-point
+    step; the result has shape (...)."""
+    p = np.asarray(points, dtype=float)
     r = model.reeb(p)
-    scale = max(1.0, float(np.linalg.norm(r)))
-    s = step * (1.0 + float(np.max(np.abs(p)))) / scale
-    return (float(h(p + s * r)) - float(h(p - s * r))) / (2.0 * s)
+    scale = np.maximum(1.0, np.linalg.norm(r, axis=-1))
+    s = (step * (1.0 + np.max(np.abs(p), axis=-1)) / scale)[..., None]
+    return (h(p + s * r) - h(p - s * r)) / (2.0 * s[..., 0])
 
 
 def grid_around_slice(slc: ParamSlice, per_axis: int = 9, z_axis: int = 33, padding: float = 0.3) -> np.ndarray:
@@ -417,23 +411,19 @@ def check_deformation(sym: SymplectizationModel, spec: DeformationSpec, grid: np
     to finite-difference noise because the dt-component equals
     1 + dh(Reeb) at t = 1.
     """
-    model = sym.base
     if spec.h is None:
         return DeformationCheck(0.0, 1.0, True, True, True)
-    min_dh = np.inf
-    min_dt = np.inf
-    for p in np.asarray(grid, dtype=float):
-        min_dh = min(min_dh, directional_dh_reeb(model, spec.h, p))
-        min_dt = min(min_dt, float(liouville_deformed(sym, spec, 1.0, p)[0]))
+    min_dh = float(np.min(directional_dh_reeb(sym.base, spec.h, grid)))
+    min_dt = float(np.min(liouville_deformed(sym, spec, 1.0, grid)[..., 0]))
     pass_dh = min_dh > -1.0 + spec.margin
     pass_dt = min_dt > spec.margin
-    return DeformationCheck(float(min_dh), float(min_dt), pass_dh, pass_dt, pass_dh == pass_dt)
+    return DeformationCheck(min_dh, min_dt, pass_dh, pass_dt, pass_dh == pass_dt)
 
 
 def reeb_reparam_check(
     model,
     slc: ParamSlice,
-    h: Optional[Callable[[np.ndarray], float]],
+    h: Optional[Callable[[np.ndarray], np.ndarray]],
     chords: Sequence[ChordRecord],
     samples: int = 256,
     drift_tol: float = 1e-5,
@@ -445,36 +435,38 @@ def reeb_reparam_check(
     flow ``model.flow``, the rescaled flow time is obtained by Simpson
     quadrature of 1 + dh(R) along it, and the rescaled field, which has no
     closed form, is integrated numerically for that time; the endpoint
-    must land back on the recorded end point.
+    must land back on the recorded end point.  With ``h`` None (the
+    trivial profile) the rescaled field is ``model.reeb`` itself.
 
     Raises:
         ReparamDegenerate: 1 + dh(R) drops to zero on some chord.
     """
     max_drift = 0.0
     rescaled_times = []
-    h_fn = h if h is not None else (lambda p: 0.0)
+    rescaled_field = model.reeb
+    if h is not None:
 
-    def scaled_field(p):
-        denom = 1.0 + directional_dh_reeb(model, h_fn, p)
-        if denom <= 1e-6:
-            raise ReparamDegenerate("1 + dh(Reeb) vanished along a trajectory")
-        return model.reeb(p) / denom
+        def rescaled_field(p):
+            denom = 1.0 + directional_dh_reeb(model, h, p)
+            if denom <= 1e-6:
+                raise ReparamDegenerate("1 + dh(Reeb) vanished along a trajectory")
+            return model.reeb(p) / denom
 
+    n = samples + samples % 2
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
     for chord in chords:
-        n = samples if samples % 2 == 0 else samples + 1
         dt = chord.length / n
         states = model.flow(chord.start_point, dt * np.arange(n + 1))
-        vals = np.array([1.0 + directional_dh_reeb(model, h_fn, p) for p in states])
+        vals = np.ones(n + 1) if h is None else 1.0 + directional_dh_reeb(model, h, states)
         if np.min(vals) <= 1e-6:
             raise ReparamDegenerate(
                 f"1 + dh(Reeb) reached {float(np.min(vals)):.3e} on a chord"
             )
-        weights = np.ones(n + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
         rescaled_time = float(dt / 3.0 * np.dot(weights, vals))
         rescaled_times.append(rescaled_time)
-        endpoint = integrate_flow(scaled_field, chord.start_point, rescaled_time, tol=1e-10)
+        endpoint = integrate_flow(rescaled_field, chord.start_point, rescaled_time, tol=1e-10)
         max_drift = max(max_drift, float(np.linalg.norm(endpoint - chord.end_point)))
     return {
         "max_endpoint_drift": max_drift,
@@ -495,9 +487,7 @@ class CollarOptions:
     margin: float = 0.05
     convention: Convention = Convention.DIRECT
     search: SearchOptions = field(default_factory=SearchOptions)
-    grid_per_axis: int = 7
     grid_z_axis: int = 33
-    run_reparam: bool = True
 
 
 @dataclass
@@ -575,34 +565,20 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     else:
         found = chords_shooting(model, slc, search)
 
-    if not exact:
+    prim, h_diag = None, {"constructed": False}
+    if exact:
+        try:
+            prim = primitive(model, slc)
+        except NonExact as exc:
+            # periods vanished but spanning-tree integration found a cycle
+            # defect beyond tolerance: treat as non-exact at mesh scale
+            h_diag["cycle_defect"] = exc.period
+    if prim is None:
         entries = [_chord_entry(c, None, None, None) for c in found]
-        return CollarReport(
-            checks,
-            period_values,
-            False,
-            entries,
-            empty_conventions,
-            {"constructed": False},
-            Verdict.NON_EXACT,
-        )
-
-    try:
-        prim = primitive(model, slc)
-    except NonExact as exc:
-        # periods vanished but spanning-tree integration found a cycle
-        # defect beyond tolerance: treat as non-exact at mesh scale
-        entries = [_chord_entry(c, None, None, None) for c in found]
-        return CollarReport(
-            checks,
-            period_values,
-            False,
-            entries,
-            empty_conventions,
-            {"constructed": False, "cycle_defect": exc.period},
-            Verdict.NON_EXACT,
-        )
-    legendrian = prim.max_abs() <= 1e-6 and _max_pullback(model, slc) < LEGENDRIAN_TOL
+        return CollarReport(checks, period_values, False, entries, empty_conventions, h_diag, Verdict.NON_EXACT)
+    legendrian = prim.max_abs() <= 1e-6 and (
+        float(np.max(np.abs(pullback_alpha(model, slc, slc.mesh.params)))) < LEGENDRIAN_TOL
+    )
 
     entries = []
     small_direct = small_feas = 0
@@ -634,11 +610,9 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
 
     # profile construction: trivial for Legendrian slices on any model,
     # fiber interpolation on Euclidean models, otherwise unavailable
-    h_diag: dict = {"constructed": False}
-    h_field = None
+    h_field = None  # also the trivial profile of a Legendrian slice
     construction_ok = False
     if legendrian:
-        h_field = lambda p: 0.0
         construction_ok = True
         h_diag = {"constructed": True, "trivial": True, "min_slope": 0.0, "max_h_plus_f": prim.max_abs()}
     elif is_euclidean:
@@ -660,11 +634,11 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     else:
         h_diag = {"constructed": False, "note": "profile construction unavailable for this model"}
 
-    if construction_ok and h_field is not None:
+    if construction_ok:
         sym = SymplectizationModel(model, epsilon=0.2)
         spec = DeformationSpec(h=h_field, rho=RhoProfile(0.2), margin=opts.margin)
         if is_euclidean:
-            grid = grid_around_slice(slc, opts.grid_per_axis, opts.grid_z_axis)
+            grid = grid_around_slice(slc, per_axis=7, z_axis=opts.grid_z_axis)
             deform = check_deformation(sym, spec, grid)
             h_diag.update(
                 {
@@ -676,7 +650,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
             construction_ok = deform.passed
         else:
             h_diag.update({"min_dh_reeb": 0.0, "min_dt_liouville": 1.0, "deformation_pass": True})
-        if opts.run_reparam and found and construction_ok:
+        if found and construction_ok:
             reparam = reeb_reparam_check(model, slc, h_field, [c for c in found if c.pure])
             h_diag["reparam_max_drift"] = reparam["max_endpoint_drift"]
             h_diag["reparam_pass"] = reparam["pass"]
@@ -695,8 +669,3 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
 
     return CollarReport(checks, period_values, exact, entries, conventions, h_diag, verdict, note)
 
-
-def _max_pullback(model, slc: ParamSlice) -> float:
-    from .slices import pullback_alpha
-
-    return float(np.max(np.abs(pullback_alpha(model, slc, slc.mesh.params))))

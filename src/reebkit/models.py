@@ -216,12 +216,13 @@ class DeformationSpec:
     """Deformation data: ambient profile h, time profile rho, margin for
     the strict transversality inequality dh(Reeb) > -1.
 
-    The time profile must ramp from 0 below 1 - epsilon to 1 at t = 1,
-    nondecreasing, with vanishing slope at t = 1; this is validated on a
-    sample grid at construction.
+    ``h`` maps points of shape (..., ambient_dim) to values of shape (...);
+    ``None`` is the trivial profile h = 0.  The time profile must ramp
+    from 0 below 1 - epsilon to 1 at t = 1, nondecreasing, with vanishing
+    slope at t = 1; this is validated on a sample grid at construction.
     """
 
-    h: Optional[Callable[[np.ndarray], float]]
+    h: Optional[Callable[[np.ndarray], np.ndarray]]
     rho: RhoProfile
     margin: float = 0.05
     epsilon: float = 0.2
@@ -275,17 +276,19 @@ class SymplectizationModel:
             + t * self.base.d_alpha(point, u[1:], v[1:])
         )
 
-    def liouville_field(self, t: float, point) -> np.ndarray:
-        out = np.zeros(1 + self.base.ambient_dim)
-        out[0] = t
+    def liouville_field(self, t: float, points) -> np.ndarray:
+        """The expansion field t*d/dt at points (..., ambient_dim)."""
+        out = np.zeros(np.shape(points)[:-1] + (1 + self.base.ambient_dim,))
+        out[..., 0] = t
         return out
 
 
-def hamiltonian_field(sym: SymplectizationModel, spec: DeformationSpec, t: float, point) -> np.ndarray:
-    """Hamiltonian vector of H(t, x) = rho(t) h(x) on the collar.
+def hamiltonian_field(sym: SymplectizationModel, spec: DeformationSpec, t: float, points) -> np.ndarray:
+    """Hamiltonian vectors of H(t, x) = rho(t) h(x) at collar points.
 
-    Solves iota_X (dt^alpha + t d_alpha) = dH by coefficient matching in
-    the Euclidean model's coordinates:
+    ``points`` has shape (..., ambient_dim); the result has shape
+    (..., 1 + ambient_dim).  Solves iota_X (dt^alpha + t d_alpha) = dH by
+    coefficient matching in the Euclidean model's coordinates:
 
         X_t    = rho * h_z
         X_xi   = rho * h_yi / t
@@ -295,35 +298,35 @@ def hamiltonian_field(sym: SymplectizationModel, spec: DeformationSpec, t: float
     Only implemented for StandardRModel bases.
     """
     base = sym.base
+    p = np.asarray(points, dtype=float)
     if spec.h is None:
-        return np.zeros(1 + base.ambient_dim)
+        return np.zeros(p.shape[:-1] + (1 + base.ambient_dim,))
     if not isinstance(base, StandardRModel):
         raise UnsupportedModel(
             f"Hamiltonian field not implemented for model {base.name!r}"
         )
-    p = np.asarray(point, dtype=float)
     rho = float(spec.rho(t))
     rho_d = float(spec.rho.derivative(t))
-    h0 = float(spec.h(p))
-    grad = jacobian_fd(lambda q: np.atleast_1d(spec.h(q)), p)[0]
-    gx, gy, gz = grad[0:-1:2], grad[1:-1:2], grad[-1]
-    y = p[1:-1:2]
-    out = np.empty(1 + base.ambient_dim)
-    out[0] = rho * gz
-    out[1:-1:2] = rho * gy / t            # x-components
-    out[2:-1:2] = -rho * (gx + gz * y) / t  # y-components
-    out[-1] = rho * float(np.dot(y, gy)) / t - rho_d * h0
+    h0 = spec.h(p)
+    grad = jacobian_fd(lambda q: np.expand_dims(spec.h(q), -1), p)[..., 0, :]
+    gx, gy, gz = grad[..., 0:-1:2], grad[..., 1:-1:2], grad[..., -1:]
+    y = p[..., 1:-1:2]
+    out = np.empty(p.shape[:-1] + (1 + base.ambient_dim,))
+    out[..., :1] = rho * gz
+    out[..., 1:-1:2] = rho * gy / t            # x-components
+    out[..., 2:-1:2] = -rho * (gx + gz * y) / t  # y-components
+    out[..., -1] = rho * np.sum(y * gy, axis=-1) / t - rho_d * h0
     return out
 
 
-def liouville_deformed(sym: SymplectizationModel, spec: DeformationSpec, t: float, point) -> np.ndarray:
-    """Deformed expansion field t*d/dt + X_H at a collar point.
+def liouville_deformed(sym: SymplectizationModel, spec: DeformationSpec, t: float, points) -> np.ndarray:
+    """Deformed expansion field t*d/dt + X_H at collar points (..., ambient_dim).
 
     At t = 1 its dt-component equals 1 + dh(Reeb), so its sign reproduces
     the transversality criterion directly.
     """
     if not sym.t_range[0] < t < sym.t_range[1]:
         raise ValueError(f"t={t} outside collar range {sym.t_range}")
-    if not np.all(sym.base.on_manifold(point, tol=StandardSphereModel.PROJECT_TOL)):
+    if not np.all(sym.base.on_manifold(points, tol=StandardSphereModel.PROJECT_TOL)):
         raise OffManifold("point is not on the base manifold")
-    return sym.liouville_field(t, point) + hamiltonian_field(sym, spec, t, point)
+    return sym.liouville_field(t, points) + hamiltonian_field(sym, spec, t, points)

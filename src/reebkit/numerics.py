@@ -128,24 +128,27 @@ def integrate_fixed(field: Field, start, duration: float, steps: int) -> np.ndar
 
 
 def jacobian_fd(map_fn: Callable[[np.ndarray], np.ndarray], point, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``map_fn`` at ``point``.
+    """Central-difference Jacobians of ``map_fn`` at a stack of points.
 
-    The step in coordinate j is ``step * (1 + |point_j|)``; entry error is
-    O(step^2) for smooth maps.
+    ``point`` has shape (..., d) and ``map_fn`` maps (..., d) to (..., m);
+    the result has shape (..., m, d), one map call per coordinate and
+    sign.  The step in coordinate j is ``step * (1 + |point_j|)``, per
+    point; entry error is O(step^2) for smooth maps.
     """
     x = np.asarray(point, dtype=float)
     cols = []
-    for j in range(x.size):
-        s = step * (1.0 + abs(x[j]))
+    for j in range(x.shape[-1]):
+        xj = x[..., j]
+        s = step * (1.0 + np.abs(xj))
         xp = x.copy()
         xm = x.copy()
-        xp[j] += s
-        xm[j] -= s
+        xp[..., j] = xj + s
+        xm[..., j] = xj - s
         fp = np.asarray(map_fn(xp), dtype=float)
         fm = np.asarray(map_fn(xm), dtype=float)
         if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise NonFinite("map returned non-finite values during differentiation")
-        cols.append((fp - fm) / (2.0 * s))
+        cols.append((fp - fm) / (2.0 * s)[..., None])
     return np.stack(cols, axis=-1)
 
 

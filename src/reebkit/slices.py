@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NonExact, NotClosed, OffManifold
-from .numerics import line_quadrature
+from .numerics import jacobian_fd, line_quadrature
 from .spatial import GridIndex
 
 DEFAULT_CIRCLE_NODES = 256
@@ -202,15 +202,7 @@ class ParamSlice:
         u = np.asarray(u, dtype=float)
         if self.analytic_jacobian is not None:
             return np.asarray(self.analytic_jacobian(u), dtype=float)
-        cols = []
-        for j in range(self.param_dim):
-            s = self.fd_step * (1.0 + np.abs(u[..., j]))
-            up = u.copy()
-            um = u.copy()
-            up[..., j] += s
-            um[..., j] -= s
-            cols.append((self.immerse(up) - self.immerse(um)) / (2.0 * s)[..., None])
-        return np.stack(cols, axis=-1)
+        return jacobian_fd(self.immerse, u, self.fd_step)
 
     def nearest_node(self, u) -> int:
         d = self.mesh.params - self.mesh.wrap(np.asarray(u, dtype=float))
@@ -267,19 +259,8 @@ def check_closed(model, slc: ParamSlice, tol: float = DEFAULT_CLOSED_TOL) -> Che
     """
     if slc.param_dim == 1:
         return CheckResult(True, 0.0)
-    u = slc.mesh.params
-    derivs = []
-    for j in range(slc.param_dim):
-        s = 1e-6 * (1.0 + np.abs(u[:, j]))
-        up = u.copy()
-        um = u.copy()
-        up[:, j] += s
-        um[:, j] -= s
-        derivs.append((pullback_alpha(model, slc, up) - pullback_alpha(model, slc, um)) / (2.0 * s)[:, None])
-    residual = 0.0
-    for j in range(slc.param_dim):
-        for k in range(j + 1, slc.param_dim):
-            residual = max(residual, float(np.max(np.abs(derivs[j][:, k] - derivs[k][:, j]))))
+    jac = jacobian_fd(lambda u: pullback_alpha(model, slc, u), slc.mesh.params)
+    residual = float(np.max(np.abs(jac - np.swapaxes(jac, -1, -2))))
     return CheckResult(residual <= tol, residual)
 
 
@@ -310,6 +291,25 @@ def _cochain(model, slc: ParamSlice, edges: np.ndarray) -> np.ndarray:
     return _edge_integrals(model, slc, u_a, u_a + slc.mesh.edge_vector(edges[:, 0], edges[:, 1]))
 
 
+def _generator_loops(mesh: Mesh) -> list[np.ndarray]:
+    """Positions in ``mesh.edges()`` of each periodic generator loop's
+    edges, in chain order: the edges along one periodic axis through node
+    0.  Edges come axis by axis; a periodic axis has one per start node."""
+    loops, start = [], 0
+    for axis, (f, m) in enumerate(zip(mesh.factors, mesh.shape)):
+        if f.periodic:  # row-major node ids along the axis: multiples of its stride
+            loops.append(start + np.arange(m) * int(np.prod(mesh.shape[axis + 1:])))
+        start += mesh.n_nodes // m * (m if f.periodic else m - 1)
+    return loops
+
+
+def _loop_period(values: np.ndarray) -> float:
+    """Sequential sum of a loop's edge integrals, in chain order, snapped
+    to exactly zero below 1e-8."""
+    total = float(np.cumsum(values)[-1])
+    return 0.0 if abs(total) < PERIOD_ZERO_TOL else total
+
+
 def periods(model, slc: ParamSlice, tol_closed: float = DEFAULT_CLOSED_TOL) -> list[float]:
     """Integral of the pullback around each periodic generator loop.
 
@@ -321,19 +321,8 @@ def periods(model, slc: ParamSlice, tol_closed: float = DEFAULT_CLOSED_TOL) -> l
     closed = check_closed(model, slc, tol_closed)
     if not closed.passed:
         raise NotClosed(f"closedness residual {closed.value:.3e} exceeds {tol_closed:.3e}")
-    mesh = slc.mesh
-    out = []
-    idx = np.arange(mesh.n_nodes).reshape(mesh.shape)
-    for axis, f in enumerate(mesh.factors):
-        if not f.periodic:
-            continue
-        sl = [0] * mesh.param_dim
-        sl[axis] = slice(None)
-        chain = idx[tuple(sl)]
-        values = _cochain(model, slc, np.stack([chain, np.roll(chain, -1)], axis=-1))
-        total = float(np.cumsum(values)[-1])  # sequential sum, in chain order
-        out.append(0.0 if abs(total) < PERIOD_ZERO_TOL else total)
-    return out
+    edges = slc.mesh.edges()
+    return [_loop_period(_cochain(model, slc, edges[loop])) for loop in _generator_loops(slc.mesh)]
 
 
 class PrimitiveField:
@@ -373,17 +362,20 @@ def primitive(model, slc: ParamSlice, cycle_tol: float = 1e-6) -> PrimitiveField
     """Accumulate the edge integrals of the pullback along a breadth-first
     spanning tree of the mesh graph.
 
-    Requires every period to vanish (raises NonExact with the offending
-    value otherwise).  Path independence is verified on every edge: the
-    endpoint difference of f must match the edge integral within
-    ``cycle_tol``.
+    Requires every period to vanish: each generator loop's period is
+    summed from the same all-edge cochain, and a nonzero one raises
+    NonExact with its value.  Path independence is verified on every edge:
+    the endpoint difference of f must match the edge integral within
+    ``cycle_tol`` (NonExact with the worst defect otherwise).  There is no
+    separate closedness check, so this never raises NotClosed.
     """
-    for p in periods(model, slc):
-        if p != 0.0:
-            raise NonExact(p)
     mesh = slc.mesh
     edges = mesh.edges()
     cochain = _cochain(model, slc, edges)
+    for loop in _generator_loops(mesh):
+        period = _loop_period(cochain[loop])
+        if period != 0.0:
+            raise NonExact(period)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(mesh.n_nodes)]
     for a, b, c in zip(*edges.T.tolist(), cochain.tolist()):
         adj[a].append((b, c))

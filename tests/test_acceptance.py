@@ -208,7 +208,7 @@ def test_criterion_07_deformation_cross_validation(unknot_entry, sheared_01_entr
         k1, k2, ph1, ph2 = rng.uniform(0, 2 * np.pi, size=4)
 
         def h(p, a=a, b=b, q=q, k1=k1, k2=k2, ph1=ph1, ph2=ph2):
-            return a * p[2] + b * np.sin(k1 * p[0] + ph1) * np.cos(k2 * p[1] + ph2) * np.sin(q * p[2])
+            return a * p[..., 2] + b * np.sin(k1 * p[..., 0] + ph1) * np.cos(k2 * p[..., 1] + ph2) * np.sin(q * p[..., 2])
 
         # keep the minimum away from the threshold so FD noise cannot flip
         min_dh_est = a - abs(b * q)

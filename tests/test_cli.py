@@ -318,8 +318,8 @@ def test_mesh_file_curve_in_r5(manifest_path, tmp_path):
     assert float(chord["start_param_0"]) == pytest.approx(3 * np.pi / 2, abs=1e-6)
     assert float(chord["end_param_0"]) == pytest.approx(np.pi / 2, abs=1e-6)
     assert float(chord["length"]) == pytest.approx(4.0 / 3.0, abs=1e-6)
-    # 3 Reeb-axis nodes keep the 5-D verification grid at 7^4 * 3 points
-    code, out, err = run_cli(["collar", path, "--grid", "3"])
+    # the default 5-D verification grid: 7^4 * 33 points in one stacked check
+    code, out, err = run_cli(["collar", path])
     assert code == 0, err
     assert "Traceback" not in err
     assert json.loads(out)["verdict"] == "Collarable"

@@ -5,18 +5,22 @@ from reebkit.chords import ChordRecord
 from reebkit.collar import (
     Classification,
     Convention,
+    FiberBumpField,
     Verdict,
     _build_profile,
+    _eval_profile,
+    _stack_profiles,
     check_deformation,
     chord_action,
     classify_chord,
+    directional_dh_reeb,
     extend_h,
     feasibility_oracle_1d,
     grid_around_slice,
     reeb_reparam_check,
 )
 from reebkit.errors import MissingPrimitive, MixedChord, ReparamDegenerate
-from reebkit.models import DeformationSpec, RhoProfile, SymplectizationModel
+from reebkit.models import DeformationSpec, RhoProfile, StandardRModel, SymplectizationModel, liouville_deformed
 
 
 def _smoothstep(u):
@@ -141,16 +145,43 @@ def test_oracle_against_constructed_profile():
         v0, v1 = rng.uniform(-1.5, 1.5, size=2)
         ok = feasibility_oracle_1d(length, v0, v1, margin)
         if ok:
-            pieces = _build_profile(np.array([0.0, length]), np.array([v0, v1]), margin, runway=1.0)
-            mid = pieces[1]  # the prescribed span
-            zs = np.linspace(mid.z0, mid.z1, 400)
-            vals = mid.eval(zs)
+            profile = _build_profile(np.array([0.0, length]), np.array([v0, v1]), margin, runway=1.0)
+            z0, z1 = profile[1, :2]  # the prescribed span
+            zs = np.linspace(z0, z1, 400)
+            vals = _eval_profile(profile, zs)
             slopes = np.diff(vals) / np.diff(zs)
             assert slopes.min() > -1.0 + margin - 1e-9
-            assert abs(float(mid.eval(mid.z0)) - v0) < 1e-12
-            assert abs(float(mid.eval(mid.z1)) - v1) < 1e-12
+            assert abs(float(_eval_profile(profile, z0)) - v0) < 1e-12
+            assert abs(float(_eval_profile(profile, z1)) - v1) < 1e-12
         else:
             assert (v1 - v0) / length <= -1.0 + margin
+
+
+def _eval_profile_loop(profile, z):
+    """One height, piece by piece: the evaluation the stacked one replaced."""
+    if z <= profile[0, 0] or z >= profile[-1, 1]:
+        return 0.0
+    for z0, z1, v0, v1, blend in profile:
+        if z <= z1:
+            u = np.clip((z - z0) / (z1 - z0), 0.0, 1.0)
+            return float(v0 + (v1 - v0) * ((1.0 - blend) * u + blend * _smoothstep(u)))
+
+
+def test_eval_profile_matches_piece_loop():
+    rng = np.random.default_rng(11)
+    profiles, heights = [], []
+    for k in (1, 2, 3, 5):
+        zs = np.sort(rng.uniform(-2.0, 2.0, size=k))
+        profile = _build_profile(zs, rng.uniform(-1.0, 1.0, size=k), 0.05, runway=1.0)
+        # breakpoints, points inside every piece, and points beyond the span
+        z = np.concatenate([profile[:, 0], profile[:, 1], rng.uniform(-6.0, 6.0, size=200)])
+        assert np.array_equal(_eval_profile(profile, z), [_eval_profile_loop(profile, h) for h in z])
+        profiles.append(profile)
+        heights.append(z)
+    # profiles of different lengths stacked with their last rows repeated
+    stack = _stack_profiles(profiles)
+    for profile, padded, z in zip(profiles, stack, heights):
+        assert np.array_equal(_eval_profile(padded, z), _eval_profile(profile, z))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +263,47 @@ def test_extend_h_success_implies_refined_check(sheared_01_entry, primitives):
 # ---------------------------------------------------------------------------
 
 
+def test_fiber_field_stack_matches_per_point_calls(sheared_01_entry, primitives):
+    slc = sheared_01_entry.slice
+    prim = primitives[("sheared_unknot", 0.1)]
+    grid = grid_around_slice(slc, per_axis=7, z_axis=33)
+    for pts in (slc.points, grid):
+        stacked = FiberBumpField(slc, prim, margin=0.05, runway=1.0)(pts)
+        single = FiberBumpField(slc, prim, margin=0.05, runway=1.0)
+        assert np.array_equal(stacked, [single(p) for p in pts])
+    shaped = FiberBumpField(slc, prim, margin=0.05, runway=1.0)(grid.reshape(7, 7, 33, 3))
+    assert np.array_equal(shaped, stacked.reshape(7, 7, 33))
+
+
+def _per_point_minima(sym, spec, grid):
+    """check_deformation's two minima, one grid point at a time."""
+    min_dh = min(float(directional_dh_reeb(sym.base, spec.h, p)) for p in grid)
+    min_dt = min(float(liouville_deformed(sym, spec, 1.0, p)[0]) for p in grid)
+    return min_dh, min_dt
+
+
+def test_check_deformation_matches_per_point_loop(unknot_entry, sheared_01_entry, primitives):
+    sym = SymplectizationModel(StandardRModel(2))
+    slc = sheared_01_entry.slice
+    prim = primitives[("sheared_unknot", 0.1)]
+    # (profile maker, grid): the constructed profile, a fresh field per
+    # evaluation path, then random profiles drawn as in criterion 07
+    cases = [(lambda: extend_h(sym.base, slc, prim).h, grid_around_slice(slc, per_axis=5, z_axis=17))]
+    rng = np.random.default_rng(99)
+    for _ in range(5):
+        a, b, q = rng.uniform(-1.6, 0.4), rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)
+        k1, k2, ph1, ph2 = rng.uniform(0, 2 * np.pi, size=4)
+
+        def h(p, a=a, b=b, q=q, k1=k1, k2=k2, ph1=ph1, ph2=ph2):
+            return a * p[..., 2] + b * np.sin(k1 * p[..., 0] + ph1) * np.cos(k2 * p[..., 1] + ph2) * np.sin(q * p[..., 2])
+
+        cases.append((lambda h=h: h, grid_around_slice(unknot_entry.slice, per_axis=5, z_axis=21)))
+    for make_h, grid in cases:
+        chk = check_deformation(sym, DeformationSpec(h=make_h(), rho=RhoProfile(0.2)), grid)
+        loop = _per_point_minima(sym, DeformationSpec(h=make_h(), rho=RhoProfile(0.2)), grid)
+        assert (chk.min_dh_reeb, chk.min_dt_liouville) == loop
+
+
 def test_check_deformation_trivial(unknot_entry):
     sym = SymplectizationModel(unknot_entry.model)
     chk = check_deformation(sym, DeformationSpec.trivial(), grid_around_slice(unknot_entry.slice))
@@ -243,7 +315,7 @@ def test_check_deformation_trivial(unknot_entry):
 def test_check_deformation_linear_profile(unknot_entry):
     delta = 0.2
     sym = SymplectizationModel(unknot_entry.model)
-    spec = DeformationSpec(h=lambda p: -(1 - delta) * p[2], rho=RhoProfile(0.2), margin=0.05)
+    spec = DeformationSpec(h=lambda p: -(1 - delta) * p[..., 2], rho=RhoProfile(0.2), margin=0.05)
     chk = check_deformation(sym, spec, grid_around_slice(unknot_entry.slice, 5, 17))
     assert chk.min_dh_reeb == pytest.approx(-(1 - delta), abs=1e-6)
     assert chk.passed
@@ -252,7 +324,7 @@ def test_check_deformation_linear_profile(unknot_entry):
 
 def test_check_deformation_steep_profile_fails_both(unknot_entry):
     sym = SymplectizationModel(unknot_entry.model)
-    spec = DeformationSpec(h=lambda p: -2.0 * p[2], rho=RhoProfile(0.2), margin=0.05)
+    spec = DeformationSpec(h=lambda p: -2.0 * p[..., 2], rho=RhoProfile(0.2), margin=0.05)
     chk = check_deformation(sym, spec, grid_around_slice(unknot_entry.slice, 5, 17))
     assert not chk.pass_dh
     assert not chk.pass_dt
@@ -273,9 +345,9 @@ def test_reparam_trivial(unknot_entry, projection_chords):
 
 def test_reparam_bump_changes_time_not_endpoint(unknot_entry, projection_chords):
     def h(p):
-        r2 = p[0] ** 2 + p[1] ** 2
+        r2 = p[..., 0] ** 2 + p[..., 1] ** 2
         planar = 1.0 - _smoothstep((np.sqrt(r2) - 0.2) / 0.3)
-        ramp = _smoothstep((p[2] + 0.9) / 1.5)  # asymmetric along the chord
+        ramp = _smoothstep((p[..., 2] + 0.9) / 1.5)  # asymmetric along the chord
         return 0.3 * planar * ramp
 
     out = reeb_reparam_check(unknot_entry.model, unknot_entry.slice, h, projection_chords["unknot"])
@@ -285,7 +357,7 @@ def test_reparam_bump_changes_time_not_endpoint(unknot_entry, projection_chords)
 
 
 def test_reparam_degenerate(unknot_entry, projection_chords):
-    h = lambda p: -np.sin(p[2])  # dh(Reeb) = -cos z hits -1 at the chord midpoint
+    h = lambda p: -np.sin(p[..., 2])  # dh(Reeb) = -cos z hits -1 at the chord midpoint
     with pytest.raises(ReparamDegenerate):
         reeb_reparam_check(unknot_entry.model, unknot_entry.slice, h, projection_chords["unknot"])
 

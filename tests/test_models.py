@@ -233,7 +233,7 @@ def test_hamiltonian_field_contraction_identity(n):
     dim = model.ambient_dim
     sym = SymplectizationModel(model)
     spec = DeformationSpec(
-        h=lambda p: np.sin(p[0]) * np.cos(p[1]) + 0.3 * p[-1] + 0.1 * p[-2] ** 2,
+        h=lambda p: np.sin(p[..., 0]) * np.cos(p[..., 1]) + 0.3 * p[..., -1] + 0.1 * p[..., -2] ** 2,
         rho=RhoProfile(0.2),
     )
     rng = np.random.default_rng(6)
@@ -276,7 +276,7 @@ def test_liouville_deformed_linear_height_profile():
     # dh(Reeb) = -(1 - delta) gives dt-component delta at t = 1
     delta = 0.25
     sym = SymplectizationModel(StandardRModel(2))
-    spec = DeformationSpec(h=lambda p: -(1 - delta) * p[2], rho=RhoProfile(0.2))
+    spec = DeformationSpec(h=lambda p: -(1 - delta) * p[..., 2], rho=RhoProfile(0.2))
     v = liouville_deformed(sym, spec, 1.0, np.array([0.4, -0.7, 0.1]))
     assert abs(v[0] - delta) < 1e-6
 
@@ -290,7 +290,7 @@ def test_liouville_deformed_constant_h():
 
 def test_liouville_deformed_unsupported_model():
     sym = SymplectizationModel(StandardSphereModel(2))
-    spec = DeformationSpec(h=lambda p: p[0], rho=RhoProfile(0.2))
+    spec = DeformationSpec(h=lambda p: p[..., 0], rho=RhoProfile(0.2))
     with pytest.raises(UnsupportedModel):
         liouville_deformed(sym, spec, 1.0, np.array([1.0, 0, 0, 0]))
 
@@ -298,7 +298,7 @@ def test_liouville_deformed_unsupported_model():
 def test_deformed_expansion_grid_identity():
     # dt(V_deformed) - t - rho(t) dh(R) vanishes on a (t, point) grid
     sym = SymplectizationModel(StandardRModel(2))
-    spec = DeformationSpec(h=lambda p: 0.2 * np.sin(p[2]), rho=RhoProfile(0.2))
+    spec = DeformationSpec(h=lambda p: 0.2 * np.sin(p[..., 2]), rho=RhoProfile(0.2))
     for t in np.linspace(0.85, 1.1, 6):
         for z in np.linspace(-1, 1, 5):
             p = np.array([0.3, 0.5, z])

@@ -82,6 +82,17 @@ def test_jacobian_unknot_tangent():
     assert np.allclose(jac[:, 0], [0.0, -2.0, 0.0], atol=1e-6)
 
 
+def test_jacobian_stack_matches_per_point_calls():
+    # a stack of points takes the same per-point steps as single calls
+    def fmap(x):
+        return np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 2] ** 3 - x[..., 0]], axis=-1)
+
+    pts = np.random.default_rng(5).uniform(-4.0, 4.0, size=(64, 3))
+    stacked = jacobian_fd(fmap, pts)
+    assert stacked.shape == (64, 2, 3)
+    assert np.array_equal(stacked, np.stack([jacobian_fd(fmap, p) for p in pts]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),

@@ -1,0 +1,127 @@
+"""Snapshot what the reebkit CLI prints for a fixed set of inputs.
+
+    python3 tools/output_snapshot.py OUTDIR [--src SRC]
+
+For every input below it runs ``reebkit check``, ``chords``,
+``chords --force`` and ``collar``, each in a fresh interpreter with
+``SRC`` (default: the ``src`` directory next to this script) first on the
+import path, and writes ``OUTDIR/out/<input>.<command>.{out,err,code}``:
+stdout, stderr and the exit code.  The inputs are written to
+``OUTDIR/inputs`` and every command runs there on relative paths, so the
+resolved manifest echoed in a report does not depend on OUTDIR.
+
+Inputs:
+
+* the shipped manifests under ``manifests/``;
+* the benchmark workload inputs: sheared_unknot at 4096 nodes with
+  c = 0.1 and c = -0.5, hopf_circle, torus_r5 at 96x96;
+* mesh-file exports: torus_r5 at 24x24 and warped_torus (2-D, r5), and
+  the r3 unknot and sheared_unknot c = 0.1 embedded in r5 as
+  (x, y, 0, 0, z) (1-D, default collar grid).
+
+Two snapshots, one per checkout, are compared with ``diff -r A B``: no
+difference under ``out/*.out`` and ``out/*.code`` means no command
+printed anything different.  Stderr can differ in traceback paths.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = {
+    "check": ["check"],
+    "chords": ["chords"],
+    "chords_force": ["chords", "--force"],
+    "collar": ["collar"],
+}
+
+WORKLOADS = {
+    "wl_sheared_c0.1_n4096": {"model": "r3", "slice": {"catalog": "sheared_unknot", "params": {"c": 0.1, "resolution": 4096}}},
+    "wl_sheared_c-0.5_n4096": {"model": "r3", "slice": {"catalog": "sheared_unknot", "params": {"c": -0.5, "resolution": 4096}}},
+    "wl_hopf_circle": {"model": "s3", "slice": {"catalog": "hopf_circle", "params": {}}},
+    "wl_torus_r5_96": {"model": "r5", "slice": {"catalog": "torus_r5", "params": {}}},
+}
+
+# (name, catalog entry, catalog params, model, embed (x..., z) into the model)
+MESH_EXPORTS = (
+    ("mesh_torus_r5_24", "torus_r5", {"resolution": 24}, "r5", False),
+    ("mesh_warped_torus", "warped_torus", {}, "r5", False),
+    ("mesh_unknot_in_r5", "unknot", {}, "r5", True),
+    ("mesh_sheared_c0.1_in_r5", "sheared_unknot", {"c": 0.1}, "r5", True),
+)
+
+
+def write_mesh_exports(inputs: Path, src: Path):
+    """Write each export's node table and manifest, using the catalog of
+    the checkout under test (an unchanged catalog gives identical files)."""
+    sys.path.insert(0, str(src))
+    from reebkit import catalog_get
+
+    for name, entry_name, params, model, embed in MESH_EXPORTS:
+        slc = catalog_get(entry_name, params).slice
+        points = slc.points
+        if embed:  # (x, y, z) -> (x, y, 0, 0, z)
+            points = np.insert(points, [-1, -1], 0.0, axis=1)
+        header = [f"u{j}" for j in range(slc.param_dim)] + [f"a{j}" for j in range(points.shape[1])]
+        with open(inputs / f"{name}.csv", "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for u, p in zip(slc.mesh.params.tolist(), points.tolist()):
+                fh.write(",".join(f"{v:.17g}" for v in [*u, *p]) + "\n")
+        manifest = {
+            "model": model,
+            "slice": {
+                "mesh_file": f"{name}.csv",
+                "param_dim": slc.param_dim,
+                "periodic": [f.periodic for f in slc.factors],
+            },
+        }
+        (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="reebkit source tree to run")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    inputs, out = args.outdir / "inputs", args.outdir / "out"
+    inputs.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
+
+    names = []
+    for path in sorted((ROOT / "manifests").glob("*.json")):
+        shutil.copyfile(path, inputs / path.name)
+        names.append(path.stem)
+    for name, manifest in WORKLOADS.items():
+        (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
+        names.append(name)
+    write_mesh_exports(inputs, src)
+    names += [name for name, *_ in MESH_EXPORTS]
+
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for name in names:
+        for label, command in COMMANDS.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "reebkit.cli", *command, f"{name}.json"],
+                cwd=inputs, env=env, capture_output=True, text=True,
+            )
+            stem = out / f"{name}.{label}"
+            Path(f"{stem}.out").write_text(proc.stdout, encoding="utf-8")
+            Path(f"{stem}.err").write_text(proc.stderr, encoding="utf-8")
+            Path(f"{stem}.code").write_text(f"{proc.returncode}\n", encoding="utf-8")
+            print(f"{name:28s} {label:13s} exit {proc.returncode}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
