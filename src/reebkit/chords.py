@@ -75,10 +75,10 @@ def _ambient_spacing(points: np.ndarray, edges: np.ndarray) -> float:
     return float(np.median(np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)))
 
 
-def _chord_record(slc: ParamSlice, u, v, p_u, p_v, length: float, residual: float) -> ChordRecord:
-    """The chord from parameters u to v, pure when both lie on one component."""
-    comp_u, comp_v = slc.component_at(u), slc.component_at(v)
-    return ChordRecord(u, v, p_u, p_v, length, comp_u == comp_v, comp_u, comp_v, residual=residual)
+def _chord_record(u, v, p_u, p_v, length: float, residual: float) -> ChordRecord:
+    """The chord from parameters u to v; a slice is connected, so every
+    chord is pure, on component 0 at both ends."""
+    return ChordRecord(u, v, p_u, p_v, length, True, 0, 0, residual=residual)
 
 
 def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[ChordRecord]:
@@ -100,14 +100,19 @@ def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[C
     return sorted((r for r, k in zip(recs, keep) if k), key=ChordRecord.sort_key)
 
 
+def _exclusion_radius(slc: ParamSlice, opts: SearchOptions) -> float:
+    """Parameter distance below which two mesh points count as one: the
+    option, or 5x the largest parameter spacing."""
+    return opts.exclusion_radius or 5.0 * slc.mesh.max_spacing()
+
+
 def _resolve_projection_options(slc: ParamSlice, opts: SearchOptions):
     edges = slc.mesh.edges()
     proj_spacing = _ambient_spacing(slc.points[:, :-1], edges)
     if proj_spacing <= 0.0:  # projection-degenerate slice (e.g. a Reeb fiber)
         proj_spacing = max(_ambient_spacing(slc.points, edges), 1e-3)
     seed_radius = opts.seed_radius or 3.0 * proj_spacing
-    exclusion = opts.exclusion_radius or 5.0 * slc.mesh.max_spacing()
-    return seed_radius, exclusion
+    return seed_radius, _exclusion_radius(slc, opts)
 
 
 def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
@@ -157,7 +162,7 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
             u, v, p_u, p_v, length = v, u, p_v, p_u, -length
         if length <= opts.min_length:
             continue
-        raw.append(_chord_record(slc, u, v, p_u, p_v, length, result.residual_norm))
+        raw.append(_chord_record(u, v, p_u, p_v, length, result.residual_norm))
     if seeds and failures > 0.5 * len(seeds):
         raise NewtonFailuresExceeded(
             f"{failures}/{len(seeds)} projection seeds failed to converge"
@@ -304,7 +309,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
         if landing > 1e-6:
             failures += 1
             continue
-        raw.append(_chord_record(slc, u, v, p_u, p_v, length, result.residual_norm))
+        raw.append(_chord_record(u, v, p_u, p_v, length, result.residual_norm))
     if reps and failures > 0.5 * len(reps):
         raise NewtonFailuresExceeded(f"{failures}/{len(reps)} shooting candidates failed")
     cluster = opts.cluster_radius

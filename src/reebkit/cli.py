@@ -19,7 +19,6 @@ from .collar import Verdict, collar_report
 from .errors import (
     ManifestError,
     NewtonFailuresExceeded,
-    NotClosed,
     ReebkitError,
     UnsupportedProjection,
 )
@@ -59,10 +58,20 @@ def _emit(text: str, out_path: str | None):
             fh.write(text)
 
 
-def cmd_check(args) -> int:
+def _load(args):
+    """The manifest with the flag overrides applied, its options, and the
+    resolved model and slice.  A catalog entry supplies the search
+    ``max_time`` unless the manifest or a flag sets it."""
     manifest = _apply_overrides(load_manifest(args.manifest), args)
     opts = collar_options(manifest)
-    model, slc, _ = resolve(manifest)
+    model, slc, expected = resolve(manifest)
+    if expected is not None and "max_time" not in manifest.search:
+        opts.search.max_time = expected.search_max_time
+    return manifest, opts, model, slc
+
+
+def cmd_check(args) -> int:
+    manifest, opts, model, slc = _load(args)
     closed = check_closed(model, slc, opts.tol_closed)
     transverse = check_transverse(model, slc, opts.tol_transverse)
     doc = {
@@ -73,10 +82,7 @@ def cmd_check(args) -> int:
         "periods": None,
     }
     if closed.passed:
-        try:
-            doc["periods"] = periods(model, slc, opts.tol_closed)
-        except NotClosed:
-            pass
+        doc["periods"] = periods(model, slc, closed)
     _emit(json.dumps(_clean(doc), indent=2) + "\n", args.output)
     if args.emit_manifest:
         with open(args.emit_manifest, "w", encoding="utf-8") as fh:
@@ -86,17 +92,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_chords(args) -> int:
-    manifest = _apply_overrides(load_manifest(args.manifest), args)
-    opts = collar_options(manifest)
-    model, slc, expected = resolve(manifest)
+    _, opts, model, slc = _load(args)
     if not args.force:
         closed = check_closed(model, slc, opts.tol_closed)
         transverse = check_transverse(model, slc, opts.tol_transverse)
         if not (closed.passed and transverse.passed):
             sys.stderr.write("slice checks failed; rerun with --force to search anyway\n")
             return 1
-    if expected is not None and "max_time" not in manifest.search:
-        opts.search.max_time = expected.search_max_time
     try:
         if isinstance(model, StandardRModel):
             found = chords_projection(model, slc, opts.search)
@@ -110,11 +112,7 @@ def cmd_chords(args) -> int:
 
 
 def cmd_collar(args) -> int:
-    manifest = _apply_overrides(load_manifest(args.manifest), args)
-    opts = collar_options(manifest)
-    model, slc, expected = resolve(manifest)
-    if expected is not None and "max_time" not in manifest.search:
-        opts.search.max_time = expected.search_max_time
+    manifest, opts, model, slc = _load(args)
     if getattr(args, "grid", None) is not None:
         opts.grid_z_axis = args.grid
     report = collar_report(model, slc, opts)
@@ -123,14 +121,10 @@ def cmd_collar(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
-    manifest = _apply_overrides(load_manifest(args.manifest), args)
-    opts = collar_options(manifest)
-    model, slc, expected = resolve(manifest)
+    manifest, opts, model, slc = _load(args)
     chords = None
     # on other models export_plot raises its own WrongModel before plotting
     if args.what == "chords" and isinstance(model, StandardRModel):
-        if expected is not None and "max_time" not in manifest.search:
-            opts.search.max_time = expected.search_max_time
         chords = chords_projection(model, slc, opts.search)
     out_base = args.output or f"{manifest.catalog or 'slice'}_{args.what}"
     try:

@@ -23,7 +23,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chords import ChordRecord, SearchOptions, _ambient_spacing, _chord_record, chords_projection, chords_shooting
+from .chords import (
+    ChordRecord,
+    SearchOptions,
+    _ambient_spacing,
+    _chord_record,
+    _exclusion_radius,
+    chords_projection,
+    chords_shooting,
+)
 from .errors import (
     MissingPrimitive,
     MixedChord,
@@ -345,7 +353,7 @@ def extend_h(
                 continue
             seen_pairs.add((a, b))
             u, v = slc.mesh.params[a], slc.mesh.params[b]
-            obstructions.append(_chord_record(slc, u, v, slc.points[a], slc.points[b], length, 0.0))
+            obstructions.append(_chord_record(u, v, slc.points[a], slc.points[b], length, 0.0))
     if obstructions:
         return ExtendResult(False, None, obstructions=sorted(obstructions, key=ChordRecord.sort_key))
 
@@ -539,8 +547,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     membership_defect = 0.0
     if isinstance(model, StandardSphereModel):
         membership_defect = float(np.max(np.abs(np.linalg.norm(slc.points, axis=1) - 1.0)))
-    exclusion = opts.search.exclusion_radius or 5.0 * slc.mesh.max_spacing()
-    embedded = slc.embedded_at_mesh_scale(exclusion)
+    embedded = slc.embedded_at_mesh_scale(_exclusion_radius(slc, opts.search))
     checks = {
         "closed": {"pass": closed.passed, "max_residual": closed.value},
         "transverse": {"pass": transverse.passed, "min_sigma": transverse.value},
@@ -556,7 +563,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     if not all(c["pass"] for c in checks.values()):
         return CollarReport(checks, [], False, [], empty_conventions, {"constructed": False}, Verdict.NOT_A_SLICE)
 
-    period_values = periods(model, slc, opts.tol_closed)
+    period_values = periods(model, slc, closed)
     exact = all(p == 0.0 for p in period_values)
 
     search = opts.search
@@ -585,21 +592,18 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     disagreements = []
     active_small: list[int] = []
     for k, chord in enumerate(found):
-        if chord.pure:
-            action = chord_action(prim, chord)
-            chord.action = action
-            cd = classify_chord(chord, action, Convention.DIRECT).classification
-            cf = classify_chord(chord, action, Convention.FEASIBILITY).classification
-            small_direct += cd == Classification.SMALL
-            small_feas += cf == Classification.SMALL
-            if cd != cf:
-                disagreements.append(k)
-            active = cd if opts.convention == Convention.DIRECT else cf
-            if active == Classification.SMALL:
-                active_small.append(k)
-            entries.append(_chord_entry(chord, action, cd, cf))
-        else:
-            entries.append(_chord_entry(chord, None, None, None))
+        action = chord_action(prim, chord)
+        chord.action = action
+        cd = classify_chord(chord, action, Convention.DIRECT).classification
+        cf = classify_chord(chord, action, Convention.FEASIBILITY).classification
+        small_direct += cd == Classification.SMALL
+        small_feas += cf == Classification.SMALL
+        if cd != cf:
+            disagreements.append(k)
+        active = cd if opts.convention == Convention.DIRECT else cf
+        if active == Classification.SMALL:
+            active_small.append(k)
+        entries.append(_chord_entry(chord, action, cd, cf))
 
     conventions = {
         "active": opts.convention.value,
@@ -651,7 +655,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
         else:
             h_diag.update({"min_dh_reeb": 0.0, "min_dt_liouville": 1.0, "deformation_pass": True})
         if found and construction_ok:
-            reparam = reeb_reparam_check(model, slc, h_field, [c for c in found if c.pure])
+            reparam = reeb_reparam_check(model, slc, h_field, found)
             h_diag["reparam_max_drift"] = reparam["max_endpoint_drift"]
             h_diag["reparam_pass"] = reparam["pass"]
             construction_ok = reparam["pass"]

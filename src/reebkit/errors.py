@@ -26,7 +26,7 @@ class UnsupportedModel(ReebkitError):
 
 
 class NotClosed(ReebkitError):
-    """Period computation invoked although the closedness check failed."""
+    """Periods requested with a failed closedness check result."""
 
 
 class NonExact(ReebkitError):

@@ -44,6 +44,9 @@ class Manifest:
     search: dict = dc_field(default_factory=dict)
 
     def validate(self):
+        for key in ("model", "catalog", "mesh_file", "convention"):
+            if getattr(self, key) is not None and not isinstance(getattr(self, key), str):
+                raise ManifestError(f"{key!r} must be a string")
         sources = (self.catalog is not None) + (self.mesh_file is not None)
         if sources != 1:
             raise ManifestError("manifest must give exactly one slice source (catalog or mesh_file)")
@@ -52,18 +55,23 @@ class Manifest:
                 raise ManifestError("mesh_file slices require an explicit model name")
             if self.param_dim is None or self.periodic is None:
                 raise ManifestError("mesh_file slices require param_dim and periodic flags")
+            if isinstance(self.param_dim, bool) or not isinstance(self.param_dim, int):
+                raise ManifestError("param_dim must be an integer")
+            if not isinstance(self.periodic, list) or not all(isinstance(p, bool) for p in self.periodic):
+                raise ManifestError("periodic must be a list of booleans")
         if self.model is not None and self.model not in MODEL_BUILDERS:
             raise ManifestError(f"unknown model name {self.model!r}")
         if self.convention not in {c.value for c in Convention}:
             raise ManifestError(f"unknown convention {self.convention!r}")
-        for key, value in self.tolerances.items():
-            if key not in _TOL_KEYS:
-                raise ManifestError(f"unknown tolerance key {key!r}")
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ManifestError(f"tolerance {key!r} must be positive")
-        for key in self.search:
-            if key not in _SEARCH_KEYS:
-                raise ManifestError(f"unknown search key {key!r}")
+        sections = (("tolerance", _TOL_KEYS, self.tolerances), ("search", _SEARCH_KEYS, self.search))
+        for section, keys, values in sections:
+            for key, value in values.items():
+                if key not in keys:
+                    raise ManifestError(f"unknown {section} key {key!r}")
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:  # NaN too
+                    raise ManifestError(f"{section} {key!r} must be a positive number")
+        if not isinstance(self.search.get("launch_stride", 1), int):
+            raise ManifestError("search 'launch_stride' must be an integer")
 
     def to_dict(self) -> dict:
         if self.catalog is not None:
@@ -83,6 +91,14 @@ class Manifest:
         }
 
 
+def _object(doc: dict, key: str) -> dict:
+    """A copy of the optional JSON object ``doc[key]``."""
+    value = doc.get(key) or {}
+    if not isinstance(value, dict):
+        raise ManifestError(f"{key!r} must be a JSON object")
+    return dict(value)
+
+
 def parse_manifest(data: dict) -> Manifest:
     if not isinstance(data, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -92,13 +108,13 @@ def parse_manifest(data: dict) -> Manifest:
     man = Manifest(
         model=data.get("model"),
         catalog=slice_src.get("catalog"),
-        catalog_params=dict(slice_src.get("params") or {}),
+        catalog_params=_object(slice_src, "params"),
         mesh_file=slice_src.get("mesh_file"),
         periodic=slice_src.get("periodic"),
         param_dim=slice_src.get("param_dim"),
-        tolerances=dict(data.get("tolerances") or {}),
+        tolerances=_object(data, "tolerances"),
         convention=data.get("convention", Convention.DIRECT.value),
-        search=dict(data.get("search") or {}),
+        search=_object(data, "search"),
     )
     man.validate()
     return man
@@ -121,7 +137,7 @@ def resolve(manifest: Manifest):
     if manifest.catalog is not None:
         try:
             entry = catalog_get(manifest.catalog, manifest.catalog_params)
-        except ReebkitError as exc:
+        except (ReebkitError, ValueError, TypeError) as exc:
             raise ManifestError(str(exc)) from exc
         if manifest.model is not None and manifest.model != entry.model.name:
             raise ManifestError(

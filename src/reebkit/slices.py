@@ -144,8 +144,9 @@ class ParamSlice:
     ``immersion`` maps parameter arrays of shape (..., param_dim) to
     ambient points (..., ambient_dim); ``jacobian``, when given, returns
     (..., ambient_dim, param_dim).  Without it, derivatives fall back to
-    central differences.  Connected components are computed from mesh
-    connectivity, never declared.
+    central differences.  The mesh is one product grid of intervals and
+    circles with at least 2 nodes per factor, so it is always connected:
+    ``components`` labels every node 0 and ``n_components`` is 1.
     """
 
     def __init__(
@@ -170,30 +171,12 @@ class ParamSlice:
         if self.points.ndim != 2 or self.points.shape[0] != self.mesh.n_nodes:
             raise ValueError("immersion must map (N, param_dim) to (N, ambient_dim)")
         self.ambient_dim = self.points.shape[1]
-        self.components = self._label_components()
-        self.n_components = int(self.components.max()) + 1
+        self.components = np.zeros(self.mesh.n_nodes, dtype=int)
+        self.n_components = 1
 
     @property
     def param_dim(self) -> int:
         return self.mesh.param_dim
-
-    def _label_components(self) -> np.ndarray:
-        labels = np.full(self.mesh.n_nodes, -1, dtype=int)
-        adj = self.mesh.neighbors()
-        comp = 0
-        for root in range(self.mesh.n_nodes):
-            if labels[root] >= 0:
-                continue
-            stack = [root]
-            labels[root] = comp
-            while stack:
-                a = stack.pop()
-                for b in adj[a]:
-                    if labels[b] < 0:
-                        labels[b] = comp
-                        stack.append(b)
-            comp += 1
-        return labels
 
     def immerse(self, u) -> np.ndarray:
         return np.asarray(self.immersion(np.asarray(u, dtype=float)), dtype=float)
@@ -210,9 +193,6 @@ class ParamSlice:
             if f.periodic:
                 d[:, j] = (d[:, j] + 0.5 * f.span) % f.span - 0.5 * f.span
         return int(np.argmin(np.sum(d * d, axis=1)))
-
-    def component_at(self, u) -> int:
-        return int(self.components[self.nearest_node(u)])
 
     def coincident_point_pairs(self, ambient_tol: float = 1e-9) -> np.ndarray:
         """Mesh node pairs i < j, as an (P, 2) array in ascending order,
@@ -310,17 +290,17 @@ def _loop_period(values: np.ndarray) -> float:
     return 0.0 if abs(total) < PERIOD_ZERO_TOL else total
 
 
-def periods(model, slc: ParamSlice, tol_closed: float = DEFAULT_CLOSED_TOL) -> list[float]:
+def periods(model, slc: ParamSlice, closed: CheckResult) -> list[float]:
     """Integral of the pullback around each periodic generator loop.
 
     Each loop is the chain of edges along one periodic axis through node 0;
     its period is the sum of the edge integrals in chain order.  Values
-    below 1e-8 are snapped to exactly zero.  Raises NotClosed when the
-    closedness check fails at ``tol_closed``.
+    below 1e-8 are snapped to exactly zero.  ``closed`` is the caller's
+    ``check_closed`` result, which is not recomputed here; raises
+    NotClosed when it failed.
     """
-    closed = check_closed(model, slc, tol_closed)
     if not closed.passed:
-        raise NotClosed(f"closedness residual {closed.value:.3e} exceeds {tol_closed:.3e}")
+        raise NotClosed(f"closedness residual {closed.value:.3e} exceeds the tolerance")
     edges = slc.mesh.edges()
     return [_loop_period(_cochain(model, slc, edges[loop])) for loop in _generator_loops(slc.mesh)]
 
@@ -328,16 +308,15 @@ def periods(model, slc: ParamSlice, tol_closed: float = DEFAULT_CLOSED_TOL) -> l
 class PrimitiveField:
     """Discrete primitive f of the pulled-back form, one value per node.
 
-    Gauge: f = 0 at the anchor node of each component.  Off-node values
-    are reconstructed by integrating the pullback from the nearest node,
-    which keeps them exactly consistent with the discrete values.
+    Gauge: f = 0 at node 0.  Off-node values are reconstructed by
+    integrating the pullback from the nearest node, which keeps them
+    exactly consistent with the discrete values.
     """
 
-    def __init__(self, model, slc: ParamSlice, values: np.ndarray, anchors: dict[int, int], cycle_residual: float):
+    def __init__(self, model, slc: ParamSlice, values: np.ndarray, cycle_residual: float):
         self.model = model
         self.slice = slc
         self.values = values
-        self.anchors = anchors
         self.cycle_residual = cycle_residual
 
     def value_at(self, u) -> float:
@@ -352,7 +331,7 @@ class PrimitiveField:
         values = self.values.copy()
         for comp, c in offsets.items():
             values[self.slice.components == comp] += c
-        return PrimitiveField(self.model, self.slice, values, self.anchors, self.cycle_residual)
+        return PrimitiveField(self.model, self.slice, values, self.cycle_residual)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -360,7 +339,7 @@ class PrimitiveField:
 
 def primitive(model, slc: ParamSlice, cycle_tol: float = 1e-6) -> PrimitiveField:
     """Accumulate the edge integrals of the pullback along a breadth-first
-    spanning tree of the mesh graph.
+    spanning tree of the mesh graph, rooted at node 0 (the gauge f = 0).
 
     Requires every period to vanish: each generator loop's period is
     summed from the same all-edge cochain, and a nonzero one raises
@@ -382,23 +361,19 @@ def primitive(model, slc: ParamSlice, cycle_tol: float = 1e-6) -> PrimitiveField
         adj[b].append((a, -c))
     values = np.zeros(mesh.n_nodes)
     visited = np.zeros(mesh.n_nodes, dtype=bool)
-    anchors: dict[int, int] = {}
-    for comp in range(slc.n_components):
-        root = int(np.argmax(slc.components == comp))
-        anchors[comp] = root
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            for b, c in adj[a]:
-                if not visited[b]:
-                    visited[b] = True
-                    values[b] = values[a] + c
-                    queue.append(b)
+    visited[0] = True
+    queue = deque([0])
+    while queue:
+        a = queue.popleft()
+        for b, c in adj[a]:
+            if not visited[b]:
+                visited[b] = True
+                values[b] = values[a] + c
+                queue.append(b)
     worst = float(np.max(np.abs(values[edges[:, 0]] + cochain - values[edges[:, 1]])))
     if worst > cycle_tol:
         raise NonExact(worst)
-    return PrimitiveField(model, slc, values, anchors, worst)
+    return PrimitiveField(model, slc, values, worst)
 
 
 def load_mesh_slice(

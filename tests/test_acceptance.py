@@ -95,13 +95,13 @@ def test_criterion_02_slice_criterion_checks():
 
 
 def test_criterion_03_exactness(circle_entry, torus_entry, unknot_entry, sheared_entries, primitives):
-    vals = periods(circle_entry.model, circle_entry.slice)
+    vals = periods(circle_entry.model, circle_entry.slice, check_closed(circle_entry.model, circle_entry.slice))
     assert vals[0] == pytest.approx(np.pi, abs=1e-6)
-    vals = periods(torus_entry.model, torus_entry.slice)
+    vals = periods(torus_entry.model, torus_entry.slice, check_closed(torus_entry.model, torus_entry.slice))
     assert np.allclose(vals, [np.pi, np.pi], atol=1e-6)
-    assert periods(unknot_entry.model, unknot_entry.slice) == [0.0]
+    assert periods(unknot_entry.model, unknot_entry.slice, check_closed(unknot_entry.model, unknot_entry.slice)) == [0.0]
     for c, entry in sheared_entries.items():
-        assert periods(entry.model, entry.slice) == [0.0], c
+        assert periods(entry.model, entry.slice, check_closed(entry.model, entry.slice)) == [0.0], c
     # path independence on 100 random off-tree cycles (verified at build)
     assert primitives["unknot"].cycle_residual < 1e-6
     assert primitives[("sheared_unknot", -0.5)].cycle_residual < 1e-6

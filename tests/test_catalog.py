@@ -55,7 +55,7 @@ def test_expected_periods_reproduced():
         entry = catalog_get(name)
         if entry.expected.periods is None:
             continue
-        vals = periods(entry.model, entry.slice)
+        vals = periods(entry.model, entry.slice, check_closed(entry.model, entry.slice))
         assert np.allclose(vals, entry.expected.periods, atol=1e-6), name
 
 

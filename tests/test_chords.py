@@ -279,6 +279,13 @@ def test_dedup_matches_greedy_all_pairs():
     assert [id(x) for x in out] == [id(x) for x in sorted(kept, key=ChordRecord.sort_key)]
 
 
+def test_found_chords_are_pure(projection_chords, shooting_chords):
+    # a slice is one connected grid: every chord joins component 0 to itself
+    for chords in (projection_chords["unknot"], shooting_chords["hopf_circle"]):
+        assert chords
+        assert all(c.pure and (c.start_component, c.end_component) == (0, 0) for c in chords)
+
+
 def test_mixed_chord_flag():
     rec = ChordRecord(
         start_param=np.array([0.0]),

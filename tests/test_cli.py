@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 
@@ -281,11 +282,12 @@ def test_mesh_file_manifest_2d(manifest_path, tmp_path):
     )
     from reebkit.models import StandardRModel
     from reebkit.report import round_sig
-    from reebkit.slices import load_mesh_slice, periods
+    from reebkit.slices import check_closed, load_mesh_slice, periods
 
     area = 12 * np.sin(np.pi / 12)
     loaded = load_mesh_slice(mesh_path, 2, [True, True])
-    assert np.allclose(periods(StandardRModel(3), loaded), [area, area], rtol=0, atol=1e-9)
+    model = StandardRModel(3)
+    assert np.allclose(periods(model, loaded, check_closed(model, loaded)), [area, area], rtol=0, atol=1e-9)
     code, out, _ = run_cli(["check", path])
     assert code == 0
     assert json.loads(out)["periods"] == [round_sig(area)] * 2
@@ -323,3 +325,72 @@ def test_mesh_file_curve_in_r5(manifest_path, tmp_path):
     assert code == 0, err
     assert "Traceback" not in err
     assert json.loads(out)["verdict"] == "Collarable"
+
+
+# manifests that parse as JSON but carry values of the wrong type or range
+BAD_VALUES = {
+    "search_string": {"slice": {"catalog": "unknot"}, "search": {"min_length": "a"}},
+    "search_null": {"slice": {"catalog": "unknot"}, "search": {"cluster_radius": None}},
+    "search_bool": {"slice": {"catalog": "unknot"}, "search": {"max_time": True}},
+    "tolerance_bool": {"slice": {"catalog": "unknot"}, "tolerances": {"closed": True}},
+    "tolerance_nan": {"slice": {"catalog": "torus_r5", "params": {"resolution": 8}}, "tolerances": {"closed": float("nan")}},
+    "seed_radius_negative": {"slice": {"catalog": "unknot"}, "search": {"seed_radius": -1}},
+    "cluster_radius_zero": {"slice": {"catalog": "unknot"}, "search": {"cluster_radius": 0}},
+    "capture_radius_negative": {"slice": {"catalog": "hopf_circle"}, "search": {"capture_radius": -1}},
+    "monitor_dt_zero": {"slice": {"catalog": "hopf_circle"}, "search": {"monitor_dt": 0}},
+    "launch_stride_fraction": {"slice": {"catalog": "hopf_circle"}, "search": {"launch_stride": 2.5}},
+    "resolution_string": {"slice": {"catalog": "unknot", "params": {"resolution": "x"}}},
+    "resolution_one": {"slice": {"catalog": "unknot", "params": {"resolution": 1}}},
+    "resolution_null": {"slice": {"catalog": "unknot", "params": {"resolution": None}}},
+    "params_list": {"slice": {"catalog": "unknot", "params": [1]}},
+    "model_list": {"model": [], "slice": {"catalog": "unknot"}},
+    "convention_list": {"convention": ["direct"], "slice": {"catalog": "unknot"}},
+    "param_dim_string": {"model": "r3", "slice": {"mesh_file": "m.csv", "param_dim": "x", "periodic": [True]}},
+    "periodic_bool": {"model": "r3", "slice": {"mesh_file": "m.csv", "param_dim": 1, "periodic": True}},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "chords", "collar"])
+@pytest.mark.parametrize("name", sorted(BAD_VALUES))
+def test_bad_manifest_values_exit2(manifest_path, tmp_path, name, command):
+    data = copy.deepcopy(BAD_VALUES[name])
+    if "mesh_file" in data["slice"]:  # a readable circle, so only the bad value can fail
+        mesh_path = tmp_path / "m.csv"
+        mesh_path.write_text("t,x,y,z\n0,1,0,0\n1,0,1,0\n2,-1,0,0\n3,0,-1,0\n")
+        data["slice"]["mesh_file"] = str(mesh_path)
+    code, out, err = run_cli([command, manifest_path(name, data)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("manifest error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name, params, exit_code",
+    [
+        ("check", "torus_r5", {"resolution": 24}, 0),
+        ("chords", "torus_r5", {"resolution": 24}, 0),
+        ("collar", "torus_r5", {"resolution": 24}, 4),
+        ("check", "warped_torus", {}, 1),
+        ("chords", "warped_torus", {}, 1),
+        ("collar", "warped_torus", {}, 5),
+    ],
+)
+def test_closedness_checked_once_per_command(manifest_path, monkeypatch, command, name, params, exit_code):
+    import reebkit.cli
+    import reebkit.collar
+    import reebkit.slices
+
+    calls = []
+    original = reebkit.slices.check_closed
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (reebkit.slices, reebkit.cli, reebkit.collar):
+        monkeypatch.setattr(module, "check_closed", counted)
+    path = manifest_path(name, {"slice": {"catalog": name, "params": params}})
+    code, _, err = run_cli([command, path])
+    assert code == exit_code, err
+    assert len(calls) == 1

@@ -81,32 +81,32 @@ def test_check_transverse_unknot(unknot_entry):
 
 
 def test_periods_unknot(unknot_entry):
-    assert periods(unknot_entry.model, unknot_entry.slice) == [0.0]
+    assert periods(unknot_entry.model, unknot_entry.slice, check_closed(unknot_entry.model, unknot_entry.slice)) == [0.0]
 
 
 def test_periods_circle(circle_entry):
-    vals = periods(circle_entry.model, circle_entry.slice)
+    vals = periods(circle_entry.model, circle_entry.slice, check_closed(circle_entry.model, circle_entry.slice))
     assert len(vals) == 1
     assert vals[0] == pytest.approx(np.pi, abs=1e-8)
 
 
 def test_periods_torus(torus_entry):
-    vals = periods(torus_entry.model, torus_entry.slice)
+    vals = periods(torus_entry.model, torus_entry.slice, check_closed(torus_entry.model, torus_entry.slice))
     assert len(vals) == 2
     assert np.allclose(vals, [np.pi, np.pi], atol=1e-8)
 
 
 def test_periods_refuses_non_closed(warped_entry):
     with pytest.raises(NotClosed):
-        periods(warped_entry.model, warped_entry.slice)
+        periods(warped_entry.model, warped_entry.slice, check_closed(warped_entry.model, warped_entry.slice))
 
 
 def test_periods_mesh_refinement_stability(circle_entry):
     from reebkit.catalog import catalog_get
 
-    coarse = periods(circle_entry.model, circle_entry.slice)
+    coarse = periods(circle_entry.model, circle_entry.slice, check_closed(circle_entry.model, circle_entry.slice))
     fine_entry = catalog_get("circle", {"resolution": 512})
-    fine = periods(fine_entry.model, fine_entry.slice)
+    fine = periods(fine_entry.model, fine_entry.slice, check_closed(fine_entry.model, fine_entry.slice))
     assert abs(coarse[0] - fine[0]) < 1e-7
 
 
@@ -164,6 +164,48 @@ def test_components_single_box(unknot_entry, torus_entry):
     assert torus_entry.slice.n_components == 1
 
 
+def _label_components(mesh: Mesh) -> np.ndarray:
+    """Reference labelling: connected components of the mesh graph by
+    depth-first search, numbered in order of their lowest node."""
+    labels = np.full(mesh.n_nodes, -1, dtype=int)
+    adj = mesh.neighbors()
+    comp = 0
+    for root in range(mesh.n_nodes):
+        if labels[root] >= 0:
+            continue
+        stack = [root]
+        labels[root] = comp
+        while stack:
+            a = stack.pop()
+            for b in adj[a]:
+                if labels[b] < 0:
+                    labels[b] = comp
+                    stack.append(b)
+        comp += 1
+    return labels
+
+
+@pytest.mark.parametrize(
+    "factors, resolution",
+    [
+        ([circle_factor(TWO_PI)], [5]),
+        ([interval_factor(0.0, 1.0)], [4]),
+        ([circle_factor(TWO_PI), circle_factor(1.0)], [4, 3]),
+        ([circle_factor(TWO_PI), interval_factor(0.0, 1.0)], [3, 4]),
+        ([interval_factor(0.0, 1.0), interval_factor(-1.0, 1.0)], [3, 2]),
+        ([circle_factor(TWO_PI), interval_factor(0.0, 1.0), circle_factor(TWO_PI)], [3, 2, 4]),
+        ([circle_factor(TWO_PI)], [2]),
+        ([circle_factor(TWO_PI), circle_factor(TWO_PI)], [2, 2]),
+        ([circle_factor(TWO_PI), interval_factor(0.0, 1.0)], [2, 2]),
+    ],
+)
+def test_product_grid_is_connected(factors, resolution):
+    slc = ParamSlice(factors, lambda u: np.asarray(u, dtype=float), resolution=resolution)
+    assert _label_components(slc.mesh).tolist() == [0] * slc.mesh.n_nodes
+    assert slc.components.tolist() == [0] * slc.mesh.n_nodes
+    assert slc.n_components == 1
+
+
 def test_embedding_proxy(unknot_entry):
     slc = unknot_entry.slice
     assert slc.embedded_at_mesh_scale(5.0 * slc.mesh.max_spacing())
@@ -206,7 +248,7 @@ def test_mesh_file_round_trip(tmp_path, sheared_entries):
     loaded = load_mesh_slice(path, 1, [True])
     assert loaded.mesh.n_nodes == slc.mesh.n_nodes
     assert np.max(np.abs(loaded.points - slc.points)) < 1e-12
-    vals = periods(entry.model, loaded)
+    vals = periods(entry.model, loaded, check_closed(entry.model, loaded))
     assert vals == [0.0]
     f = primitive(entry.model, loaded)
     assert f.value_at([np.pi / 2]) == pytest.approx(-0.5, abs=1e-5)
@@ -284,7 +326,7 @@ def test_primitive_exact_torus():
 
     slc = ParamSlice([circle_factor(TWO_PI)] * 2, immersion, jacobian, resolution=[48, 48])
     model = StandardRModel(3)  # r5
-    assert periods(model, slc) == [0.0, 0.0]
+    assert periods(model, slc, check_closed(model, slc)) == [0.0, 0.0]
     f = primitive(model, slc)
     u, v = slc.mesh.params[:, 0], slc.mesh.params[:, 1]
     assert np.max(np.abs(f.values - (g(u, v) - g(0.0, 0.0)))) < 1e-6
