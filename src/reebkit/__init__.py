@@ -31,11 +31,13 @@ from .models import (
 from .numerics import (
     NewtonOptions,
     NewtonResult,
+    NewtonStack,
     integrate_fixed,
     integrate_flow,
     jacobian_fd,
     line_quadrature,
     newton_solve,
+    newton_solve_stack,
 )
 from .slices import (
     DomainFactor,

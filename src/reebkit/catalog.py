@@ -1,8 +1,9 @@
 """Built-in slices and counterexamples with closed-form expected facts.
 
 Every expected fact below carries its derivation, so the entries double
-as oracles for the test suite.  Entries are registered by name; ``params``
-are validated against documented ranges.
+as oracles for the test suite.  Entries are registered by name with the
+``params`` keys they take; other keys are refused, and values are
+validated against documented ranges.
 """
 
 from __future__ import annotations
@@ -275,14 +276,15 @@ def _build_hopf_circle(params: dict) -> CatalogEntry:
     return CatalogEntry("hopf_circle", StandardSphereModel(2), slc, expected, {"resolution": resolution})
 
 
-_REGISTRY: dict[str, Callable[[dict], CatalogEntry]] = {
-    "unknot": _build_unknot,
-    "sheared_unknot": _build_sheared_unknot,
-    "circle": _build_circle,
-    "torus_r5": _build_torus,
-    "warped_torus": _build_warped_torus,
-    "vertical_segment": _build_vertical_segment,
-    "hopf_circle": _build_hopf_circle,
+# name -> (builder, the params keys the builder reads)
+_REGISTRY: dict[str, tuple[Callable[[dict], CatalogEntry], frozenset[str]]] = {
+    "unknot": (_build_unknot, frozenset({"resolution"})),
+    "sheared_unknot": (_build_sheared_unknot, frozenset({"c", "resolution"})),
+    "circle": (_build_circle, frozenset({"resolution", "max_time"})),
+    "torus_r5": (_build_torus, frozenset({"resolution"})),
+    "warped_torus": (_build_warped_torus, frozenset({"resolution"})),
+    "vertical_segment": (_build_vertical_segment, frozenset({"resolution"})),
+    "hopf_circle": (_build_hopf_circle, frozenset({"resolution", "max_time"})),
 }
 
 
@@ -290,18 +292,25 @@ def catalog_list() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def catalog_get(name: str, params: Optional[dict] = None) -> CatalogEntry:
-    """Construct a registered entry.  Raises UnknownEntry for unregistered
-    names and ParamOutOfRange for parameters outside documented ranges."""
+def _registered(name: str):
     try:
-        builder = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise UnknownEntry(f"no catalog entry named {name!r}") from None
-    return builder(dict(params or {}))
+
+
+def catalog_get(name: str, params: Optional[dict] = None) -> CatalogEntry:
+    """Construct a registered entry.  Raises UnknownEntry for unregistered
+    names and ParamOutOfRange for parameters the entry does not take or
+    values outside documented ranges."""
+    builder, keys = _registered(name)
+    params = dict(params or {})
+    unknown = sorted(set(params) - keys)
+    if unknown:
+        known = ", ".join(sorted(keys))
+        raise ParamOutOfRange(f"catalog entry {name!r} takes no parameter {unknown[0]!r} (known: {known})")
+    return builder(params)
 
 
 def catalog_doc(name: str) -> str:
-    try:
-        return (_REGISTRY[name].__doc__ or "").strip()
-    except KeyError:
-        raise UnknownEntry(f"no catalog entry named {name!r}") from None
+    return (_registered(name)[0].__doc__ or "").strip()

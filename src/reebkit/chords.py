@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NewtonFailuresExceeded, WrongModel
 from .models import StandardRModel, StandardSphereModel
-from .numerics import NewtonOptions, newton_solve
+from .numerics import NewtonOptions, _row_norms, newton_solve_stack
 from .slices import ParamSlice
 from .spatial import GridIndex
 
@@ -121,9 +121,9 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
 
     Seeds every mesh pair whose projections are within the seed radius
     while the parameters are separated beyond the exclusion radius (which
-    suppresses the diagonal), refines with Newton on
-    F(u, v) = proj(i(u)) - proj(i(v)), orients start at the lower height,
-    deduplicates and sorts.
+    suppresses the diagonal), refines all seeds in one stacked Newton solve
+    on F(u, v) = proj(i(u)) - proj(i(v)), orients start at the lower
+    height, deduplicates and sorts.
 
     Raises:
         WrongModel: the model is not a StandardRModel.
@@ -135,46 +135,44 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
     mesh = slc.mesh
     seed_radius, exclusion = _resolve_projection_options(slc, opts)
 
-    seeds = []
-    for pairs in GridIndex(slc.points[:, :-1], cell_size=seed_radius).close_pairs(seed_radius):
-        far = mesh.param_distance(mesh.params[pairs[:, 0]], mesh.params[pairs[:, 1]]) > exclusion
-        seeds.extend(pairs[far].tolist())
-
+    index = GridIndex(slc.points[:, :-1], cell_size=seed_radius)
+    pairs = np.concatenate([  # filtered block by block: all close pairs at once can be large
+        block[mesh.param_distance(mesh.params[block[:, 0]], mesh.params[block[:, 1]]) > exclusion]
+        for block in index.close_pairs(seed_radius)
+    ])
     pdim = slc.param_dim
 
-    def system(w):
-        u, v = w[:pdim], w[pdim:]
-        return slc.immerse(u)[:-1] - slc.immerse(v)[:-1]
+    def system(w, lanes):
+        return slc.immerse(w[:, :pdim])[:, :-1] - slc.immerse(w[:, pdim:])[:, :-1]
 
-    failures = 0
-    raw: list[ChordRecord] = []
-    for a, b in seeds:
-        seed = np.concatenate([mesh.params[a], mesh.params[b]])
-        result = newton_solve(system, seed, opts.newton)
-        if not result.converged:
-            failures += 1
-            continue
-        u = mesh.wrap(result.x[:pdim])
-        v = mesh.wrap(result.x[pdim:])
-        p_u, p_v = slc.immerse(u), slc.immerse(v)
-        length = float(p_v[-1] - p_u[-1])
-        if length < 0:
-            u, v, p_u, p_v, length = v, u, p_v, p_u, -length
-        if length <= opts.min_length:
-            continue
-        raw.append(_chord_record(u, v, p_u, p_v, length, result.residual_norm))
-    if seeds and failures > 0.5 * len(seeds):
+    seeds = np.concatenate([mesh.params[pairs[:, 0]], mesh.params[pairs[:, 1]]], axis=1)
+    result = newton_solve_stack(system, seeds, opts.newton)
+    failures = int(np.sum(~result.converged))
+    if failures > 0.5 * len(pairs):
         raise NewtonFailuresExceeded(
-            f"{failures}/{len(seeds)} projection seeds failed to converge"
+            f"{failures}/{len(pairs)} projection seeds failed to converge"
         )
+    x = result.x[result.converged]
+    u, v = mesh.wrap(x[:, :pdim]), mesh.wrap(x[:, pdim:])
+    p_u, p_v = slc.immerse(u), slc.immerse(v)
+    length = p_v[:, -1] - p_u[:, -1]
+    flip = (length < 0)[:, None]  # orient every chord upward
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    p_u, p_v = np.where(flip, p_v, p_u), np.where(flip, p_u, p_v)
+    length = np.abs(length)
+    raw = [
+        _chord_record(u[i], v[i], p_u[i], p_v[i], float(length[i]), float(r))
+        for i, r in enumerate(result.residual_norm[result.converged])
+        if length[i] > opts.min_length
+    ]
     return dedup_chords(raw, opts.cluster_radius)
 
 
-def _tangent_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to p (rows)."""
-    d = p.size
-    _, _, vt = np.linalg.svd(p[None, :] / np.linalg.norm(p))
-    return vt[1:d]
+def _tangent_bases(p: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (S, d-1, d) of the hyperplanes orthogonal to the
+    rows of p (S, d), as rows."""
+    _, _, vt = np.linalg.svd((p / _row_norms(p)[:, None])[:, None, :])
+    return vt[:, 1:]
 
 
 def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius: float):
@@ -249,8 +247,8 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     """Reeb chords by flow shooting, for any built-in model.
 
     Trajectories and the landing system use the model's closed-form flow
-    ``model.flow``.  Capture events are pre-clustered so one Newton
-    refinement runs per candidate chord; the landing system
+    ``model.flow``.  Capture events are pre-clustered into candidate
+    chords, refined together in one stacked Newton solve; the landing system
     G(u, T, v) = flow_T(i(u)) - i(v) is squared up on spheres by
     projecting the residual onto the tangent space at the seed's end
     point.  Every returned chord satisfies the
@@ -280,38 +278,32 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
 
     pdim = slc.param_dim
     is_sphere = isinstance(model, StandardSphereModel)
+    cols = np.array(reps, dtype=float).reshape(-1, 3)
+    node_u, t_hit, node_v = cols[:, 0].astype(int), cols[:, 1], cols[:, 2].astype(int)
+    bases = _tangent_bases(slc.points[node_v]) if is_sphere else None
 
-    failures = 0
-    raw: list[ChordRecord] = []
-    for node_u, t_hit, node_v in reps:
-        basis = _tangent_basis(slc.points[node_v]) if is_sphere else None
+    def system(w, lanes):
+        u, big_t, v = w[:, :pdim], w[:, pdim], w[:, pdim + 1 :]
+        residual = model.flow(slc.immerse(u), np.where(big_t <= 0, 1e-12, big_t)) - slc.immerse(v)
+        return (bases[lanes] @ residual[..., None])[..., 0] if is_sphere else residual
 
-        def system(w):
-            u, big_t, v = w[:pdim], w[pdim], w[pdim + 1 :]
-            if big_t <= 0:
-                big_t = 1e-12
-            residual = model.flow(slc.immerse(u), big_t) - slc.immerse(v)
-            return basis @ residual if basis is not None else residual
-
-        seed = np.concatenate([mesh.params[node_u], [t_hit], mesh.params[node_v]])
-        newton_opts = replace(opts.newton, residual_tol=max(opts.newton.residual_tol, 1e-9))
-        result = newton_solve(system, seed, newton_opts)
-        if not result.converged:
-            failures += 1
-            continue
-        u = mesh.wrap(result.x[:pdim])
-        length = float(result.x[pdim])
-        v = mesh.wrap(result.x[pdim + 1 :])
-        if length <= opts.min_length:
-            continue
-        p_u, p_v = slc.immerse(u), slc.immerse(v)
-        landing = float(np.linalg.norm(model.flow(p_u, length) - p_v))
-        if landing > 1e-6:
-            failures += 1
-            continue
-        raw.append(_chord_record(u, v, p_u, p_v, length, result.residual_norm))
-    if reps and failures > 0.5 * len(reps):
+    seeds = np.concatenate([mesh.params[node_u], t_hit[:, None], mesh.params[node_v]], axis=1)
+    newton_opts = replace(opts.newton, residual_tol=max(opts.newton.residual_tol, 1e-9))
+    result = newton_solve_stack(system, seeds, newton_opts)
+    x = result.x[result.converged]
+    u, length, v = mesh.wrap(x[:, :pdim]), x[:, pdim], mesh.wrap(x[:, pdim + 1 :])
+    residuals = result.residual_norm[result.converged]
+    long = length > opts.min_length
+    u, length, v, residuals = u[long], length[long], v[long], residuals[long]
+    p_u, p_v = slc.immerse(u), slc.immerse(v)
+    missed = _row_norms(model.flow(p_u, length) - p_v) > 1e-6
+    failures = len(reps) - len(x) + int(np.sum(missed))
+    if failures > 0.5 * len(reps):
         raise NewtonFailuresExceeded(f"{failures}/{len(reps)} shooting candidates failed")
+    raw = [
+        _chord_record(u[i], v[i], p_u[i], p_v[i], float(length[i]), float(residuals[i]))
+        for i in np.flatnonzero(~missed)
+    ]
     cluster = opts.cluster_radius
     if is_sphere:
         # non-isolated chord families: collapse at mesh scale

@@ -48,7 +48,7 @@ from .models import (
     _smoothstep,
     liouville_deformed,
 )
-from .numerics import integrate_flow
+from .numerics import _row_norms, integrate_flow
 from .slices import (
     DEFAULT_CLOSED_TOL,
     DEFAULT_TRANSVERSE_TOL,
@@ -444,42 +444,46 @@ def reeb_reparam_check(
     quadrature of 1 + dh(R) along it, and the rescaled field, which has no
     closed form, is integrated numerically for that time; the endpoint
     must land back on the recorded end point.  With ``h`` None (the
-    trivial profile) the rescaled field is ``model.reeb`` itself.
+    trivial profile) the rescaled field is ``model.reeb`` itself.  All
+    chords are sampled, differentiated and integrated together, one lane
+    per chord.
 
     Raises:
         ReparamDegenerate: 1 + dh(R) drops to zero on some chord.
     """
-    max_drift = 0.0
-    rescaled_times = []
     rescaled_field = model.reeb
     if h is not None:
 
         def rescaled_field(p):
             denom = 1.0 + directional_dh_reeb(model, h, p)
-            if denom <= 1e-6:
+            if np.any(denom <= 1e-6):
                 raise ReparamDegenerate("1 + dh(Reeb) vanished along a trajectory")
-            return model.reeb(p) / denom
+            return model.reeb(p) / denom[..., None]
 
+    if not chords:
+        return {"max_endpoint_drift": 0.0, "pass": 0.0 < drift_tol, "rescaled_times": []}
     n = samples + samples % 2
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    for chord in chords:
-        dt = chord.length / n
-        states = model.flow(chord.start_point, dt * np.arange(n + 1))
-        vals = np.ones(n + 1) if h is None else 1.0 + directional_dh_reeb(model, h, states)
-        if np.min(vals) <= 1e-6:
-            raise ReparamDegenerate(
-                f"1 + dh(Reeb) reached {float(np.min(vals)):.3e} on a chord"
-            )
-        rescaled_time = float(dt / 3.0 * np.dot(weights, vals))
-        rescaled_times.append(rescaled_time)
-        endpoint = integrate_flow(rescaled_field, chord.start_point, rescaled_time, tol=1e-10)
-        max_drift = max(max_drift, float(np.linalg.norm(endpoint - chord.end_point)))
+    starts = np.array([c.start_point for c in chords])
+    dt = np.array([c.length for c in chords]) / n
+    if h is None:
+        vals = np.ones((len(chords), n + 1))
+    else:
+        states = model.flow(starts[:, None, :], dt[:, None] * np.arange(n + 1))
+        vals = 1.0 + directional_dh_reeb(model, h, states)
+    low = np.min(vals, axis=1)
+    if np.any(low <= 1e-6):
+        raise ReparamDegenerate(f"1 + dh(Reeb) reached {float(np.min(low)):.3e} on a chord")
+    rescaled_times = dt / 3.0 * (vals[:, None, :] @ weights[:, None])[:, 0, 0]
+    endpoints = integrate_flow(rescaled_field, starts, rescaled_times, tol=1e-10)
+    drifts = _row_norms(endpoints - np.array([c.end_point for c in chords]))
+    max_drift = max([0.0, *drifts.tolist()])
     return {
         "max_endpoint_drift": max_drift,
         "pass": max_drift < drift_tol,
-        "rescaled_times": rescaled_times,
+        "rescaled_times": rescaled_times.tolist(),
     }
 
 

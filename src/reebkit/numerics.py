@@ -18,94 +18,138 @@ Field = Callable[[np.ndarray], np.ndarray]
 
 # Dormand-Prince 5(4) tableau.  The 5th-order solution is propagated; the
 # difference against the embedded 4th-order solution estimates local error.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Rows are (1, i) arrays, so ``row @ k[:, :i]`` combines the stages of a
+# (lanes, 7, d) stack lane by lane.
+_DP_A = [
+    np.array([row])
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+]
+_DP_B5 = np.array([[35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]])
 _DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+    [[5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]]
 )
 _DP_ERR = _DP_B5 - _DP_B4
 
 
-def _eval_field(field: Field, y: np.ndarray) -> np.ndarray:
+def _row_norms(f: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``f`` (..., m), as ``sqrt(f @ f)`` per
+    row: bit for bit ``np.linalg.norm`` of the row alone, which
+    ``norm(axis=-1)`` is not."""
+    return np.sqrt(f[..., None, :] @ f[..., :, None])[..., 0, 0]
+
+
+def _eval_field(field: Field, y: np.ndarray, lanes: Optional[np.ndarray] = None) -> np.ndarray:
+    """``field(y)``; raises NonFinite naming the first bad lane (row of y)
+    when ``lanes`` labels the rows of a stack."""
     f = np.asarray(field(y), dtype=float)
     if not np.all(np.isfinite(f)):
-        raise NonFinite(f"field returned non-finite values at {y}")
+        if lanes is None:
+            raise NonFinite(f"field returned non-finite values at {y}")
+        row = int(np.argmin(np.all(np.isfinite(f), axis=-1)))
+        raise NonFinite(f"field returned non-finite values in lane {lanes[row]} at {y[row]}")
     return f
 
 
 def integrate_flow(
     field: Field,
     start,
-    duration: float,
+    duration,
     tol: float = 1e-10,
     dense_output: bool = False,
 ):
-    """Integrate the autonomous ODE y' = field(y) for the given duration.
+    """Integrate the autonomous ODE y' = field(y) for the given duration,
+    on one start or on a stack of lanes.
 
     Uses an embedded 4(5) Runge-Kutta pair with proportional step control;
-    local error per accepted step is kept at or below ``tol``.
+    local error per accepted step is kept at or below ``tol``.  Lanes keep
+    their own step size, time and FSAL stage; each stage evaluates the
+    field once on the lanes still running, and a lane retires when it
+    reaches its duration.  A lane's arithmetic does not depend on the
+    other lanes, so a stack gives the endpoints of one call per lane.
 
     Args:
-        field: callable mapping a state vector to its velocity.
-        start: initial state vector.
-        duration: nonnegative flow time.
+        field: callable mapping a state (d,) to its velocity for a single
+            start, and states (k, d) to velocities (k, d) for a stack.
+        start: initial state (d,), or a stack of initial states (S, d).
+        duration: nonnegative flow time, a scalar or one per lane (S,).
         tol: local error tolerance per step.
-        dense_output: when True, also return the accepted (time, state)
-            samples along the trajectory.
+        dense_output: single start only; when True, also return the
+            accepted (time, state) samples along the trajectory.
 
     Returns:
-        The endpoint state, or ``(endpoint, samples)`` with
-        ``samples = [(t0, y0), (t1, y1), ...]`` when ``dense_output``.
+        The endpoint state(s), shaped like ``start``, or
+        ``(endpoint, samples)`` with ``samples = [(t0, y0), (t1, y1), ...]``
+        when ``dense_output``.
 
     Raises:
-        StepUnderflow: adaptive step shrank below the machine threshold.
+        StepUnderflow: a lane's adaptive step shrank below the machine
+            threshold.
         NonFinite: the field returned NaN or infinity.
     """
-    if duration < 0:
+    y = np.array(start, dtype=float)
+    single = y.ndim == 1
+    lane_field = field
+    if single:
+        y = y[None]
+
+        def lane_field(p):
+            return np.asarray(field(p[0]), dtype=float)[None]
+
+    elif dense_output:
+        raise ValueError("dense_output needs a single start")
+    durations = np.broadcast_to(np.asarray(duration, dtype=float), y.shape[:1])
+    if not np.all(durations >= 0):
         raise ValueError("duration must be nonnegative")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    y = np.array(start, dtype=float)
-    samples = [(0.0, y.copy())] if dense_output else None
-    if duration == 0.0:
-        return (y, samples) if dense_output else y
+    samples = [(0.0, y[0].copy())] if dense_output else None
 
-    h_floor = 1e-14 * max(1.0, duration)
-    h = duration / 100.0
-    t = 0.0
-    k1 = _eval_field(field, y)
-    n_stages = 7
-    while t < duration:
-        h = min(h, duration - t)
-        if h < h_floor:
-            raise StepUnderflow(f"step size {h:.3e} underflowed at t={t:.6g}")
-        k = np.empty((n_stages,) + y.shape)
-        k[0] = k1
-        for i in range(1, n_stages):
-            yi = y + h * np.tensordot(np.array(_DP_A[i]), k[:i], axes=(0, 0))
-            k[i] = _eval_field(field, yi)
-        err = h * float(np.linalg.norm(np.tensordot(_DP_ERR, k, axes=(0, 0))))
-        if err <= tol:
-            y = y + h * np.tensordot(_DP_B5, k, axes=(0, 0))
-            t += h
-            k1 = k[6]  # FSAL: last stage is the next first stage
-            if dense_output:
-                samples.append((t, y.copy()))
-        # proportional controller with safety factor and growth clamps
-        if err == 0.0:
-            factor = 5.0
-        else:
-            factor = min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-        h *= factor
-    return (y, samples) if dense_output else y
+    h_floor = 1e-14 * np.maximum(1.0, durations)
+    h = durations / 100.0
+    t = np.zeros(len(y))
+    live = np.flatnonzero(durations > 0.0)
+    k1 = np.empty_like(y)
+    if live.size:
+        k1[live] = _eval_field(lane_field, y[live], live)
+    while live.size:
+        hl = np.minimum(h[live], durations[live] - t[live])
+        under = hl < h_floor[live]
+        if np.any(under):
+            row = int(np.argmax(under))
+            raise StepUnderflow(
+                f"step size {hl[row]:.3e} underflowed at t={t[live[row]]:.6g} in lane {live[row]}"
+            )
+        # stages lane-major, (lanes, 7, d): each lane's combinations are
+        # the same BLAS calls as for a lone lane, whatever the stack size
+        k = np.empty((live.size, 7, y.shape[1]))
+        k[:, 0] = k1[live]
+        y_live = y[live]
+        for i in range(1, 7):
+            yi = y_live + hl[:, None] * (_DP_A[i] @ k[:, :i])[:, 0]
+            k[:, i] = _eval_field(lane_field, yi, live)
+        err = hl * _row_norms((_DP_ERR @ k)[:, 0])
+        ok = err <= tol
+        done = live[ok]
+        y[done] = y_live[ok] + hl[ok, None] * (_DP_B5 @ k[ok])[:, 0]
+        t[done] += hl[ok]
+        k1[done] = k[ok, 6]  # FSAL: last stage is the next first stage
+        if dense_output and ok[0]:
+            samples.append((float(t[0]), y[0].copy()))
+        # proportional controller with safety factor and growth clamps, in
+        # Python floats per lane (numpy's vectorized power rounds differently)
+        factors = [5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * (tol / e) ** 0.2)) for e in err.tolist()]
+        h[live] = hl * factors
+        live = live[t[live] < durations[live]]
+    end = y[0] if single else y
+    return (end, samples) if dense_output else end
 
 
 def rk4_step(field: Field, y: np.ndarray, h: float) -> np.ndarray:
@@ -181,60 +225,143 @@ class NewtonResult:
     failure: Optional[str] = None  # "singular_jacobian" | "max_iterations"
 
 
-def newton_solve(system: Callable[[np.ndarray], np.ndarray], seed, opts: Optional[NewtonOptions] = None) -> NewtonResult:
-    """Damped Newton iteration for a nonlinear system.
+@dataclass
+class NewtonStack:
+    """Per-lane outcomes of ``newton_solve_stack`` over S lanes: arrays of
+    shape (S,), and (S, n) for ``x``; ``failure`` holds None or a reason."""
 
-    A singular or non-square Jacobian takes the least-squares step: the
-    minimum-norm one, or Gauss-Newton for an overdetermined system (such
-    as the projection system of a curve in r5).  On a residual increase
-    the update is halved, up to 20 times, before the step is accepted
-    anyway; a seed that already satisfies the tolerance is returned
-    unchanged.
+    converged: np.ndarray
+    x: np.ndarray
+    residual_norm: np.ndarray
+    iterations: np.ndarray
+    failure: np.ndarray
+
+    def lane(self, i: int) -> NewtonResult:
+        """Lane ``i`` as the scalar result of a one-seed solve."""
+        return NewtonResult(
+            bool(self.converged[i]),
+            self.x[i],
+            float(self.residual_norm[i]),
+            int(self.iterations[i]),
+            self.failure[i],
+        )
+
+
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
+    """Newton steps solving jac @ delta = rhs for a stack (k, m, n), and
+    per lane the rank of the least-squares step, or -1 where the step was
+    an exact solve.
+
+    One batched solve when every Jacobian is square and regular; otherwise
+    lane by lane, falling back to the least-squares step (minimum-norm, or
+    Gauss-Newton for an overdetermined system) where a solve fails.
+    """
+    k, m, n = jac.shape
+    ranks = np.full(k, -1)
+    if m == n:
+        try:
+            return np.linalg.solve(jac, rhs[..., None])[..., 0], ranks
+        except np.linalg.LinAlgError:
+            pass
+    delta = np.empty((k, n))
+    for i in range(k):
+        try:
+            delta[i] = np.linalg.solve(jac[i], rhs[i])
+        except np.linalg.LinAlgError:  # singular (e.g. chord families) or non-square
+            delta[i], _, ranks[i], _ = np.linalg.lstsq(jac[i], rhs[i], rcond=None)
+    return delta, ranks
+
+
+def newton_solve_stack(
+    system: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds, opts: Optional[NewtonOptions] = None
+) -> NewtonStack:
+    """Damped Newton iteration on a stack of seeds, one lane per seed.
+
+    ``system(x, lanes)`` maps iterates (k, n) of the lanes ``lanes`` (k,)
+    to residuals (k, m), row by row; ``seeds`` has shape (S, n).  Every
+    iteration makes one stacked ``jacobian_fd`` over the running lanes and
+    one batched solve.  A singular or non-square Jacobian takes the
+    least-squares step: the minimum-norm one, or Gauss-Newton for an
+    overdetermined system (such as the projection system of a curve in
+    r5).  On a residual increase a lane halves its update, up to 20
+    times, before the step is accepted anyway; a lane whose seed already
+    satisfies the tolerance keeps it unchanged.  A lane's arithmetic does
+    not depend on the other lanes, so the stack gives the outcomes of one
+    ``newton_solve`` per seed.
+
+    Returns:
+        NewtonStack with ``converged`` set where the final residual norm is
+        at or below ``opts.residual_tol``; a failed lane carries its last
+        iterate, its residual, and a failure reason.
+    """
+    opts = opts or NewtonOptions()
+    x = np.array(seeds, dtype=float)
+    fx = np.asarray(system(x, np.arange(len(x))), dtype=float)
+    if not np.all(np.isfinite(fx)):
+        raise NonFinite("system returned non-finite values at a seed")
+    res = _row_norms(fx)
+    converged = res <= opts.residual_tol
+    iterations = np.zeros(len(x), dtype=int)
+    failure = np.full(len(x), None)
+    singular_seen = np.zeros(len(x), dtype=bool)
+
+    live = np.flatnonzero(~converged)
+    for it in range(1, opts.max_iterations + 1):
+        if not live.size:
+            break
+        x_live, f_live, res_live = x[live], fx[live], res[live]
+        jac = jacobian_fd(lambda v: system(v, live), x_live, opts.fd_step)
+        delta, ranks = _newton_steps(jac, -f_live)
+        lstsq = ranks >= 0
+        singular_seen[live[lstsq]] = ranks[lstsq] < x.shape[1]
+
+        # backtracking: every searching lane tries the same scale sequence
+        # and stops at its first residual decrease
+        best_x, best_f = x_live.copy(), f_live.copy()
+        best_res = np.full(live.size, np.inf)
+        searching = np.all(np.isfinite(delta), axis=1)
+        bad_step = ~searching
+        scale = 1.0
+        for _ in range(21):
+            rows = np.flatnonzero(searching)
+            if not rows.size:
+                break
+            x_try = x_live[rows] + scale * delta[rows]
+            f_try = np.asarray(system(x_try, live[rows]), dtype=float)
+            finite = np.all(np.isfinite(f_try), axis=1)
+            r_try = np.full(rows.size, np.inf)
+            r_try[finite] = _row_norms(f_try[finite])
+            better = r_try < best_res[rows]
+            best_x[rows[better]] = x_try[better]
+            best_f[rows[better]] = f_try[better]
+            best_res[rows[better]] = r_try[better]
+            searching[rows[r_try < res_live[rows]]] = False
+            scale *= opts.damping
+
+        failed = bad_step | np.isinf(best_res)
+        iterations[live] = it
+        failure[live[failed]] = "singular_jacobian"
+        step = ~failed
+        x[live[step]], fx[live[step]], res[live[step]] = best_x[step], best_f[step], best_res[step]
+        converged[live[step]] = best_res[step] <= opts.residual_tol
+        live = live[step & ~converged[live]]
+    failure[live] = ["singular_jacobian" if seen else "max_iterations" for seen in singular_seen[live]]
+    return NewtonStack(converged, x, res, iterations, failure)
+
+
+def newton_solve(system: Callable[[np.ndarray], np.ndarray], seed, opts: Optional[NewtonOptions] = None) -> NewtonResult:
+    """Damped Newton iteration for one nonlinear system ``system(x)`` from
+    one seed: a one-lane ``newton_solve_stack``.
 
     Returns:
         NewtonResult with ``converged`` set when the final residual norm is
         at or below ``opts.residual_tol``; on failure the result carries the
         last iterate, its residual, and a failure reason.
     """
-    opts = opts or NewtonOptions()
-    x = np.atleast_1d(np.array(seed, dtype=float))
-    fx = np.atleast_1d(np.asarray(system(x), dtype=float))
-    if not np.all(np.isfinite(fx)):
-        raise NonFinite("system returned non-finite values at the seed")
-    res = float(np.linalg.norm(fx))
-    if res <= opts.residual_tol:
-        return NewtonResult(True, x, res, 0)
-
-    singular_seen = False
-    for it in range(1, opts.max_iterations + 1):
-        jac = jacobian_fd(lambda v: np.atleast_1d(system(v)), x, opts.fd_step)
-        try:
-            delta = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:  # singular (e.g. chord families) or non-square
-            delta, _, rank, _ = np.linalg.lstsq(jac, -fx, rcond=None)
-            singular_seen = rank < x.size
-        if not np.all(np.isfinite(delta)):
-            return NewtonResult(False, x, res, it, failure="singular_jacobian")
-
-        scale = 1.0
-        best_x, best_res = None, np.inf
-        for _ in range(21):
-            x_try = x + scale * delta
-            f_try = np.atleast_1d(np.asarray(system(x_try), dtype=float))
-            if np.all(np.isfinite(f_try)):
-                r_try = float(np.linalg.norm(f_try))
-                if r_try < best_res:
-                    best_x, best_fx, best_res = x_try, f_try, r_try
-                if r_try < res:
-                    break
-            scale *= opts.damping
-        if best_x is None:
-            return NewtonResult(False, x, res, it, failure="singular_jacobian")
-        x, fx, res = best_x, best_fx, best_res
-        if res <= opts.residual_tol:
-            return NewtonResult(True, x, res, it)
-    reason = "singular_jacobian" if singular_seen else "max_iterations"
-    return NewtonResult(False, x, res, opts.max_iterations, failure=reason)
+    seeds = np.atleast_1d(np.array(seed, dtype=float))[None]
+    return newton_solve_stack(
+        lambda x, lanes: np.atleast_1d(np.asarray(system(x[0]), dtype=float))[None], seeds, opts
+    ).lane(0)
 
 
 def line_quadrature(form: Callable[[np.ndarray], np.ndarray], a, b, segments: int = 16):

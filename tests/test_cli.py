@@ -343,6 +343,7 @@ BAD_VALUES = {
     "resolution_one": {"slice": {"catalog": "unknot", "params": {"resolution": 1}}},
     "resolution_null": {"slice": {"catalog": "unknot", "params": {"resolution": None}}},
     "params_list": {"slice": {"catalog": "unknot", "params": [1]}},
+    "params_unknown_key": {"slice": {"catalog": "torus_r5", "params": {"resolutoin": 8}}},
     "model_list": {"model": [], "slice": {"catalog": "unknot"}},
     "convention_list": {"convention": ["direct"], "slice": {"catalog": "unknot"}},
     "param_dim_string": {"model": "r3", "slice": {"mesh_file": "m.csv", "param_dim": "x", "periodic": [True]}},

@@ -1,8 +1,13 @@
 """The out-of-tree tracer (``bench/tracer.py``) rebinds reebkit functions
-and methods by name; a rename in the package must fail here, not only in
-a traced benchmark run."""
+and methods by name and reads what they return; a rename in the package,
+or a return value the tracer cannot read, must fail here, not only in a
+traced benchmark run."""
 
+import contextlib
 import importlib.util
+import io
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,3 +38,30 @@ def test_trace_target_resolves(name, module, path):
     else:
         target = getattr(owner, path)
     assert callable(target), name
+
+
+def _run_cli(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = reebkit.cli.main(args)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("command", ["chords", "collar"])
+@pytest.mark.parametrize(
+    "catalog, params",
+    [("sheared_unknot", {"c": 0.1, "resolution": 128}), ("hopf_circle", {"resolution": 64})],
+)
+def test_traced_run_matches_plain_run(tmp_path, command, catalog, params):
+    # the wrappers read what the kernels return (``NewtonResult`` fields,
+    # lengths of lists), so a kernel change that breaks them shows here
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"slice": {"catalog": catalog, "params": params}}))
+    plain = _run_cli([command, str(path)])
+    with _tracer.Tracer() as tracer:
+        traced = _run_cli([command, str(path)])
+    assert traced == plain
+    self_s, _, _, _ = tracer.layer_totals()
+    values = [*tracer.counters.values(), *self_s.values()]
+    assert values
+    assert all(isinstance(v, float) and math.isfinite(v) for v in values)
