@@ -81,6 +81,21 @@ def _chord_record(u, v, p_u, p_v, length: float, residual: float) -> ChordRecord
     return ChordRecord(u, v, p_u, p_v, length, True, 0, 0, residual=residual)
 
 
+def _first_of_clusters(coord: np.ndarray, radius: float, close) -> np.ndarray:
+    """Keep mask of a greedy clustering in priority order: an item is kept
+    unless an earlier kept item is close to it.  Candidate pairs i < j come
+    from a grid index over ``coord`` (N,) at ``radius``; ``close(i, j)``
+    masks those that are close and must imply |coord[i] - coord[j]| <= radius."""
+    keep = np.ones(len(coord), dtype=bool)
+    if not len(coord):
+        return keep
+    index = GridIndex(coord[:, None], cell_size=radius)
+    pairs = np.concatenate([b[close(b[:, 0], b[:, 1])] for b in index.close_pairs(radius)])
+    for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
+        keep[j] = keep[j] and not keep[i]  # dropped next to a kept earlier item
+    return keep
+
+
 def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[ChordRecord]:
     """Merge chords whose (start, end, length) triples nearly coincide.
 
@@ -89,14 +104,12 @@ def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[C
     index over the lengths, so comparisons stay local.
     """
     recs = sorted(raw, key=lambda r: (r.residual, r.sort_key()))
-    if not recs:
-        return []
     keys = np.array([[*r.start_param, *r.end_param, r.length] for r in recs])
-    pairs = np.concatenate(list(GridIndex(keys[:, -1:], cell_size=cluster_radius).close_pairs(cluster_radius)))
-    pairs = pairs[np.max(np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]]), axis=1) <= cluster_radius]
-    keep = np.ones(len(recs), dtype=bool)
-    for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
-        keep[j] = keep[j] and not keep[i]  # dropped next to a kept earlier record
+    keep = _first_of_clusters(
+        np.array([r.length for r in recs]),
+        cluster_radius,
+        lambda i, j: np.max(np.abs(keys[i] - keys[j]), axis=1) <= cluster_radius,
+    )
     return sorted((r for r, k in zip(recs, keep) if k), key=ChordRecord.sort_key)
 
 
@@ -185,8 +198,8 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
     the minimal-distance sample.
 
     All launches advance together; per step the escape, arming and box-gap
-    tests are masks, and only the remaining candidates query the grid
-    index.  Candidates are flushed in ascending launch order within a step,
+    tests are masks, and the remaining candidates query the grid index in
+    one call.  Candidates are flushed in ascending launch order within a step,
     so the event order matches a per-trajectory loop.
     """
     mesh = slc.mesh
@@ -204,14 +217,14 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
     armed = np.zeros(n, dtype=bool)
     alive = np.ones(n, dtype=bool)
     inside = np.full(n, -1.0)  # best distance while within capture radius
-    best = [None] * n
+    best_t = np.zeros(n)
+    best_node = np.full(n, -1)  # -1: no candidate
     events = []
 
     def flush(mask):
-        for k in np.flatnonzero(mask):
-            if best[k] is not None:
-                events.append(best[k])
-                best[k] = None
+        ks = np.flatnonzero(mask & (best_node >= 0))
+        events.extend(zip(launches[ks].tolist(), best_t[ks].tolist(), best_node[ks].tolist()))
+        best_node[ks] = -1
 
     t = 0.0
     dt = opts.monitor_dt
@@ -224,18 +237,13 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
         arming = live & ~armed
         armed[arming] = np.linalg.norm(states[arming] - starts[arming], axis=1) > 2.0 * capture_radius
         far = live & ~arming & (box_gap > capture_radius)  # cannot be near any mesh point
-        missed = np.zeros(n, dtype=bool)
-        for k in np.flatnonzero(live & ~arming & ~far):
-            hit = idx.nearest_within(states[k], capture_radius)
-            if hit is None:
-                missed[k] = True
-                continue
-            node, dist = hit
-            if t <= opts.min_length:
-                continue
-            if inside[k] < 0 or dist < inside[k]:
-                inside[k] = dist
-                best[k] = (int(launches[k]), t, node)
+        ks = np.flatnonzero(live & ~arming & ~far)  # on most steps none: every trajectory is far
+        node, dist = idx.nearest_within(states[ks], capture_radius) if ks.size else (ks, np.empty(0))
+        missed = np.isin(np.arange(n), ks[node < 0])
+        if t > opts.min_length:
+            closer = (node >= 0) & ((inside[ks] < 0) | (dist < inside[ks]))
+            ks, node, dist = ks[closer], node[closer], dist[closer]
+            inside[ks], best_t[ks], best_node[ks] = dist, t, node
         flush(escaped | far | missed)
         inside[far | missed] = -1.0
         alive &= ~escaped
@@ -259,27 +267,20 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     opts = opts or SearchOptions()
     mesh = slc.mesh
     capture_radius = opts.capture_radius or 2.0 * _ambient_spacing(slc.points, mesh.edges())
-
-    events = _capture_events(model, slc, opts, capture_radius)
-
     # pre-cluster events: neighbors launching into the same chord
-    reps = []
-    taken = []
-    for node_u, t_hit, node_v in events:
-        key = np.concatenate([mesh.params[node_u], [t_hit], mesh.params[node_v]])
-        if any(
-            mesh.param_distance(key[: mesh.param_dim], other[: mesh.param_dim]) < 6.0 * mesh.max_spacing()
-            and abs(key[mesh.param_dim] - other[mesh.param_dim]) < 8.0 * capture_radius
-            for other in taken
-        ):
-            continue
-        taken.append(key)
-        reps.append((node_u, t_hit, node_v))
+    events = np.array(_capture_events(model, slc, opts, capture_radius), dtype=float).reshape(-1, 3)
+    start, t = mesh.params[events[:, 0].astype(int)], events[:, 1]
+
+    def close(i, j):
+        near = mesh.param_distance(start[j], start[i]) < 6.0 * mesh.max_spacing()
+        return near & (np.abs(t[j] - t[i]) < 8.0 * capture_radius)
+
+    keep = _first_of_clusters(t, 8.0 * capture_radius, close)
+    node_v = events[keep, 2].astype(int)
+    seeds = np.concatenate([start[keep], t[keep, None], mesh.params[node_v]], axis=1)
 
     pdim = slc.param_dim
     is_sphere = isinstance(model, StandardSphereModel)
-    cols = np.array(reps, dtype=float).reshape(-1, 3)
-    node_u, t_hit, node_v = cols[:, 0].astype(int), cols[:, 1], cols[:, 2].astype(int)
     bases = _tangent_bases(slc.points[node_v]) if is_sphere else None
 
     def system(w, lanes):
@@ -287,7 +288,6 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
         residual = model.flow(slc.immerse(u), np.where(big_t <= 0, 1e-12, big_t)) - slc.immerse(v)
         return (bases[lanes] @ residual[..., None])[..., 0] if is_sphere else residual
 
-    seeds = np.concatenate([mesh.params[node_u], t_hit[:, None], mesh.params[node_v]], axis=1)
     newton_opts = replace(opts.newton, residual_tol=max(opts.newton.residual_tol, 1e-9))
     result = newton_solve_stack(system, seeds, newton_opts)
     x = result.x[result.converged]
@@ -297,9 +297,9 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     u, length, v, residuals = u[long], length[long], v[long], residuals[long]
     p_u, p_v = slc.immerse(u), slc.immerse(v)
     missed = _row_norms(model.flow(p_u, length) - p_v) > 1e-6
-    failures = len(reps) - len(x) + int(np.sum(missed))
-    if failures > 0.5 * len(reps):
-        raise NewtonFailuresExceeded(f"{failures}/{len(reps)} shooting candidates failed")
+    failures = len(seeds) - len(x) + int(np.sum(missed))
+    if failures > 0.5 * len(seeds):
+        raise NewtonFailuresExceeded(f"{failures}/{len(seeds)} shooting candidates failed")
     raw = [
         _chord_record(u[i], v[i], p_u[i], p_v[i], float(length[i]), float(residuals[i]))
         for i in np.flatnonzero(~missed)
@@ -309,3 +309,10 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
         # non-isolated chord families: collapse at mesh scale
         cluster = max(cluster, 2.0 * mesh.max_spacing())
     return dedup_chords(raw, cluster)
+
+
+def find_chords(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
+    """Chords by projection on Euclidean models, by shooting otherwise."""
+    if isinstance(model, StandardRModel):
+        return chords_projection(model, slc, opts)
+    return chords_shooting(model, slc, opts)

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import catalog as cat
-from .chords import chords_projection, chords_shooting
+from .chords import chords_projection, find_chords
 from .collar import Verdict, collar_report
 from .errors import (
     ManifestError,
@@ -49,6 +49,12 @@ def _apply_overrides(manifest, args):
         manifest.search["max_time"] = args.max_time
     manifest.validate()
     return manifest
+
+
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def _emit(text: str, out_path: str | None):
@@ -100,10 +106,7 @@ def cmd_chords(args) -> int:
             sys.stderr.write("slice checks failed; rerun with --force to search anyway\n")
             return 1
     try:
-        if isinstance(model, StandardRModel):
-            found = chords_projection(model, slc, opts.search)
-        else:
-            found = chords_shooting(model, slc, opts.search)
+        found = find_chords(model, slc, opts.search)
     except NewtonFailuresExceeded as exc:
         sys.stderr.write(f"chord search failed: {exc}\n")
         return 1
@@ -183,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_collar = sub.add_parser("collar", help="full collar-feasibility report")
     add_common(p_collar)
-    p_collar.add_argument("--grid", type=int, default=None, help="verification grid nodes along the Reeb axis")
+    p_collar.add_argument("--grid", type=positive_int, default=None, help="verification grid nodes along the Reeb axis")
     p_collar.set_defaults(fn=cmd_collar)
 
     p_plot = sub.add_parser("export-plot", help="export plot data (SVG + CSV)")

@@ -29,8 +29,7 @@ from .chords import (
     _ambient_spacing,
     _chord_record,
     _exclusion_radius,
-    chords_projection,
-    chords_shooting,
+    find_chords,
 )
 from .errors import (
     MissingPrimitive,
@@ -146,34 +145,30 @@ def feasibility_oracle_1d(length: float, h_start: float, h_end: float, margin: f
 # Rows 1.. start at the prescribed heights and values: columns z0 and v0.
 # _FLAT is the zero profile of a fiber that no mesh node reaches.
 _FLAT = np.array([[0.0, 1.0, 0.0, 0.0, 1.0]])
+_FIBER_BLOCK = 512  # shadows per block of the fiber pass, bounding its memory
 
 
-def _blend_for(mean: float, margin: float) -> float:
-    """Largest smoothstep blend keeping the slope above -1 + margin.
-
-    Descending pieces trade smoothness for slope headroom: a pure
-    smoothstep steepens the mean slope by up to 1.875x, so the blend
-    shrinks toward linear as the mean approaches the bound.  A 2% cushion
-    keeps the realized minimum strictly above the bound so the
-    finite-difference verification cannot sit on the edge.
-    """
-    if mean >= 0:
-        return 1.0
-    budget = (1.0 - margin) / abs(mean) / 1.02
-    if budget >= _SMOOTHSTEP_MAX_SLOPE:
-        return 1.0
-    return min(1.0, max(0.0, (budget - 1.0) / (_SMOOTHSTEP_MAX_SLOPE - 1.0)))
-
-
-def _build_profile(zs: np.ndarray, vs: np.ndarray, margin: float, runway: float) -> np.ndarray:
-    """Profile through prescribed (z, value) pairs, decaying to zero over
-    slope-safe runways beyond the extremes."""
-    run_lo = max(runway, _SMOOTHSTEP_MAX_SLOPE * abs(vs[0]) / (1.0 - margin) * 1.02 + 1e-9)
-    run_hi = max(runway, _SMOOTHSTEP_MAX_SLOPE * abs(vs[-1]) / (1.0 - margin) * 1.02 + 1e-9)
-    z = [zs[0] - run_lo, *zs, zs[-1] + run_hi]
-    v = [0.0, *vs, 0.0]
-    blend = [1.0, *(_blend_for(mean, margin) for mean in np.diff(vs) / np.diff(zs)), 1.0]
-    return np.array(list(zip(z[:-1], z[1:], v[:-1], v[1:], blend)))
+def _build_profiles(zs: np.ndarray, vs: np.ndarray, counts: np.ndarray, margin: float, runway: float):
+    """Profiles through the first ``counts[i]`` prescribed (z, value) pairs
+    of row i of zs, vs (U, M), decaying to zero over slope-safe runways
+    beyond the extremes.  A pure smoothstep steepens the mean slope by up
+    to 1.875x, so a descending piece's blend shrinks toward linear as its
+    mean approaches the bound -1 + margin, with a 2% cushion so the
+    finite-difference verification cannot sit on the edge."""
+    rows = np.arange(len(counts))
+    run = np.maximum(runway, _SMOOTHSTEP_MAX_SLOPE * np.abs(vs) / (1.0 - margin) * 1.02 + 1e-9)
+    z, v = np.pad(zs, ((0, 0), (1, 1))), np.pad(vs, ((0, 0), (1, 1)))
+    z[:, 0] = zs[:, 0] - run[:, 0]
+    z[rows, counts + 1], v[rows, counts + 1] = zs[rows, counts - 1] + run[rows, counts - 1], 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero-length piece gets blend 0
+        mean = np.diff(vs, axis=1) / np.diff(zs, axis=1)
+        budget = (1.0 - margin) / np.abs(mean) / 1.02
+    blend = np.minimum(1.0, np.fmax(0.0, (budget - 1.0) / (_SMOOTHSTEP_MAX_SLOPE - 1.0)))
+    blend = np.where((mean >= 0) | (budget >= _SMOOTHSTEP_MAX_SLOPE), 1.0, blend)
+    blend = np.pad(blend, ((0, 0), (1, 1)), constant_values=1.0)
+    blend[rows, counts] = 1.0
+    pieces = np.stack([z[:, :-1], z[:, 1:], v[:, :-1], v[:, 1:], blend], axis=-1)
+    return [p[: k + 1] for p, k in zip(pieces, counts.tolist())]
 
 
 def _stack_profiles(profiles: list[np.ndarray]) -> np.ndarray:
@@ -228,63 +223,46 @@ class FiberBumpField:
         self.proj = slc.points[:, :-1]
         self.heights = slc.points[:, -1]
         self.prescriptions = -prim.values
-        spacing = _ambient_spacing(self.proj, slc.mesh.edges())
+        edges = slc.mesh.edges()
+        spacing = _ambient_spacing(self.proj, edges)
         self.r_plateau = 1.5 * spacing
         self.r_cut = 3.0 * spacing
-        self._adjacency = slc.mesh.neighbors()
+        # mesh neighbours of each node, padded with -1
+        src, dst = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0).T
+        slot = np.arange(len(src)) - np.searchsorted(src, src)
+        self._nbr = np.full((len(self.proj), slot.max() + 1), -1)
+        self._nbr[src, slot] = dst
         self._index = GridIndex(self.proj, cell_size=self.r_cut)
         self._cache: dict[bytes, tuple] = {}
 
-    def _clusters(self, near: np.ndarray) -> list[list[int]]:
-        """Positions in ``near`` grouped by mesh connectivity among the
-        nodes of ``near``."""
-        pos = {node: k for k, node in enumerate(near.tolist())}
-        seen: set[int] = set()
-        out = []
-        for start in near.tolist():
-            if start in seen:
-                continue
-            comp = [pos[start]]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                a = stack.pop()
-                for b in self._adjacency[a]:
-                    if b in pos and b not in seen:
-                        seen.add(b)
-                        comp.append(pos[b])
-                        stack.append(b)
-            out.append(comp)
-        return out
+    def fibers(self, shadows: np.ndarray):
+        """(nodes, counts, distances) over the rows of ``shadows`` (B, d-1):
+        one node per fiber intersection, row by row and by height; their
+        number per row; the distance to the nearest node (inf if none).
 
-    def fiber_data(self, shadow_point: np.ndarray):
-        """(heights, prescriptions, representative nodes) of the fiber
-        intersections over a projected point, sorted by height."""
-        near = self._index.query_ball(shadow_point, self.r_cut)
-        if near.size == 0:
-            return None
-        d2 = np.sum((self.proj[near] - shadow_point) ** 2, axis=1)
-        reps = [near[c[int(np.argmin(d2[c]))]] for c in self._clusters(near)]
-        reps = sorted(reps, key=lambda r: self.heights[r])
-        zs = np.array([self.heights[r] for r in reps])
-        vs = np.array([self.prescriptions[r] for r in reps])
-        return zs, vs, reps, float(np.sqrt(np.min(d2)))
-
-    def _entry(self, shadow_point: np.ndarray, key: bytes):
-        """(representative nodes, profile, bump) over a shadow point from
-        its fiber data; no nodes and a flat profile where none is in reach."""
-        hit = self._cache.get(key)
-        if hit is None:
-            data = self.fiber_data(shadow_point)
-            if data is None:
-                hit = (None, _FLAT, 0.0)
-            else:
-                zs, vs, reps, dist = data
-                u = (dist - self.r_plateau) / max(self.r_cut - self.r_plateau, 1e-12)
-                bump = float(1.0 - _smoothstep(u))
-                hit = (np.array(reps), _build_profile(zs, vs, self.margin, self.runway), bump)
-            self._cache[key] = hit
-        return hit
+        The nodes in reach of a row are grouped by min-label propagation
+        with pointer jumping (Shiloach & Vishkin, J. Algorithms 3 (1982))
+        over the mesh edges inside the row's ball.  A group is represented
+        by its nearest node, the lowest one on an exact tie; equal heights
+        keep the order of the groups' lowest nodes."""
+        rows, nodes = self._index.query_ball(shadows, self.r_cut)
+        d2 = np.sum((self.proj[nodes] - shadows[rows]) ** 2, axis=1)
+        keys = rows * len(self.proj) + nodes  # ascending
+        want = np.where(self._nbr[nodes] < 0, -1, rows[:, None] * len(self.proj) + self._nbr[nodes])
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        a, k = np.nonzero(keys[at] == want)  # pair a is linked to pair at[a, k]
+        label, settled = np.arange(len(keys)), False  # settles on the lowest pair of each group
+        while not settled:
+            new = label.copy()
+            np.minimum.at(new, a, label[at[a, k]])
+            new = new[new]  # pointer jumping
+            settled, label = np.array_equal(new, label), new
+        by_group = np.lexsort((d2, label))  # stable, so ascending node within a tie
+        reps = by_group[np.flatnonzero(np.diff(label[by_group], prepend=-1))]
+        reps = reps[np.lexsort((self.heights[nodes[reps]], rows[reps]))]
+        dist = np.full(len(shadows), np.inf)
+        np.minimum.at(dist, rows, d2)
+        return nodes[reps], np.bincount(rows[reps], minlength=len(shadows)), np.sqrt(dist)
 
     def _entries(self, shadows: np.ndarray):
         """Cache entries of the distinct rows of ``shadows`` (N, d-1), each
@@ -292,7 +270,19 @@ class FiberBumpField:
         keys = np.round(shadows, 12)
         keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()  # one bytes key per row
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        return [self._entry(shadows[i], keys[i].tobytes()) for i in first], inverse
+        keys = [keys[i].tobytes() for i in first]
+        missing = [(i, key) for i, key in zip(first.tolist(), keys) if key not in self._cache]
+        for lo in range(0, len(missing), _FIBER_BLOCK):
+            block, block_keys = zip(*missing[lo : lo + _FIBER_BLOCK])
+            nodes, counts, dist = self.fibers(shadows[list(block)])
+            filled = np.arange(max(1, counts.max())) < counts[:, None]
+            zs, vs = np.zeros((2, *filled.shape))
+            zs[filled], vs[filled] = self.heights[nodes], self.prescriptions[nodes]
+            profiles = _build_profiles(zs, vs, counts, self.margin, self.runway)
+            bump = 1.0 - _smoothstep((dist - self.r_plateau) / max(self.r_cut - self.r_plateau, 1e-12))
+            for key, reps, profile, b in zip(block_keys, np.split(nodes, np.cumsum(counts)[:-1]), profiles, bump):
+                self._cache[key] = (reps, profile, float(b)) if len(reps) else (None, _FLAT, 0.0)
+        return [self._cache[key] for key in keys], inverse
 
     def __call__(self, points) -> np.ndarray:
         """Field values at points of shape (..., d), with shape (...): one
@@ -570,11 +560,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     period_values = periods(model, slc, closed)
     exact = all(p == 0.0 for p in period_values)
 
-    search = opts.search
-    if is_euclidean:
-        found = chords_projection(model, slc, search)
-    else:
-        found = chords_shooting(model, slc, search)
+    found = find_chords(model, slc, opts.search)
 
     prim, h_diag = None, {"constructed": False}
     if exact:

@@ -68,23 +68,27 @@ class GridIndex:
         first = self._starts[k] - np.cumsum(counts) + counts
         return np.repeat(rows, counts), self._order[np.repeat(first, counts) + np.arange(counts.sum())]
 
-    def query_ball(self, point, radius: float) -> np.ndarray:
-        """Ascending indices of stored points within ``radius`` of ``point``."""
+    def query_ball(self, points: np.ndarray, radius: float):
+        """(rows, indices) of the stored points within ``radius`` of each row
+        of ``points`` (Q, d), in ascending (row, index) order."""
         if radius > self.cell_size:
             raise ValueError("radius exceeds cell size; rebuild with a larger cell")
-        p = np.asarray(point, dtype=float)
-        _, hits = self._probe(self._hash(self._keys(p[None])))
-        hits = np.sort(hits)
-        return hits[np.sum((self.points[hits] - p) ** 2, axis=1) <= radius * radius]
+        rows, hits = self._probe(self._hash(self._keys(points)))
+        near = np.flatnonzero(np.sum((self.points[hits] - points[rows]) ** 2, axis=1) <= radius * radius)
+        near = near[np.lexsort((hits[near], rows[near]))]
+        return rows[near], hits[near]
 
-    def nearest_within(self, point, radius: float) -> tuple[int, float] | None:
-        """Closest stored point within ``radius``, as (index, distance)."""
-        hits = self.query_ball(point, radius)
-        if not hits.size:
-            return None
-        d = np.linalg.norm(self.points[hits] - np.asarray(point, dtype=float), axis=1)
-        k = int(np.argmin(d))
-        return int(hits[k]), float(d[k])
+    def nearest_within(self, points: np.ndarray, radius: float):
+        """(indices, distances) of the closest stored point within ``radius``
+        of each row of ``points`` (Q, d), the lowest index on a tie; -1 and
+        inf where none is in reach."""
+        rows, hits = self.query_ball(points, radius)
+        d = np.linalg.norm(self.points[hits] - points[rows], axis=1)
+        first = np.lexsort((d, rows))  # stable: ascending index within a tie
+        first = first[np.flatnonzero(np.diff(rows[first], prepend=-1))]
+        index, dist = np.full(len(points), -1), np.full(len(points), np.inf)
+        index[rows[first]], dist[rows[first]] = hits[first], d[first]
+        return index, dist
 
     def close_pairs(self, radius: float):
         """Yield (P, 2) arrays of index pairs i < j of points within

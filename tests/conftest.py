@@ -1,10 +1,13 @@
 """Session-scoped fixtures: catalog entries and chord searches are built
 once and shared, since the searches dominate suite runtime."""
 
+import numpy as np
 import pytest
 
 from reebkit import catalog_get, chords_projection, chords_shooting, primitive
 from reebkit.chords import SearchOptions
+from reebkit.models import StandardRModel
+from reebkit.slices import ParamSlice, circle_factor
 
 SHEAR_SWEEP = (-0.5, -0.25, 0.0, 0.25, 0.5)
 
@@ -42,6 +45,35 @@ def hopf_entry():
 @pytest.fixture(scope="session")
 def sheared_entries():
     return {c: catalog_get("sheared_unknot", {"c": c}) for c in SHEAR_SWEEP if c != 0.0}
+
+
+def _exact_torus(resolution: int):
+    """(model, slice, g): the torus (cos u, 0, cos v, 0, g(u, v)) in r5 at
+    resolution x resolution nodes.  y = 0 makes the pullback of
+    dz - y1 dx1 - y2 dx2 equal to dg, and the projection folds up to 4:1."""
+    g = lambda u, v: np.sin(u) * np.cos(v) + 0.3 * np.sin(2 * v) + 0.5 * np.cos(u - v)
+    g_u = lambda u, v: np.cos(u) * np.cos(v) - 0.5 * np.sin(u - v)
+    g_v = lambda u, v: -np.sin(u) * np.sin(v) + 0.6 * np.cos(2 * v) + 0.5 * np.sin(u - v)
+
+    def immersion(w):
+        u, v = w[..., 0], w[..., 1]
+        zero = np.zeros_like(u)
+        return np.stack([np.cos(u), zero, np.cos(v), zero, g(u, v)], axis=-1)
+
+    def jacobian(w):
+        u, v = w[..., 0], w[..., 1]
+        zero = np.zeros_like(u)
+        du = np.stack([-np.sin(u), zero, zero, zero, g_u(u, v)], axis=-1)
+        dv = np.stack([zero, zero, -np.sin(v), zero, g_v(u, v)], axis=-1)
+        return np.stack([du, dv], axis=-1)
+
+    slc = ParamSlice([circle_factor(2 * np.pi)] * 2, immersion, jacobian, resolution=[resolution] * 2)
+    return StandardRModel(3), slc, g
+
+
+@pytest.fixture(scope="session")
+def exact_torus():
+    return _exact_torus
 
 
 @pytest.fixture(scope="session")

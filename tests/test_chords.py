@@ -3,16 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reebkit import chords
 from reebkit.chords import (
     ChordRecord,
     SearchOptions,
     _ambient_spacing,
     _capture_events,
     chords_projection,
+    chords_shooting,
     dedup_chords,
 )
 from reebkit.errors import WrongModel
-from reebkit.numerics import integrate_flow
+from reebkit.numerics import integrate_flow, newton_solve_stack
 from reebkit.spatial import GridIndex
 
 TWO_PI = 2 * np.pi
@@ -180,12 +182,11 @@ def capture_events_loop(model, slc, opts, capture_radius):
                 flush(k)
                 inside[k] = -1.0
                 continue
-            hit = idx.nearest_within(p, capture_radius)
-            if hit is None:
+            (node,), (dist,) = idx.nearest_within(p[None], capture_radius)
+            if node < 0:
                 flush(k)
                 inside[k] = -1.0
                 continue
-            node, dist = hit
             if t <= opts.min_length:
                 continue
             if inside[k] < 0 or dist < inside[k]:
@@ -196,16 +197,16 @@ def capture_events_loop(model, slc, opts, capture_radius):
     return events
 
 
-@pytest.mark.parametrize(
-    "entry_name, opts",
-    [
-        ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=1)),
-        ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=2)),
-        ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=4)),
-        ("unknot_entry", SearchOptions(max_time=3.0)),
-        ("torus_entry", SearchOptions(max_time=3.0, launch_stride=128)),
-    ],
-)
+SHOOTING_CASES = [
+    ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=1)),
+    ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=2)),
+    ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=4)),
+    ("unknot_entry", SearchOptions(max_time=3.0)),
+    ("torus_entry", SearchOptions(max_time=3.0, launch_stride=128)),
+]
+
+
+@pytest.mark.parametrize("entry_name, opts", SHOOTING_CASES)
 def test_capture_events_match_loop(entry_name, opts, request):
     entry = request.getfixturevalue(entry_name)
     slc = entry.slice
@@ -213,6 +214,44 @@ def test_capture_events_match_loop(entry_name, opts, request):
     events = _capture_events(entry.model, slc, opts, capture_radius)
     assert bool(events) == (entry.expected.chord_count != 0)
     assert events == capture_events_loop(entry.model, slc, opts, capture_radius)
+
+
+def precluster_loop(mesh, events, capture_radius):
+    """Reference for the event pre-clustering of ``chords_shooting``: each
+    event against every kept one."""
+    reps, taken = [], []
+    for node_u, t_hit, node_v in events:
+        key = np.concatenate([mesh.params[node_u], [t_hit], mesh.params[node_v]])
+        if any(
+            mesh.param_distance(key[: mesh.param_dim], other[: mesh.param_dim]) < 6.0 * mesh.max_spacing()
+            and abs(key[mesh.param_dim] - other[mesh.param_dim]) < 8.0 * capture_radius
+            for other in taken
+        ):
+            continue
+        taken.append(key)
+        reps.append((node_u, t_hit, node_v))
+    return reps
+
+
+@pytest.mark.parametrize("entry_name, opts", SHOOTING_CASES)
+def test_preclustering_matches_loop(entry_name, opts, request, monkeypatch):
+    entry = request.getfixturevalue(entry_name)
+    mesh = entry.slice.mesh
+    capture_radius = 2.0 * _ambient_spacing(entry.slice.points, mesh.edges())
+    events = _capture_events(entry.model, entry.slice, opts, capture_radius)
+    reps = precluster_loop(mesh, events, capture_radius)
+    if entry_name == "hopf_entry":
+        assert len(reps) < len(events)  # neighbouring launches merge
+    seeds = []  # the Newton seeds of the kept events
+
+    def recording_solve(system, stack, newton_opts):
+        seeds.append(stack)
+        return newton_solve_stack(system, stack, newton_opts)
+
+    monkeypatch.setattr(chords, "newton_solve_stack", recording_solve)
+    chords_shooting(entry.model, entry.slice, opts)
+    want = [[*mesh.params[u], t, *mesh.params[v]] for u, t, v in reps]
+    assert np.array_equal(seeds[0], np.reshape(want, (len(reps), 2 * mesh.param_dim + 1)))
 
 
 def _mk(start, end, length, residual=0.0):
@@ -235,6 +274,10 @@ def test_dedup_merges_jittered_copies():
     out = dedup_chords([a, b], cluster_radius=1e-4)
     assert len(out) == 1
     assert out[0].residual == 1e-12  # best residual wins
+
+
+def test_dedup_empty():
+    assert dedup_chords([]) == []
 
 
 def test_dedup_keeps_distinct_lengths():

@@ -163,6 +163,19 @@ def test_collar_report_schema(manifest_path):
         assert key in chord
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_collar_grid_below_one_exit2(manifest_path, grid):
+    path = manifest_path("sheared", {"slice": {"catalog": "sheared_unknot", "params": {"resolution": 256}}})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["collar", path, "--grid", grid])
+    assert exc.value.code == 2
+    assert f"argument --grid: must be at least 1, got {grid}" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    code, out, _ = run_cli(["collar", path, "--grid", "1"])  # one node along the Reeb axis still works
+    assert code == 3 and json.loads(out)["verdict"] == "SchemeObstructed"
+
+
 def test_collar_determinism(manifest_path):
     path = manifest_path("unknot", {"slice": {"catalog": "unknot"}})
     _, out1, _ = run_cli(["collar", path])

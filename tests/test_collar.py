@@ -7,7 +7,7 @@ from reebkit.collar import (
     Convention,
     FiberBumpField,
     Verdict,
-    _build_profile,
+    _build_profiles,
     _eval_profile,
     _stack_profiles,
     check_deformation,
@@ -135,6 +135,11 @@ def test_oracle_matches_feasibility_classification():
         assert (cls == Classification.LONG) == feasible
 
 
+def _build_profile(zs, vs, margin):
+    """One profile from the stacked builder."""
+    return _build_profiles(zs[None], vs[None], np.array([len(zs)]), margin, runway=1.0)[0]
+
+
 def test_oracle_against_constructed_profile():
     # feasible cases must yield an explicit profile whose sampled slope
     # respects the bound; infeasible cases violate it by the mean value bound
@@ -145,7 +150,7 @@ def test_oracle_against_constructed_profile():
         v0, v1 = rng.uniform(-1.5, 1.5, size=2)
         ok = feasibility_oracle_1d(length, v0, v1, margin)
         if ok:
-            profile = _build_profile(np.array([0.0, length]), np.array([v0, v1]), margin, runway=1.0)
+            profile = _build_profile(np.array([0.0, length]), np.array([v0, v1]), margin)
             z0, z1 = profile[1, :2]  # the prescribed span
             zs = np.linspace(z0, z1, 400)
             vals = _eval_profile(profile, zs)
@@ -172,7 +177,7 @@ def test_eval_profile_matches_piece_loop():
     profiles, heights = [], []
     for k in (1, 2, 3, 5):
         zs = np.sort(rng.uniform(-2.0, 2.0, size=k))
-        profile = _build_profile(zs, rng.uniform(-1.0, 1.0, size=k), 0.05, runway=1.0)
+        profile = _build_profile(zs, rng.uniform(-1.0, 1.0, size=k), 0.05)
         # breakpoints, points inside every piece, and points beyond the span
         z = np.concatenate([profile[:, 0], profile[:, 1], rng.uniform(-6.0, 6.0, size=200)])
         assert np.array_equal(_eval_profile(profile, z), [_eval_profile_loop(profile, h) for h in z])

@@ -305,27 +305,9 @@ def test_stacked_quadrature_matches_per_edge_loop(name, params):
     assert np.max(np.abs(stacked - looped)) <= 8 * np.finfo(float).eps
 
 
-def test_primitive_exact_torus():
-    # y = 0 makes the pullback of dz - y1 dx1 - y2 dx2 equal to dg, so the
-    # primitive anchored at node 0 = (0, 0) is g - g(0, 0)
-    g = lambda u, v: np.sin(u) * np.cos(v) + 0.3 * np.sin(2 * v) + 0.5 * np.cos(u - v)
-    g_u = lambda u, v: np.cos(u) * np.cos(v) - 0.5 * np.sin(u - v)
-    g_v = lambda u, v: -np.sin(u) * np.sin(v) + 0.6 * np.cos(2 * v) + 0.5 * np.sin(u - v)
-
-    def immersion(w):
-        u, v = w[..., 0], w[..., 1]
-        zero = np.zeros_like(u)
-        return np.stack([np.cos(u), zero, np.cos(v), zero, g(u, v)], axis=-1)
-
-    def jacobian(w):
-        u, v = w[..., 0], w[..., 1]
-        zero = np.zeros_like(u)
-        du = np.stack([-np.sin(u), zero, zero, zero, g_u(u, v)], axis=-1)
-        dv = np.stack([zero, zero, -np.sin(v), zero, g_v(u, v)], axis=-1)
-        return np.stack([du, dv], axis=-1)
-
-    slc = ParamSlice([circle_factor(TWO_PI)] * 2, immersion, jacobian, resolution=[48, 48])
-    model = StandardRModel(3)  # r5
+def test_primitive_exact_torus(exact_torus):
+    # the primitive anchored at node 0 = (0, 0) is g - g(0, 0)
+    model, slc, g = exact_torus(48)
     assert periods(model, slc, check_closed(model, slc)) == [0.0, 0.0]
     f = primitive(model, slc)
     u, v = slc.mesh.params[:, 0], slc.mesh.params[:, 1]

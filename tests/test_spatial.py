@@ -56,18 +56,33 @@ def test_ball_and_nearest_match_brute_force(dim, radius):
     pts = _points(dim, seed=10 + dim)
     index = GridIndex(pts, cell_size=CELL)
     rng = np.random.default_rng(dim)
-    queries = np.concatenate([pts[::7], rng.uniform(-0.4, 0.4, size=(60, dim))])
-    queries[-5:] = np.round(queries[-5:] / CELL) * CELL
-    for q in queries:
+    queries = np.concatenate([pts[::7], rng.uniform(-0.4, 0.4, size=(60, dim)), np.full((1, dim), 5.0)])
+    queries[-6:-1] = np.round(queries[-6:-1] / CELL) * CELL
+    rows, hits = index.query_ball(queries, radius)  # the whole stack in one call
+    nearest, dist = index.nearest_within(queries, radius)
+    assert np.array_equal(np.lexsort((hits, rows)), np.arange(len(rows)))  # ascending (row, index)
+    misses = 0
+    for k, q in enumerate(queries):
         d2 = np.sum((pts - q) ** 2, axis=1)
         want = np.flatnonzero(d2 <= radius * radius)
-        assert np.array_equal(index.query_ball(q, radius), want)
-        hit = index.nearest_within(q, radius)
+        assert np.array_equal(hits[rows == k], want)
         if want.size == 0:
-            assert hit is None
+            assert (nearest[k], dist[k]) == (-1, np.inf)
+            misses += 1
         else:
             d = np.linalg.norm(pts[want] - q, axis=1)
-            assert hit == (int(want[np.argmin(d)]), float(np.min(d)))
+            assert (nearest[k], dist[k]) == (want[np.argmin(d)], np.min(d))
+    assert misses > 0
+    for got in (*index.query_ball(np.zeros((0, dim)), radius), *index.nearest_within(np.zeros((0, dim)), radius)):
+        assert got.shape == (0,)
+
+
+def test_nearest_tie_goes_to_lowest_index():
+    pts = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.5, -0.5]]) / 8
+    index = GridIndex(pts, cell_size=0.125)
+    nearest, dist = index.nearest_within(np.array([[0.0, 0.0], [0.0625, 0.0], [0.03125, 0.03125]]), 0.125)
+    assert nearest.tolist() == [1, 0, 1]  # duplicates 1 and 3; all five equidistant; 1, 2 and 3 equidistant
+    assert dist[0] == 0.0
 
 
 def test_radius_beyond_cell_rejected():
@@ -103,35 +118,53 @@ def _clusters_scan(adjacency, near):
 
 
 def fiber_data_scan(fld, shadow_point):
-    """Reference for ``FiberBumpField.fiber_data``: scans all nodes."""
+    """Reference for the fiber pass of ``FiberBumpField``: scans all nodes
+    and walks the mesh adjacency lists; the nearest node of a group wins,
+    the lowest such node on an exact tie."""
     d2 = np.sum((fld.proj - shadow_point) ** 2, axis=1)
     near = np.nonzero(d2 <= fld.r_cut * fld.r_cut)[0]
     if near.size == 0:
         return None
     adjacency = fld.slice.mesh.neighbors()
-    reps = [c[int(np.argmin(d2[c]))] for c in _clusters_scan(adjacency, near.tolist())]
+    reps = [min(c, key=lambda r: (d2[r], r)) for c in _clusters_scan(adjacency, near.tolist())]
     reps = sorted(reps, key=lambda r: fld.heights[r])
     zs = np.array([fld.heights[r] for r in reps])
     vs = np.array([fld.prescriptions[r] for r in reps])
     return zs, vs, reps, float(np.sqrt(np.min(d2)))
 
 
-def test_fiber_data_matches_all_nodes_scan():
+def _sheared_unknot():
     entry = catalog_get("sheared_unknot", {"c": 0.1, "resolution": 256})
-    slc = entry.slice
-    fld = FiberBumpField(slc, primitive(entry.model, slc), margin=0.05, runway=1.0)
+    return entry.model, entry.slice
+
+
+@pytest.mark.parametrize("build", ["sheared_unknot", "exact_torus"])
+def test_fiber_data_matches_all_nodes_scan(build, exact_torus):
+    # the 1-D curve has one double point in its projection; the 2-D torus
+    # folds its projection up to 4:1, and symmetric shadows tie exactly
+    model, slc = _sheared_unknot() if build == "sheared_unknot" else exact_torus(24)[:2]
+    fld = FiberBumpField(slc, primitive(model, slc), margin=0.05, runway=1.0)
     rng = np.random.default_rng(3)
     lo, hi = fld.proj.min(axis=0) - 2 * fld.r_cut, fld.proj.max(axis=0) + 2 * fld.r_cut
-    shadows = np.concatenate([fld.proj, rng.uniform(lo, hi, size=(200, 2)), [[5.0, 5.0]]])
+    shadows = np.concatenate([fld.proj, rng.uniform(lo, hi, size=(300, lo.size)), np.full((1, lo.size), 5.0)])
+    nodes, counts, dist = fld.fibers(shadows)  # every shadow in one pass
+    wants = [fiber_data_scan(fld, p) for p in shadows]
     crossings = 0
-    for p in shadows:
-        got, want = fld.fiber_data(p), fiber_data_scan(fld, p)
+    for got, got_dist, want in zip(np.split(nodes, np.cumsum(counts)[:-1]), dist, wants):
         if want is None:
-            assert got is None
+            assert got.size == 0 and got_dist == np.inf
             continue
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert [int(r) for r in got[2]] == [int(r) for r in want[2]]
-        assert got[3] == want[3]
+        assert got.tolist() == want[2]
+        assert got_dist == want[3]  # the bump input
         crossings += len(want[2]) > 1
-    assert crossings > 0  # the double point of the projection is queried
+    assert crossings > 0  # shadows over several fiber intersections are queried
+    # the cache entries, built in blocks: shadows equal to 12 digits share
+    # the entry of the first of them
+    entries, inverse = fld._entries(shadows)
+    for (reps, profile, bump), k in zip(entries, np.unique(inverse, return_index=True)[1]):
+        if wants[k] is None:
+            assert reps is None and bump == 0.0
+            continue
+        assert reps.tolist() == wants[k][2]
+        assert np.array_equal(profile[1:, 0], wants[k][0])  # the prescribed heights
+        assert np.array_equal(profile[1:, 2], wants[k][1])  # and values
