@@ -47,7 +47,7 @@ from .models import (
     _smoothstep,
     liouville_deformed,
 )
-from .numerics import _row_norms, integrate_flow
+from .numerics import _row_norms, _simpson_weights, integrate_flow
 from .slices import (
     DEFAULT_CLOSED_TOL,
     DEFAULT_TRANSVERSE_TOL,
@@ -120,8 +120,9 @@ def classify_chord(chord: ChordRecord, action: float, convention: Convention = C
     return ChordClass(chord, action, Classification.LONG if long else Classification.SMALL, convention)
 
 
-def feasibility_oracle_1d(length: float, h_start: float, h_end: float, margin: float = 0.0) -> bool:
-    """Ground truth for chord-level extension feasibility.
+def feasibility_oracle_1d(length, h_start, h_end, margin: float = 0.0):
+    """Ground truth for chord-level extension feasibility, elementwise on
+    arrays (a bool for scalars).
 
     A smooth profile phi on [0, length] with phi(0) = h_start,
     phi(length) = h_end and phi' > -1 + margin everywhere exists iff the
@@ -129,9 +130,11 @@ def feasibility_oracle_1d(length: float, h_start: float, h_end: float, margin: f
 
         h_end - h_start > (-1 + margin) * length.
     """
-    if length <= 0:
+    length = np.asarray(length, dtype=float)
+    if np.any(length <= 0):
         raise ValueError("length must be positive")
-    return h_end - h_start > (-1.0 + margin) * length
+    ok = np.asarray(h_end, dtype=float) - h_start > (-1.0 + margin) * length
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +146,19 @@ def feasibility_oracle_1d(length: float, h_start: float, h_end: float, margin: f
 # piece, ordered along the fiber: on [z0, z1] the value runs from v0 to v1
 # along a ramp that is linear for blend 0 and a pure smoothstep for blend 1.
 # Rows 1.. start at the prescribed heights and values: columns z0 and v0.
-# _FLAT is the zero profile of a fiber that no mesh node reaches.
-_FLAT = np.array([[0.0, 1.0, 0.0, 0.0, 1.0]])
+# A short profile is padded by repeating its last row, which leaves its
+# values unchanged and adds only zero-length gaps between prescriptions.
 _FIBER_BLOCK = 512  # shadows per block of the fiber pass, bounding its memory
 
 
-def _build_profiles(zs: np.ndarray, vs: np.ndarray, counts: np.ndarray, margin: float, runway: float):
-    """Profiles through the first ``counts[i]`` prescribed (z, value) pairs
-    of row i of zs, vs (U, M), decaying to zero over slope-safe runways
-    beyond the extremes.  A pure smoothstep steepens the mean slope by up
-    to 1.875x, so a descending piece's blend shrinks toward linear as its
-    mean approaches the bound -1 + margin, with a 2% cushion so the
-    finite-difference verification cannot sit on the edge."""
+def _build_profiles(zs: np.ndarray, vs: np.ndarray, counts: np.ndarray, margin: float, runway: float) -> np.ndarray:
+    """Padded profiles (U, K, 5) through the first ``counts[i]`` prescribed
+    (z, value) pairs of row i of zs, vs (U, M), decaying to zero over
+    slope-safe runways beyond the extremes (a zero profile for count 0).
+    A pure smoothstep steepens the mean slope by up to 1.875x, so a
+    descending piece's blend shrinks toward linear as its mean approaches
+    the bound -1 + margin, with a 2% cushion so the finite-difference
+    verification cannot sit on the edge."""
     rows = np.arange(len(counts))
     run = np.maximum(runway, _SMOOTHSTEP_MAX_SLOPE * np.abs(vs) / (1.0 - margin) * 1.02 + 1e-9)
     z, v = np.pad(zs, ((0, 0), (1, 1))), np.pad(vs, ((0, 0), (1, 1)))
@@ -168,17 +172,8 @@ def _build_profiles(zs: np.ndarray, vs: np.ndarray, counts: np.ndarray, margin: 
     blend = np.pad(blend, ((0, 0), (1, 1)), constant_values=1.0)
     blend[rows, counts] = 1.0
     pieces = np.stack([z[:, :-1], z[:, 1:], v[:, :-1], v[:, 1:], blend], axis=-1)
-    return [p[: k + 1] for p, k in zip(pieces, counts.tolist())]
-
-
-def _stack_profiles(profiles: list[np.ndarray]) -> np.ndarray:
-    """(U, K, 5) stack of profiles, the shorter ones padded by repeating
-    their last row, which leaves their values unchanged."""
-    out = np.empty((len(profiles), max(len(p) for p in profiles), 5))
-    for row, p in zip(out, profiles):
-        row[: len(p)] = p
-        row[len(p) :] = p[-1]
-    return out
+    last = np.minimum(np.arange(pieces.shape[1]), counts[:, None])  # row i has counts[i] + 1 pieces
+    return np.take_along_axis(pieces, last[..., None], axis=1)
 
 
 def _eval_profile(profile: np.ndarray, z) -> np.ndarray:
@@ -211,9 +206,11 @@ class FiberBumpField:
     controlled; the verification checks differentiate along that
     direction only.
 
-    Each distinct shadow (a point with its last coordinate dropped) gets
-    one cache entry (fiber nodes, profile, bump), keyed by the shadow
-    rounded to 12 digits; a call groups its points by shadow.
+    Each distinct shadow (a point with its last coordinate dropped) is one
+    row of a table: ``profiles`` (U, K, 5), padded; ``bumps`` (U,), 0 where
+    no node is in reach; ``reps`` (U, K-1), its fiber nodes by height,
+    padded with -1.  A shadow's row is keyed by the shadow rounded to 12
+    digits.
     """
 
     def __init__(self, slc: ParamSlice, prim: PrimitiveField, margin: float, runway: float):
@@ -233,7 +230,8 @@ class FiberBumpField:
         self._nbr = np.full((len(self.proj), slot.max() + 1), -1)
         self._nbr[src, slot] = dst
         self._index = GridIndex(self.proj, cell_size=self.r_cut)
-        self._cache: dict[bytes, tuple] = {}
+        self.profiles, self.bumps, self.reps = np.empty((0, 1, 5)), np.empty(0), np.empty((0, 0), dtype=int)
+        self._row: dict[bytes, int] = {}
 
     def fibers(self, shadows: np.ndarray):
         """(nodes, counts, distances) over the rows of ``shadows`` (B, d-1):
@@ -264,35 +262,42 @@ class FiberBumpField:
         np.minimum.at(dist, rows, d2)
         return nodes[reps], np.bincount(rows[reps], minlength=len(shadows)), np.sqrt(dist)
 
-    def _entries(self, shadows: np.ndarray):
-        """Cache entries of the distinct rows of ``shadows`` (N, d-1), each
-        built from the row's first occurrence, and each row's entry index."""
+    def rows(self, shadows: np.ndarray) -> np.ndarray:
+        """Table row of each row of ``shadows`` (N, d-1).  Shadows equal to
+        12 digits share a row, built from the first of them; missing rows
+        are appended in blocks, padding the narrower of the table and the
+        block."""
         keys = np.round(shadows, 12)
         keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()  # one bytes key per row
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         keys = [keys[i].tobytes() for i in first]
-        missing = [(i, key) for i, key in zip(first.tolist(), keys) if key not in self._cache]
+        missing = [(i, key) for i, key in zip(first.tolist(), keys) if key not in self._row]
         for lo in range(0, len(missing), _FIBER_BLOCK):
             block, block_keys = zip(*missing[lo : lo + _FIBER_BLOCK])
+            self._row.update((key, len(self.bumps) + j) for j, key in enumerate(block_keys))
             nodes, counts, dist = self.fibers(shadows[list(block)])
             filled = np.arange(max(1, counts.max())) < counts[:, None]
             zs, vs = np.zeros((2, *filled.shape))
-            zs[filled], vs[filled] = self.heights[nodes], self.prescriptions[nodes]
+            reps = np.full(filled.shape, -1)
+            zs[filled], vs[filled], reps[filled] = self.heights[nodes], self.prescriptions[nodes], nodes
             profiles = _build_profiles(zs, vs, counts, self.margin, self.runway)
-            bump = 1.0 - _smoothstep((dist - self.r_plateau) / max(self.r_cut - self.r_plateau, 1e-12))
-            for key, reps, profile, b in zip(block_keys, np.split(nodes, np.cumsum(counts)[:-1]), profiles, bump):
-                self._cache[key] = (reps, profile, float(b)) if len(reps) else (None, _FLAT, 0.0)
-        return [self._cache[key] for key in keys], inverse
+            # 0 at distance inf, where no node is in reach
+            bumps = 1.0 - _smoothstep((dist - self.r_plateau) / max(self.r_cut - self.r_plateau, 1e-12))
+            k = max(self.profiles.shape[1], profiles.shape[1])
+            edge = [np.pad(a, ((0, 0), (0, k - a.shape[1]), (0, 0)), mode="edge") for a in (self.profiles, profiles)]
+            fill = [np.pad(a, ((0, 0), (0, k - 1 - a.shape[1])), constant_values=-1) for a in (self.reps, reps)]
+            self.profiles, self.reps = np.concatenate(edge), np.concatenate(fill)
+            self.bumps = np.append(self.bumps, bumps)
+        return np.array([self._row[key] for key in keys])[inverse]
 
     def __call__(self, points) -> np.ndarray:
         """Field values at points of shape (..., d), with shape (...): one
-        cache lookup per distinct shadow, then one evaluation of all heights."""
+        gather of the shadows' rows, then one evaluation of all heights."""
         p = np.asarray(points, dtype=float)
         flat = p.reshape(-1, p.shape[-1])
-        entries, inverse = self._entries(flat[:, :-1])
-        profiles = _stack_profiles([profile for _, profile, _ in entries])[inverse]
-        bump = np.array([b for _, _, b in entries])[inverse]
-        values = np.where(bump != 0.0, bump * _eval_profile(profiles, flat[:, -1]), 0.0)
+        rows = self.rows(flat[:, :-1])
+        bump = self.bumps[rows]
+        values = np.where(bump != 0.0, bump * _eval_profile(self.profiles[rows], flat[:, -1]), 0.0)
         return values.reshape(p.shape[:-1])
 
 
@@ -324,32 +329,26 @@ def extend_h(
     if not isinstance(model, StandardRModel):
         raise WrongModel("fiber extension requires a Euclidean model")
     fld = FiberBumpField(slc, prim, margin, runway)
-    entries, _ = fld._entries(fld.proj)
+    fld.rows(fld.proj)  # the table now holds the rows of the node shadows, and no other
+    profiles, reps = fld.profiles, fld.reps
 
-    obstructions: list[ChordRecord] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    for reps, profile, _ in entries:
-        if reps is None:
-            continue
-        zs, vs = profile[1:, 0], profile[1:, 2]
-        for i in range(len(zs) - 1):
-            length = float(zs[i + 1] - zs[i])
-            if length <= 0:
-                continue
-            if feasibility_oracle_1d(length, float(vs[i]), float(vs[i + 1]), margin):
-                continue
-            a, b = reps[i], reps[i + 1]  # a below b, so the pair is ordered
-            if (a, b) in seen_pairs:
-                continue
-            seen_pairs.add((a, b))
-            u, v = slc.mesh.params[a], slc.mesh.params[b]
-            obstructions.append(_chord_record(u, v, slc.points[a], slc.points[b], length, 0.0))
-    if obstructions:
+    # consecutive prescriptions along each fiber; the padding adds only
+    # zero-length gaps, skipped with those between groups at equal heights
+    gaps = np.diff(profiles[:, 1:, 0], axis=1)
+    vs = profiles[:, 1:, 2]
+    real = gaps > 0
+    bad = ~feasibility_oracle_1d(gaps[real], vs[:, :-1][real], vs[:, 1:][real], margin)
+    pairs = np.unique(np.stack([reps[:, :-1][real][bad], reps[:, 1:][real][bad]], axis=1), axis=0)
+    if len(pairs):
+        u, p = slc.mesh.params, slc.points  # a below b in each pair (a, b)
+        obstructions = [
+            _chord_record(u[a], u[b], p[a], p[b], float(p[b, -1] - p[a, -1]), 0.0) for a, b in pairs.tolist()
+        ]
         return ExtendResult(False, None, obstructions=sorted(obstructions, key=ChordRecord.sort_key))
 
     # analytic slope bound per piece; the planar bump only scales profiles
     # by a factor in [0, 1], which cannot push a slope below it
-    z0, z1, v0, v1, blend = np.concatenate([prof for _, prof, _ in entries]).T
+    z0, z1, v0, v1, blend = np.moveaxis(profiles, -1, 0)
     mean = (v1 - v0) / (z1 - z0)
     slopes = np.where(mean >= 0, mean * (1.0 - blend), mean * (1.0 - blend + _SMOOTHSTEP_MAX_SLOPE * blend))
     min_slope = min(0.0, float(np.min(slopes)))
@@ -365,12 +364,14 @@ def extend_h(
 def directional_dh_reeb(model, h: Callable[[np.ndarray], np.ndarray], points, step: float = 1e-6) -> np.ndarray:
     """Directional derivatives of h along the (unnormalized) Reeb vector
     at points of shape (..., d), by central differences with a per-point
-    step; the result has shape (...)."""
+    step and one call of h on both shifted stacks; the result has shape
+    (...)."""
     p = np.asarray(points, dtype=float)
     r = model.reeb(p)
     scale = np.maximum(1.0, np.linalg.norm(r, axis=-1))
     s = (step * (1.0 + np.max(np.abs(p), axis=-1)) / scale)[..., None]
-    return (h(p + s * r) - h(p - s * r)) / (2.0 * s[..., 0])
+    plus, minus = h(np.stack([p + s * r, p - s * r]))
+    return (plus - minus) / (2.0 * s[..., 0])
 
 
 def grid_around_slice(slc: ParamSlice, per_axis: int = 9, z_axis: int = 33, padding: float = 0.3) -> np.ndarray:
@@ -453,9 +454,6 @@ def reeb_reparam_check(
     if not chords:
         return {"max_endpoint_drift": 0.0, "pass": 0.0 < drift_tol, "rescaled_times": []}
     n = samples + samples % 2
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
     starts = np.array([c.start_point for c in chords])
     dt = np.array([c.length for c in chords]) / n
     if h is None:
@@ -466,7 +464,7 @@ def reeb_reparam_check(
     low = np.min(vals, axis=1)
     if np.any(low <= 1e-6):
         raise ReparamDegenerate(f"1 + dh(Reeb) reached {float(np.min(low)):.3e} on a chord")
-    rescaled_times = dt / 3.0 * (vals[:, None, :] @ weights[:, None])[:, 0, 0]
+    rescaled_times = dt / 3.0 * (vals[:, None, :] @ _simpson_weights(n)[:, None])[:, 0, 0]
     endpoints = integrate_flow(rescaled_field, starts, rescaled_times, tol=1e-10)
     drifts = _row_norms(endpoints - np.array([c.end_point for c in chords]))
     max_drift = max([0.0, *drifts.tolist()])

@@ -63,7 +63,6 @@ def integrate_flow(
     start,
     duration,
     tol: float = 1e-10,
-    dense_output: bool = False,
 ):
     """Integrate the autonomous ODE y' = field(y) for the given duration,
     on one start or on a stack of lanes.
@@ -81,13 +80,9 @@ def integrate_flow(
         start: initial state (d,), or a stack of initial states (S, d).
         duration: nonnegative flow time, a scalar or one per lane (S,).
         tol: local error tolerance per step.
-        dense_output: single start only; when True, also return the
-            accepted (time, state) samples along the trajectory.
 
     Returns:
-        The endpoint state(s), shaped like ``start``, or
-        ``(endpoint, samples)`` with ``samples = [(t0, y0), (t1, y1), ...]``
-        when ``dense_output``.
+        The endpoint state(s), shaped like ``start``.
 
     Raises:
         StepUnderflow: a lane's adaptive step shrank below the machine
@@ -103,14 +98,11 @@ def integrate_flow(
         def lane_field(p):
             return np.asarray(field(p[0]), dtype=float)[None]
 
-    elif dense_output:
-        raise ValueError("dense_output needs a single start")
     durations = np.broadcast_to(np.asarray(duration, dtype=float), y.shape[:1])
     if not np.all(durations >= 0):
         raise ValueError("duration must be nonnegative")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    samples = [(0.0, y[0].copy())] if dense_output else None
 
     h_floor = 1e-14 * np.maximum(1.0, durations)
     h = durations / 100.0
@@ -141,15 +133,12 @@ def integrate_flow(
         y[done] = y_live[ok] + hl[ok, None] * (_DP_B5 @ k[ok])[:, 0]
         t[done] += hl[ok]
         k1[done] = k[ok, 6]  # FSAL: last stage is the next first stage
-        if dense_output and ok[0]:
-            samples.append((float(t[0]), y[0].copy()))
         # proportional controller with safety factor and growth clamps, in
         # Python floats per lane (numpy's vectorized power rounds differently)
         factors = [5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * (tol / e) ** 0.2)) for e in err.tolist()]
         h[live] = hl * factors
         live = live[t[live] < durations[live]]
-    end = y[0] if single else y
-    return (end, samples) if dense_output else end
+    return y[0] if single else y
 
 
 def rk4_step(field: Field, y: np.ndarray, h: float) -> np.ndarray:
@@ -364,6 +353,15 @@ def newton_solve(system: Callable[[np.ndarray], np.ndarray], seed, opts: Optiona
     ).lane(0)
 
 
+def _simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1 over an even number n
+    of equal subintervals, to be scaled by (subinterval width) / 3."""
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return weights
+
+
 def line_quadrature(form: Callable[[np.ndarray], np.ndarray], a, b, segments: int = 16):
     """Composite Simpson integrals of a 1-form along straight segments a->b.
 
@@ -388,8 +386,5 @@ def line_quadrature(form: Callable[[np.ndarray], np.ndarray], a, b, segments: in
     if not np.all(np.isfinite(vals)):
         raise NonFinite("form returned non-finite values along the segment")
     h = 1.0 / n
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    total = h / 3.0 * np.tensordot(weights, vals, axes=(0, 0))
+    total = h / 3.0 * np.tensordot(_simpson_weights(n), vals, axes=(0, 0))
     return float(total) if total.ndim == 0 else total

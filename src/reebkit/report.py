@@ -15,7 +15,6 @@ import numpy as np
 from .chords import ChordRecord
 from .collar import CollarReport
 
-CHORD_SCHEMA = "chord-table/1"
 REPORT_SCHEMA = "collar-report/1"
 
 

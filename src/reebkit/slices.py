@@ -45,6 +45,16 @@ def interval_factor(lo: float, hi: float) -> DomainFactor:
     return DomainFactor(lo, hi, False)
 
 
+def _wrap(factors: Sequence[DomainFactor], u) -> np.ndarray:
+    """Parameters (..., len(factors)) mapped into the fundamental domain,
+    as a new array."""
+    u = np.array(u, dtype=float)
+    for j, f in enumerate(factors):
+        if f.periodic:
+            u[..., j] = f.lo + np.mod(u[..., j] - f.lo, f.span)
+    return u
+
+
 class Mesh:
     """Regular grid on a product-of-intervals domain.
 
@@ -131,11 +141,7 @@ class Mesh:
 
     def wrap(self, u: np.ndarray) -> np.ndarray:
         """Map parameters into the fundamental domain."""
-        u = np.array(u, dtype=float)
-        for j, f in enumerate(self.factors):
-            if f.periodic:
-                u[..., j] = f.lo + np.mod(u[..., j] - f.lo, f.span)
-        return u
+        return _wrap(self.factors, u)
 
 
 class ParamSlice:
@@ -448,12 +454,7 @@ def load_mesh_slice(
         rgi = RegularGridInterpolator(tuple(ext_axes), vals, method="linear")
 
         def immersion(u):
-            u = np.asarray(u, dtype=float)
-            wrapped = u.copy()
-            for j, f in enumerate(factors):
-                if f.periodic:
-                    wrapped[..., j] = f.lo + np.mod(wrapped[..., j] - f.lo, f.span)
-            return rgi(wrapped)
+            return rgi(_wrap(factors, u))
 
         jacobian = None
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reebkit import chords
+from reebkit import catalog_get, chords
 from reebkit.chords import (
     ChordRecord,
     SearchOptions,
@@ -214,6 +214,17 @@ def test_capture_events_match_loop(entry_name, opts, request):
     events = _capture_events(entry.model, slc, opts, capture_radius)
     assert bool(events) == (entry.expected.chord_count != 0)
     assert events == capture_events_loop(entry.model, slc, opts, capture_radius)
+
+
+def test_capture_skips_reentry_before_min_length():
+    # the chord of sheared_unknot at c = -0.6 is 2/15 long: its launch is
+    # armed after two monitor steps and re-enters the capture radius at
+    # t = 0.14, which is a chord only while min_length stays below it
+    entry = catalog_get("sheared_unknot", {"c": -0.6})
+    short = SearchOptions(max_time=1.0, min_length=1e-4)
+    events = _capture_events(entry.model, entry.slice, short, 0.01)
+    assert [(u, round(t, 9)) for u, t, _ in events] == [(192, 0.14)]
+    assert _capture_events(entry.model, entry.slice, replace(short, min_length=0.2), 0.01) == []
 
 
 def precluster_loop(mesh, events, capture_radius):

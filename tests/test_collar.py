@@ -9,7 +9,6 @@ from reebkit.collar import (
     Verdict,
     _build_profiles,
     _eval_profile,
-    _stack_profiles,
     check_deformation,
     chord_action,
     classify_chord,
@@ -122,6 +121,7 @@ def test_oracle_examples():
 
 def test_oracle_matches_feasibility_classification():
     rng = np.random.default_rng(123)
+    cases = []
     for _ in range(1000):
         length = rng.uniform(0.01, 3.0)
         if rng.uniform() < 0.3:
@@ -133,6 +133,12 @@ def test_oracle_matches_feasibility_classification():
         # prescriptions h = -f make h_end - h_start equal the action
         feasible = feasibility_oracle_1d(length, -0.0, action, 0.0)
         assert (cls == Classification.LONG) == feasible
+        cases.append((length, action, feasible))
+    # the array form decides every case at once, as the scalar calls did
+    lengths, actions, feasible = map(np.array, zip(*cases))
+    assert np.array_equal(feasibility_oracle_1d(lengths, np.zeros(len(cases)), actions, 0.0), feasible)
+    with pytest.raises(ValueError):
+        feasibility_oracle_1d(np.array([1.0, 0.0]), 0.0, 0.0)
 
 
 def _build_profile(zs, vs, margin):
@@ -174,18 +180,25 @@ def _eval_profile_loop(profile, z):
 
 def test_eval_profile_matches_piece_loop():
     rng = np.random.default_rng(11)
+    counts = np.array([1, 2, 3, 5])
+    zs, vs = np.zeros((2, len(counts), counts.max()))
     profiles, heights = [], []
-    for k in (1, 2, 3, 5):
-        zs = np.sort(rng.uniform(-2.0, 2.0, size=k))
-        profile = _build_profile(zs, rng.uniform(-1.0, 1.0, size=k), 0.05)
+    for row, k in enumerate(counts):
+        zs[row, :k] = np.sort(rng.uniform(-2.0, 2.0, size=k))
+        vs[row, :k] = rng.uniform(-1.0, 1.0, size=k)
+        profile = _build_profile(zs[row, :k], vs[row, :k], 0.05)
+        assert profile.shape == (k + 1, 5)
         # breakpoints, points inside every piece, and points beyond the span
         z = np.concatenate([profile[:, 0], profile[:, 1], rng.uniform(-6.0, 6.0, size=200)])
         assert np.array_equal(_eval_profile(profile, z), [_eval_profile_loop(profile, h) for h in z])
         profiles.append(profile)
         heights.append(z)
-    # profiles of different lengths stacked with their last rows repeated
-    stack = _stack_profiles(profiles)
+    # profiles of different lengths built together, their last rows repeated
+    stack = _build_profiles(zs, vs, counts, 0.05, runway=1.0)
+    assert stack.shape == (len(counts), counts.max() + 1, 5)
     for profile, padded, z in zip(profiles, stack, heights):
+        assert np.array_equal(padded[: len(profile)], profile)
+        assert np.array_equal(padded[len(profile) :], np.broadcast_to(profile[-1], padded[len(profile) :].shape))
         assert np.array_equal(_eval_profile(padded, z), _eval_profile(profile, z))
 
 
@@ -280,6 +293,25 @@ def test_fiber_field_stack_matches_per_point_calls(sheared_01_entry, primitives)
     assert np.array_equal(shaped, stacked.reshape(7, 7, 33))
 
 
+def test_fiber_table_growth_matches_one_call(sheared_01_entry, primitives):
+    # grid shadows first, then node shadows: the later profiles are wider,
+    # so the table widens between calls
+    slc = sheared_01_entry.slice
+    prim = primitives[("sheared_unknot", 0.1)]
+    grid = grid_around_slice(slc, per_axis=7, z_axis=5)
+    calls = np.array_split(grid, 3) + np.array_split(slc.points, 2)
+    grown = FiberBumpField(slc, prim, margin=0.05, runway=1.0)
+    values, widths = [], []
+    for pts in calls:
+        values.append(grown(pts))
+        widths.append(grown.profiles.shape[1])
+    assert len(set(widths)) > 1
+    assert len(grown.bumps) == len(grown.profiles) == len(grown.reps)
+    fresh = FiberBumpField(slc, prim, margin=0.05, runway=1.0)
+    assert np.array_equal(np.concatenate(values), fresh(np.concatenate(calls)))
+    assert np.array_equal(grown(np.concatenate(calls)), fresh(np.concatenate(calls)))
+
+
 def _per_point_minima(sym, spec, grid):
     """check_deformation's two minima, one grid point at a time."""
     min_dh = min(float(directional_dh_reeb(sym.base, spec.h, p)) for p in grid)
@@ -307,6 +339,23 @@ def test_check_deformation_matches_per_point_loop(unknot_entry, sheared_01_entry
         chk = check_deformation(sym, DeformationSpec(h=make_h(), rho=RhoProfile(0.2)), grid)
         loop = _per_point_minima(sym, DeformationSpec(h=make_h(), rho=RhoProfile(0.2)), grid)
         assert (chk.min_dh_reeb, chk.min_dt_liouville) == loop
+
+
+def test_directional_dh_reeb_calls_h_once(sheared_01_entry):
+    calls = []
+
+    def h(p):
+        calls.append(p.shape)
+        return -0.5 * p[..., 2] + 0.1 * np.sin(p[..., 0])
+
+    model = sheared_01_entry.model
+    grid = grid_around_slice(sheared_01_entry.slice, per_axis=5, z_axis=9).reshape(5, 5, 9, 3)
+    for pts in (grid, grid[0, 0, 0]):
+        calls.clear()
+        dh = directional_dh_reeb(model, h, pts)
+        assert calls == [(2, *pts.shape)]
+        assert dh.shape == pts.shape[:-1]
+        assert np.allclose(dh, -0.5, atol=1e-8)
 
 
 def test_check_deformation_trivial(unknot_entry):

@@ -27,14 +27,6 @@ def test_flow_rotation_half_turn():
     assert np.linalg.norm(end - np.array([-1.0, 0.0])) < 1e-8
 
 
-def test_flow_dense_output():
-    end, samples = integrate_flow(rotation, [1.0, 0.0], np.pi, tol=1e-8, dense_output=True)
-    times = [t for t, _ in samples]
-    assert times[0] == 0.0
-    assert times == sorted(times)
-    assert np.allclose(samples[-1][1], end)
-
-
 def test_flow_zero_duration():
     end = integrate_flow(rotation, [3.0, 4.0], 0.0)
     assert np.allclose(end, [3, 4])

@@ -158,13 +158,16 @@ def test_fiber_data_matches_all_nodes_scan(build, exact_torus):
         assert got_dist == want[3]  # the bump input
         crossings += len(want[2]) > 1
     assert crossings > 0  # shadows over several fiber intersections are queried
-    # the cache entries, built in blocks: shadows equal to 12 digits share
-    # the entry of the first of them
-    entries, inverse = fld._entries(shadows)
-    for (reps, profile, bump), k in zip(entries, np.unique(inverse, return_index=True)[1]):
+    # the table rows, built in blocks: shadows equal to 12 digits share
+    # the row of the first of them
+    rows = fld.rows(shadows)
+    for row, k in zip(*np.unique(rows, return_index=True)):
+        reps, profile = fld.reps[row], fld.profiles[row]
         if wants[k] is None:
-            assert reps is None and bump == 0.0
+            assert np.all(reps == -1) and fld.bumps[row] == 0.0
             continue
-        assert reps.tolist() == wants[k][2]
-        assert np.array_equal(profile[1:, 0], wants[k][0])  # the prescribed heights
-        assert np.array_equal(profile[1:, 2], wants[k][1])  # and values
+        m = len(wants[k][2])
+        assert reps[:m].tolist() == wants[k][2] and np.all(reps[m:] == -1)
+        assert np.array_equal(profile[1 : m + 1, 0], wants[k][0])  # the prescribed heights
+        assert np.array_equal(profile[1 : m + 1, 2], wants[k][1])  # and values
+        assert np.all(profile[m + 1 :] == profile[m])  # padding repeats the last row

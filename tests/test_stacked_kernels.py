@@ -292,11 +292,6 @@ def test_flow_stack_matches_start_loop(field, d):
     assert np.array_equal(integrate_flow(field, starts[1], 2.5), ends[1])
 
 
-def test_flow_stack_dense_output_refused():
-    with pytest.raises(ValueError):
-        integrate_flow(twisted3, np.zeros((2, 3)), 1.0, dense_output=True)
-
-
 def test_flow_stack_step_underflow_names_lane():
     # y' = 1/(1-y) blows up at t = 0.5 from y = 0 only
     field = lambda y: 1.0 / np.maximum(1e-300, 1.0 - y)  # noqa: E731

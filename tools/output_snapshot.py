@@ -22,6 +22,10 @@ Inputs:
 Two snapshots, one per checkout, are compared with ``diff -r A B``: no
 difference under ``out/*.out`` and ``out/*.code`` means no command
 printed anything different.  Stderr can differ in traceback paths.
+
+Every command must end with a documented exit code and a one-line
+message: the script exits 1, naming the input and command, when any
+command's stderr holds a Python traceback.
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ def main(argv=None) -> int:
     names += [name for name, *_ in MESH_EXPORTS]
 
     env = dict(os.environ, PYTHONPATH=str(src))
+    tracebacks = []
     for name in names:
         for label, command in COMMANDS.items():
             proc = subprocess.run(
@@ -120,7 +125,11 @@ def main(argv=None) -> int:
             Path(f"{stem}.err").write_text(proc.stderr, encoding="utf-8")
             Path(f"{stem}.code").write_text(f"{proc.returncode}\n", encoding="utf-8")
             print(f"{name:28s} {label:13s} exit {proc.returncode}", flush=True)
-    return 0
+            if "Traceback (most recent call last)" in proc.stderr:
+                tracebacks.append(f"{name}.json ({label})")
+    for where in tracebacks:
+        print(f"traceback on stderr: {where}", file=sys.stderr)
+    return 1 if tracebacks else 0
 
 
 if __name__ == "__main__":
