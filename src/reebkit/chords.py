@@ -239,7 +239,8 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
         far = live & ~arming & (box_gap > capture_radius)  # cannot be near any mesh point
         ks = np.flatnonzero(live & ~arming & ~far)  # on most steps none: every trajectory is far
         node, dist = idx.nearest_within(states[ks], capture_radius) if ks.size else (ks, np.empty(0))
-        missed = np.isin(np.arange(n), ks[node < 0])
+        missed = np.zeros(n, dtype=bool)
+        missed[ks[node < 0]] = True
         if t > opts.min_length:
             closer = (node >= 0) & ((inside[ks] < 0) | (dist < inside[ks]))
             ks, node, dist = ks[closer], node[closer], dist[closer]

@@ -95,14 +95,17 @@ class ChordClass:
     convention: Convention
 
 
-def chord_action(prim: Optional[PrimitiveField], chord: ChordRecord) -> float:
-    """Action of a pure chord: f(start) - f(end), start being the flow
-    source per the chord orientation convention."""
-    if not chord.pure:
+def chord_action(prim: Optional[PrimitiveField], chords: Sequence[ChordRecord]) -> np.ndarray:
+    """Actions of pure chords, f(start) - f(end) with start the flow source
+    per the chord orientation convention, as an array with one entry per
+    chord, from one stacked evaluation of the primitive at every endpoint."""
+    if not all(chord.pure for chord in chords):
         raise MixedChord("action is defined for pure chords only")
     if prim is None:
         raise MissingPrimitive("no primitive available for this slice")
-    return prim.value_at(chord.start_param) - prim.value_at(chord.end_param)
+    ends = np.array([(c.start_param, c.end_param) for c in chords], dtype=float)
+    values = prim.value_at(ends.reshape(len(chords), 2, prim.slice.param_dim))
+    return values[:, 0] - values[:, 1]
 
 
 def classify_chord(chord: ChordRecord, action: float, convention: Convention = Convention.DIRECT) -> ChordClass:
@@ -579,8 +582,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     small_direct = small_feas = 0
     disagreements = []
     active_small: list[int] = []
-    for k, chord in enumerate(found):
-        action = chord_action(prim, chord)
+    for k, (chord, action) in enumerate(zip(found, chord_action(prim, found).tolist())):
         chord.action = action
         cd = classify_chord(chord, action, Convention.DIRECT).classification
         cf = classify_chord(chord, action, Convention.FEASIBILITY).classification

@@ -24,6 +24,7 @@ DEFAULT_INTERVAL_NODES = 129
 DEFAULT_CLOSED_TOL = 1e-6
 DEFAULT_TRANSVERSE_TOL = 1e-4
 PERIOD_ZERO_TOL = 1e-8
+_NEAREST_BLOCK = 32  # queries per block of the nearest-node scan, bounding its (block, N) distances
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,21 @@ class ParamSlice:
             return np.asarray(self.analytic_jacobian(u), dtype=float)
         return jacobian_fd(self.immerse, u, self.fd_step)
 
-    def nearest_node(self, u) -> int:
-        d = self.mesh.params - self.mesh.wrap(np.asarray(u, dtype=float))
-        for j, f in enumerate(self.factors):
-            if f.periodic:
-                d[:, j] = (d[:, j] + 0.5 * f.span) % f.span - 0.5 * f.span
-        return int(np.argmin(np.sum(d * d, axis=1)))
+    def nearest_node(self, u):
+        """Index of the nearest mesh node to each parameter point of u
+        (..., param_dim), shortest way around periodic factors, the lowest
+        index on a tie: an array of shape (...), an int for one point.
+        Queries are scanned in blocks of ``_NEAREST_BLOCK``."""
+        w = self.mesh.wrap(u)
+        flat = w.reshape(-1, self.param_dim)
+        node = np.empty(len(flat), dtype=int)
+        for lo in range(0, len(flat), _NEAREST_BLOCK):
+            d = self.mesh.params - flat[lo : lo + _NEAREST_BLOCK, None, :]
+            for j, f in enumerate(self.factors):
+                if f.periodic:
+                    d[..., j] = (d[..., j] + 0.5 * f.span) % f.span - 0.5 * f.span
+            node[lo : lo + _NEAREST_BLOCK] = np.argmin(np.sum(d * d, axis=-1), axis=-1)
+        return int(node[0]) if w.ndim == 1 else node.reshape(w.shape[:-1])
 
     def coincident_point_pairs(self, ambient_tol: float = 1e-9) -> np.ndarray:
         """Mesh node pairs i < j, as an (P, 2) array in ascending order,
@@ -325,12 +335,16 @@ class PrimitiveField:
         self.values = values
         self.cycle_residual = cycle_residual
 
-    def value_at(self, u) -> float:
+    def value_at(self, u):
+        """Primitive at parameter points u (..., param_dim): one nearest-node
+        scan and one stacked edge quadrature from each query's node.  An
+        array of shape (...), a float for one point."""
         mesh = self.slice.mesh
         node = self.slice.nearest_node(u)
         u_node = mesh.params[node]
         delta = mesh.unwrap(mesh.wrap(u) - u_node)
-        return float(self.values[node]) + _edge_integrals(self.model, self.slice, u_node, u_node + delta)
+        values = self.values[node] + _edge_integrals(self.model, self.slice, u_node, u_node + delta)
+        return float(values) if np.ndim(values) == 0 else values
 
     def shifted(self, offsets: dict[int, float]) -> "PrimitiveField":
         """Copy with a constant added per component (gauge change)."""

@@ -151,10 +151,10 @@ def test_criterion_04_runtime_budget():
 
 
 def test_criterion_05_actions(projection_chords, primitives):
-    assert abs(chord_action(primitives["unknot"], projection_chords["unknot"][0])) < 1e-6
-    a = chord_action(primitives[("sheared_unknot", -0.5)], projection_chords[("sheared_unknot", -0.5)][0])
+    assert abs(chord_action(primitives["unknot"], [projection_chords["unknot"][0]])[0]) < 1e-6
+    a = chord_action(primitives[("sheared_unknot", -0.5)], [projection_chords[("sheared_unknot", -0.5)][0]])[0]
     assert a == pytest.approx(1.0, abs=1e-6)
-    a = chord_action(primitives[("sheared_unknot", 0.1)], projection_chords[("sheared_unknot", 0.1)][0])
+    a = chord_action(primitives[("sheared_unknot", 0.1)], [projection_chords[("sheared_unknot", 0.1)][0]])[0]
     assert a == pytest.approx(-0.2, abs=1e-6)
     _report(5, "chord actions")
 

@@ -408,3 +408,35 @@ def test_closedness_checked_once_per_command(manifest_path, monkeypatch, command
     code, _, err = run_cli([command, path])
     assert code == exit_code, err
     assert len(calls) == 1
+
+
+def test_actions_use_one_quadrature_per_collar(manifest_path, monkeypatch):
+    # every chord's action comes from one stacked evaluation of the
+    # primitive: one chord_action call holding one line_quadrature call,
+    # beside the one each for the periods and the primitive
+    import reebkit.collar
+    import reebkit.slices
+
+    quadratures = []
+    inside = []
+    original_quadrature = reebkit.slices.line_quadrature
+    original_action = reebkit.collar.chord_action
+
+    def counted_quadrature(*args, **kwargs):
+        quadratures.append(args)
+        return original_quadrature(*args, **kwargs)
+
+    def counted_action(prim, chords):
+        before = len(quadratures)
+        actions = original_action(prim, chords)
+        inside.append((len(chords), len(quadratures) - before))
+        return actions
+
+    monkeypatch.setattr(reebkit.slices, "line_quadrature", counted_quadrature)
+    monkeypatch.setattr(reebkit.collar, "chord_action", counted_action)
+    code, out, err = run_cli(["collar", manifest_path("hopf", {"slice": {"catalog": "hopf_circle"}})])
+    assert code == 0, err
+    n_chords = len(json.loads(out)["chords"])
+    assert n_chords > 1
+    assert inside == [(n_chords, 1)]
+    assert len(quadratures) == 3

@@ -47,41 +47,52 @@ def _synthetic_chord(length, pure=True, components=(0, 0)):
 
 def test_action_unknot_zero(projection_chords, primitives):
     chord = projection_chords["unknot"][0]
-    assert abs(chord_action(primitives["unknot"], chord)) < 1e-8
+    assert abs(chord_action(primitives["unknot"], [chord])[0]) < 1e-8
 
 
 def test_action_sheared_values(projection_chords, primitives):
     chord = projection_chords[("sheared_unknot", -0.5)][0]
-    assert chord_action(primitives[("sheared_unknot", -0.5)], chord) == pytest.approx(1.0, abs=1e-6)
+    assert chord_action(primitives[("sheared_unknot", -0.5)], [chord])[0] == pytest.approx(1.0, abs=1e-6)
     chord = projection_chords[("sheared_unknot", 0.1)][0]
-    assert chord_action(primitives[("sheared_unknot", 0.1)], chord) == pytest.approx(-0.2, abs=1e-6)
+    assert chord_action(primitives[("sheared_unknot", 0.1)], [chord])[0] == pytest.approx(-0.2, abs=1e-6)
 
 
 def test_action_gauge_invariance(projection_chords, primitives):
     chord = projection_chords[("sheared_unknot", -0.5)][0]
     f = primitives[("sheared_unknot", -0.5)]
-    base = chord_action(f, chord)
-    shifted = chord_action(f.shifted({0: 42.0}), chord)
+    base = chord_action(f, [chord])[0]
+    shifted = chord_action(f.shifted({0: 42.0}), [chord])[0]
     assert abs(base - shifted) < 1e-9
 
 
 def test_action_rejects_mixed_chord(primitives):
     mixed = _synthetic_chord(1.0, pure=False, components=(0, 1))
     with pytest.raises(MixedChord):
-        chord_action(primitives["unknot"], mixed)
+        chord_action(primitives["unknot"], [mixed])
+    # one impure chord anywhere in the stack refuses the whole stack
+    with pytest.raises(MixedChord):
+        chord_action(primitives["unknot"], [_synthetic_chord(1.0), mixed, _synthetic_chord(2.0)])
 
 
 def test_action_requires_primitive():
     with pytest.raises(MissingPrimitive):
-        chord_action(None, _synthetic_chord(1.0))
+        chord_action(None, [_synthetic_chord(1.0)])
+    with pytest.raises(MissingPrimitive):
+        chord_action(None, [])
+
+
+def test_action_of_no_chords(primitives):
+    actions = chord_action(primitives["unknot"], [])
+    assert isinstance(actions, np.ndarray)
+    assert actions.shape == (0,)
 
 
 def test_legendrian_zero_action(projection_chords, shooting_chords, primitives):
     # slices with vanishing pullback have zero-action chords
     for chord in projection_chords["unknot"]:
-        assert abs(chord_action(primitives["unknot"], chord)) < 1e-6
+        assert abs(chord_action(primitives["unknot"], [chord])[0]) < 1e-6
     for chord in shooting_chords["hopf_circle"]:
-        assert abs(chord_action(primitives["hopf_circle"], chord)) < 1e-6
+        assert abs(chord_action(primitives["hopf_circle"], [chord])[0]) < 1e-6
 
 
 # ---------------------------------------------------------------------------

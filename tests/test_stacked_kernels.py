@@ -1,8 +1,10 @@
-"""The stacked Newton and Dormand-Prince kernels against the one-seed and
-one-start loops they replaced.  The loops are kept below as references;
-every lane of a stack must reproduce its own loop bit for bit: iterate,
-residual, iteration count and failure reason for Newton, endpoint for the
-flow."""
+"""The stacked Newton, Dormand-Prince and primitive kernels against the
+one-seed, one-start and one-point loops they replaced.  The loops are kept
+below as references; every lane of a stack must reproduce its own loop bit
+for bit: iterate, residual, iteration count and failure reason for Newton,
+endpoint for the flow, nearest node and chord action for the primitive.
+The one exception is where BLAS sums a stack in another order than a lone
+lane, named at its tolerance."""
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ import pytest
 from reebkit import catalog_get
 from reebkit import chords as chords_module
 from reebkit.chords import ChordRecord, SearchOptions, chords_projection, chords_shooting
-from reebkit.collar import directional_dh_reeb, reeb_reparam_check
+from reebkit.collar import chord_action, directional_dh_reeb, reeb_reparam_check
 from reebkit.errors import NonFinite, ReparamDegenerate, StepUnderflow
 from reebkit.models import StandardRModel, _smoothstep
 from reebkit.numerics import NewtonOptions, NewtonResult, integrate_flow, jacobian_fd, newton_solve_stack
-from reebkit.slices import ParamSlice, circle_factor
+from reebkit.slices import _NEAREST_BLOCK, ParamSlice, _edge_integrals, circle_factor, primitive
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -121,6 +123,38 @@ def reference_reparam(model, h, chords, samples=256):
         end = reference_flow(field, chord.start_point, times[-1])
         drift = max(drift, float(np.linalg.norm(end - chord.end_point)))
     return times, drift
+
+
+def reference_node_distances(slc, u):
+    """Squared distances from one parameter point to every mesh node,
+    shortest way around periodic factors, as scanned once per point before
+    stacking."""
+    d = slc.mesh.params - slc.mesh.wrap(np.asarray(u, dtype=float))
+    for j, f in enumerate(slc.factors):
+        if f.periodic:
+            d[:, j] = (d[:, j] + 0.5 * f.span) % f.span - 0.5 * f.span
+    return np.sum(d * d, axis=1)
+
+
+def reference_segment(slc, u):
+    """(nearest node, segment start, segment end) of one parameter point:
+    the segment runs from the node to the point, unwrapped across seams."""
+    mesh = slc.mesh
+    node = int(np.argmin(reference_node_distances(slc, u)))
+    u_node = mesh.params[node]
+    return node, u_node, u_node + mesh.unwrap(mesh.wrap(u) - u_node)
+
+
+def reference_value(prim, u):
+    """Primitive at one parameter point: its nearest node's value plus one
+    one-segment edge integral, as evaluated per chord endpoint before
+    stacking."""
+    node, u_a, u_b = reference_segment(prim.slice, u)
+    return float(prim.values[node]) + _edge_integrals(prim.model, prim.slice, u_a, u_b)
+
+
+def reference_actions(prim, chords):
+    return np.array([reference_value(prim, c.start_param) - reference_value(prim, c.end_param) for c in chords])
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +384,75 @@ def test_reparam_degenerate_on_one_chord():
     with pytest.raises(ReparamDegenerate):
         reeb_reparam_check(model, slc, h, chords)
     assert reeb_reparam_check(model, slc, h, chords[::2])["pass"]
+
+
+# ---------------------------------------------------------------------------
+# primitive evaluation
+# ---------------------------------------------------------------------------
+
+
+def _torus_queries(slc):
+    """Parameters on the exact torus: random points well outside the
+    fundamental domain, points on and one period past the seams, and
+    points midway between neighbouring nodes along one axis and both."""
+    two_pi, h = 2 * np.pi, slc.mesh.spacing(0)
+    axis = slc.mesh.axes[0]
+    k = np.arange(24)
+    return np.concatenate(
+        [
+            np.random.default_rng(5).uniform(-3 * np.pi, 5 * np.pi, size=(101, 2)),
+            [[0.0, 1.0], [two_pi, 2.0], [-two_pi, 0.3], [1.0, two_pi], [two_pi, two_pi], [0.0, 0.0], [2 * two_pi, -two_pi]],
+            np.stack([(k + 0.5) * h, axis[k % 3]], axis=-1),
+            np.stack([axis[k % 5], axis[k] + 0.5 * h], axis=-1),
+            np.stack([(k + 0.5) * h - two_pi, (k + 0.5) * h + two_pi], axis=-1),
+            np.stack([axis[k] + 0.5 * h, np.full(24, two_pi)], axis=-1),
+        ]
+    )
+
+
+def test_value_at_stack_matches_point_loop(exact_torus):
+    model, slc, _ = exact_torus(24)
+    prim = primitive(model, slc)
+    u = _torus_queries(slc)
+    assert len(u) >= 200 and len(u) > _NEAREST_BLOCK
+    dists = [reference_node_distances(slc, q) for q in u]
+    ties = sum(int(np.sum(d == d.min())) > 1 for d in dists)
+    assert ties >= 24  # the lowest-index rule decides these
+    nodes, u_a, u_b = (np.array(col) for col in zip(*(reference_segment(slc, q) for q in u)))
+    assert np.array_equal(slc.nearest_node(u), nodes)
+    values = prim.value_at(u)
+    # the same nodes and segments, integrated as one stack: bit for bit
+    assert np.array_equal(values, prim.values[nodes] + _edge_integrals(model, slc, u_a, u_b))
+    # one point at a time: BLAS sums a lone segment's nine Simpson terms
+    # (a dot product) in another order than a stack's (a matrix-vector
+    # product), so a lane may differ in its last bits
+    loop = np.array([reference_value(prim, q) for q in u])
+    assert np.max(np.abs(values - loop)) <= 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(loop)))
+    # any leading shape, one point as a float, no points as an empty array
+    assert np.array_equal(prim.value_at(u.reshape(-1, 3, 1, 2)), values.reshape(-1, 3, 1))
+    assert prim.value_at(u[7]) == loop[7] and isinstance(prim.value_at(u[7]), float)
+    assert isinstance(slc.nearest_node(u[7]), int)
+    assert prim.value_at(np.empty((0, 2))).shape == (0,)
+    # chords between these points, as one stack
+    chords = [ChordRecord(a, b, slc.immerse(a), slc.immerse(b), 1.0, True, 0, 0) for a, b in zip(u[::2], u[1::2])]
+    actions = chord_action(prim, chords)
+    assert np.array_equal(actions, values[::2] - values[1::2])
+    assert np.max(np.abs(actions - reference_actions(prim, chords))) <= 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(loop)))
+
+
+@pytest.mark.parametrize(
+    "key, search",
+    [
+        ("hopf_circle", "shooting"),
+        (("sheared_unknot", 0.1), "projection"),
+        (("sheared_unknot", -0.5), "projection"),
+        ("unknot", "projection"),
+    ],
+    ids=["hopf_circle", "sheared_unknot_0.1", "sheared_unknot_-0.5", "unknot"],
+)
+def test_chord_action_stack_matches_chord_loop(key, search, projection_chords, shooting_chords, primitives):
+    chords = (shooting_chords if search == "shooting" else projection_chords)[key]
+    assert chords
+    actions = chord_action(primitives[key], chords)
+    assert actions.shape == (len(chords),)
+    assert np.array_equal(actions, reference_actions(primitives[key], chords))
