@@ -4,7 +4,6 @@ feasibility in standard contact models."""
 from .catalog import CatalogEntry, ExpectedFacts, catalog_get, catalog_list
 from .chords import ChordRecord, SearchOptions, chords_projection, chords_shooting, dedup_chords
 from .collar import (
-    ChordClass,
     Classification,
     CollarOptions,
     CollarReport,

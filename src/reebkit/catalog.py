@@ -3,7 +3,7 @@
 Every expected fact below carries its derivation, so the entries double
 as oracles for the test suite.  Entries are registered by name with the
 ``params`` keys they take; other keys are refused, and values are
-validated against documented ranges.
+validated against documented ranges: every float value must be finite.
 """
 
 from __future__ import annotations
@@ -55,6 +55,14 @@ def _unknot_immersion(shear: float = 0.0):
         return col[..., None]
 
     return immersion, jacobian
+
+
+def _max_time(params: dict, default: float) -> float:
+    """The entry's search ``max_time``; ParamOutOfRange unless positive."""
+    value = float(params.get("max_time", default))
+    if not value > 0:
+        raise ParamOutOfRange(f"catalog parameter 'max_time' must be positive, got {value:g}")
+    return value
 
 
 def _build_unknot(params: dict) -> CatalogEntry:
@@ -136,7 +144,7 @@ def _build_circle(params: dict) -> CatalogEntry:
         tags=frozenset({"slice", "non-exact"}),
         periods=(np.pi,),
         chord_count=0,
-        search_max_time=float(params.get("max_time", 10.0)),
+        search_max_time=_max_time(params, 10.0),
     )
     return CatalogEntry("circle", StandardRModel(2), slc, expected, {"resolution": resolution})
 
@@ -271,7 +279,7 @@ def _build_hopf_circle(params: dict) -> CatalogEntry:
         tags=frozenset({"slice", "legendrian", "exact"}),
         periods=(0.0,),
         chord_length_unit=float(np.pi / 2.0),
-        search_max_time=float(params.get("max_time", 2.0)),
+        search_max_time=_max_time(params, 2.0),
     )
     return CatalogEntry("hopf_circle", StandardSphereModel(2), slc, expected, {"resolution": resolution})
 
@@ -309,6 +317,9 @@ def catalog_get(name: str, params: Optional[dict] = None) -> CatalogEntry:
     if unknown:
         known = ", ".join(sorted(keys))
         raise ParamOutOfRange(f"catalog entry {name!r} takes no parameter {unknown[0]!r} (known: {known})")
+    for key, value in params.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ParamOutOfRange(f"catalog parameter {key!r} must be finite, got {value}")
     return builder(params)
 
 

@@ -25,25 +25,24 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NewtonFailuresExceeded, WrongModel
+from .errors import NewtonFailuresExceeded, SearchTooLong, WrongModel
 from .models import StandardRModel, StandardSphereModel
 from .numerics import NewtonOptions, _row_norms, newton_solve_stack
 from .slices import ParamSlice
 from .spatial import GridIndex
 
+MAX_MONITOR_STEPS = 100_000  # largest max_time / monitor_dt a shooting search runs
+
 
 @dataclass
 class ChordRecord:
-    """One Reeb chord: start/end parameters and points, flow time, purity."""
+    """One Reeb chord: start/end parameters and points, flow time."""
 
     start_param: np.ndarray
     end_param: np.ndarray
     start_point: np.ndarray
     end_point: np.ndarray
     length: float
-    pure: bool
-    start_component: int
-    end_component: int
     action: Optional[float] = None
     residual: float = 0.0  # refinement residual, used for dedup preference
 
@@ -73,12 +72,6 @@ class SearchOptions:
 def _ambient_spacing(points: np.ndarray, edges: np.ndarray) -> float:
     """Median length of the mesh edges (an (E, 2) index array) under ``points``."""
     return float(np.median(np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)))
-
-
-def _chord_record(u, v, p_u, p_v, length: float, residual: float) -> ChordRecord:
-    """The chord from parameters u to v; a slice is connected, so every
-    chord is pure, on component 0 at both ends."""
-    return ChordRecord(u, v, p_u, p_v, length, True, 0, 0, residual=residual)
 
 
 def _first_of_clusters(coord: np.ndarray, radius: float, close) -> np.ndarray:
@@ -174,7 +167,7 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
     p_u, p_v = np.where(flip, p_v, p_u), np.where(flip, p_u, p_v)
     length = np.abs(length)
     raw = [
-        _chord_record(u[i], v[i], p_u[i], p_v[i], float(length[i]), float(r))
+        ChordRecord(u[i], v[i], p_u[i], p_v[i], float(length[i]), residual=float(r))
         for i, r in enumerate(result.residual_norm[result.converged])
         if length[i] > opts.min_length
     ]
@@ -264,8 +257,16 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     flow-landing invariant; chords shorter than twice the capture radius
     are below the arming distance and are only found by the projection
     method.
+
+    Raises:
+        SearchTooLong: max_time / monitor_dt exceeds ``MAX_MONITOR_STEPS``;
+            checked before any trajectory is monitored.
+        NewtonFailuresExceeded: more than half the candidates fail.
     """
     opts = opts or SearchOptions()
+    steps = opts.max_time / opts.monitor_dt
+    if steps > MAX_MONITOR_STEPS:
+        raise SearchTooLong(f"{steps:.3g} monitor steps (max_time / monitor_dt) exceed the bound of {MAX_MONITOR_STEPS}")
     mesh = slc.mesh
     capture_radius = opts.capture_radius or 2.0 * _ambient_spacing(slc.points, mesh.edges())
     # pre-cluster events: neighbors launching into the same chord
@@ -302,7 +303,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     if failures > 0.5 * len(seeds):
         raise NewtonFailuresExceeded(f"{failures}/{len(seeds)} shooting candidates failed")
     raw = [
-        _chord_record(u[i], v[i], p_u[i], p_v[i], float(length[i]), float(residuals[i]))
+        ChordRecord(u[i], v[i], p_u[i], p_v[i], float(length[i]), residual=float(residuals[i]))
         for i in np.flatnonzero(~missed)
     ]
     cluster = opts.cluster_radius

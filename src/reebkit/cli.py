@@ -20,6 +20,7 @@ from .errors import (
     ManifestError,
     NewtonFailuresExceeded,
     ReebkitError,
+    SearchTooLong,
     UnsupportedProjection,
 )
 from .manifest import collar_options, load_manifest, resolve
@@ -107,7 +108,7 @@ def cmd_chords(args) -> int:
             return 1
     try:
         found = find_chords(model, slc, opts.search)
-    except NewtonFailuresExceeded as exc:
+    except (NewtonFailuresExceeded, SearchTooLong) as exc:
         sys.stderr.write(f"chord search failed: {exc}\n")
         return 1
     _emit(chord_table(found, slc.param_dim, model.ambient_dim), args.output)

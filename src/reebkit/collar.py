@@ -6,7 +6,7 @@ aggregated collar verdict.
 Two classification conventions ship side by side because the collar
 inequality can be read with either sign of the action:
 
-* ``direct``: a pure chord is long iff length > action;
+* ``direct``: a chord is long iff length > action;
 * ``feasibility``: long iff length > -action, which is exactly the
   condition under which a profile with slope > -1 can interpolate the
   prescribed boundary values h = -f along the chord (the 1-D oracle).
@@ -27,17 +27,10 @@ from .chords import (
     ChordRecord,
     SearchOptions,
     _ambient_spacing,
-    _chord_record,
     _exclusion_radius,
     find_chords,
 )
-from .errors import (
-    MissingPrimitive,
-    MixedChord,
-    NonExact,
-    ReparamDegenerate,
-    WrongModel,
-)
+from .errors import MissingPrimitive, NonExact, ReparamDegenerate, WrongModel
 from .models import (
     DeformationSpec,
     RhoProfile,
@@ -87,20 +80,10 @@ SCHEME_OBSTRUCTED_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ChordClass:
-    chord: ChordRecord
-    action: float
-    classification: Classification
-    convention: Convention
-
-
 def chord_action(prim: Optional[PrimitiveField], chords: Sequence[ChordRecord]) -> np.ndarray:
-    """Actions of pure chords, f(start) - f(end) with start the flow source
-    per the chord orientation convention, as an array with one entry per
+    """Actions of chords, f(start) - f(end) with start the flow source per
+    the chord orientation convention, as an array with one entry per
     chord, from one stacked evaluation of the primitive at every endpoint."""
-    if not all(chord.pure for chord in chords):
-        raise MixedChord("action is defined for pure chords only")
     if prim is None:
         raise MissingPrimitive("no primitive available for this slice")
     ends = np.array([(c.start_param, c.end_param) for c in chords], dtype=float)
@@ -108,19 +91,14 @@ def chord_action(prim: Optional[PrimitiveField], chords: Sequence[ChordRecord]) 
     return values[:, 0] - values[:, 1]
 
 
-def classify_chord(chord: ChordRecord, action: float, convention: Convention = Convention.DIRECT) -> ChordClass:
-    """Small/long classification of a pure chord under a convention.
+def classify_chord(chord: ChordRecord, action: float, convention: Convention = Convention.DIRECT) -> Classification:
+    """Small/long classification of a chord under a convention.
 
     ``direct``: long iff length > action.  ``feasibility``: long iff
     length > -action.  Both comparisons are strict.
     """
-    if not chord.pure:
-        raise MixedChord("classification is defined for pure chords only")
-    if convention == Convention.DIRECT:
-        long = chord.length > action
-    else:
-        long = chord.length > -action
-    return ChordClass(chord, action, Classification.LONG if long else Classification.SMALL, convention)
+    long = chord.length > (action if convention == Convention.DIRECT else -action)
+    return Classification.LONG if long else Classification.SMALL
 
 
 def feasibility_oracle_1d(length, h_start, h_end, margin: float = 0.0):
@@ -223,15 +201,10 @@ class FiberBumpField:
         self.proj = slc.points[:, :-1]
         self.heights = slc.points[:, -1]
         self.prescriptions = -prim.values
-        edges = slc.mesh.edges()
-        spacing = _ambient_spacing(self.proj, edges)
+        spacing = _ambient_spacing(self.proj, slc.mesh.edges())
         self.r_plateau = 1.5 * spacing
         self.r_cut = 3.0 * spacing
-        # mesh neighbours of each node, padded with -1
-        src, dst = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0).T
-        slot = np.arange(len(src)) - np.searchsorted(src, src)
-        self._nbr = np.full((len(self.proj), slot.max() + 1), -1)
-        self._nbr[src, slot] = dst
+        self._nbr = slc.mesh.neighbors()
         self._index = GridIndex(self.proj, cell_size=self.r_cut)
         self.profiles, self.bumps, self.reps = np.empty((0, 1, 5)), np.empty(0), np.empty((0, 0), dtype=int)
         self._row: dict[bytes, int] = {}
@@ -345,7 +318,7 @@ def extend_h(
     if len(pairs):
         u, p = slc.mesh.params, slc.points  # a below b in each pair (a, b)
         obstructions = [
-            _chord_record(u[a], u[b], p[a], p[b], float(p[b, -1] - p[a, -1]), 0.0) for a, b in pairs.tolist()
+            ChordRecord(u[a], u[b], p[a], p[b], float(p[b, -1] - p[a, -1])) for a, b in pairs.tolist()
         ]
         return ExtendResult(False, None, obstructions=sorted(obstructions, key=ChordRecord.sort_key))
 
@@ -512,9 +485,9 @@ def _chord_entry(chord: ChordRecord, action, cls_direct, cls_feas) -> dict:
         "start_point": chord.start_point.tolist(),
         "end_point": chord.end_point.tolist(),
         "length": chord.length,
-        "pure": chord.pure,
-        "start_component": chord.start_component,
-        "end_component": chord.end_component,
+        "pure": True,  # schema fields: a slice is one connected grid
+        "start_component": 0,
+        "end_component": 0,
         "action": action,
         "class_direct": cls_direct.value if cls_direct else None,
         "class_feasibility": cls_feas.value if cls_feas else None,
@@ -528,9 +501,9 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     classification, profile construction, deformation check, verdict.
 
     Verdicts: ``NotASlice`` and ``NonExact`` preempt the later stages;
-    ``SchemeObstructed`` means small pure chords exist under the active
+    ``SchemeObstructed`` means small chords exist under the active
     convention (non-collarability is NOT concluded — the criterion is
-    one-directional); ``Collarable`` requires no small pure chords plus a
+    one-directional); ``Collarable`` requires no small chords plus a
     successful profile construction that passes the deformation check and,
     when it runs, the reparametrized-flow check.
     """
@@ -584,8 +557,8 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     active_small: list[int] = []
     for k, (chord, action) in enumerate(zip(found, chord_action(prim, found).tolist())):
         chord.action = action
-        cd = classify_chord(chord, action, Convention.DIRECT).classification
-        cf = classify_chord(chord, action, Convention.FEASIBILITY).classification
+        cd = classify_chord(chord, action, Convention.DIRECT)
+        cf = classify_chord(chord, action, Convention.FEASIBILITY)
         small_direct += cd == Classification.SMALL
         small_feas += cf == Classification.SMALL
         if cd != cf:

@@ -37,16 +37,16 @@ class NonExact(ReebkitError):
         self.period = period
 
 
-class MixedChord(ReebkitError):
-    """Action requested for a chord joining different components."""
-
-
 class MissingPrimitive(ReebkitError):
-    """Action requested without a primitive for the chord's component."""
+    """Action requested without a primitive for the slice."""
 
 
 class NewtonFailuresExceeded(ReebkitError):
     """More than half of the refinement seeds failed to converge."""
+
+
+class SearchTooLong(ReebkitError):
+    """A shooting search would monitor more flow steps than the bound."""
 
 
 class ReparamDegenerate(ReebkitError):

@@ -68,8 +68,9 @@ class Manifest:
             for key, value in values.items():
                 if key not in keys:
                     raise ManifestError(f"unknown {section} key {key!r}")
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:  # NaN too
-                    raise ManifestError(f"{section} {key!r} must be a positive number")
+                # NaN fails the range test too
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < float("inf"):
+                    raise ManifestError(f"{section} {key!r} must be a finite positive number")
         if not isinstance(self.search.get("launch_stride", 1), int):
             raise ManifestError("search 'launch_stride' must be an integer")
 

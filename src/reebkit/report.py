@@ -79,13 +79,8 @@ def chord_table(records: list[ChordRecord], param_dim: int, point_dim: int | Non
             + [fmt(v) for v in rec.end_param]
             + [fmt(v) for v in rec.start_point]
             + [fmt(v) for v in rec.end_point]
-            + [
-                fmt(rec.length),
-                "true" if rec.pure else "false",
-                str(rec.start_component),
-                str(rec.end_component),
-                fmt(rec.action) if rec.action is not None else "",
-            ]
+            # pure, start_component and end_component are constant: a slice is one connected grid
+            + [fmt(rec.length), "true", "0", "0", fmt(rec.action) if rec.action is not None else ""]
         )
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ over the edges (a generator chain for a period, all edges for a primitive).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -109,13 +108,30 @@ class Mesh:
             out.append(np.stack([a.ravel(), b.ravel()], axis=-1))
         return np.concatenate(out)
 
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists of the grid graph."""
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for a, b in zip(*self.edges().T.tolist()):
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+    def neighbors(self) -> np.ndarray:
+        """(N, K) neighbour table of the grid graph, padded with -1: each
+        node's neighbours in the order of its edges in ``edges()``."""
+        edges = self.edges()
+        pairs = np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)  # a -> b, then b -> a
+        src, dst = pairs[np.argsort(pairs[:, 0], kind="stable")].T
+        slot = np.arange(len(src)) - np.searchsorted(src, src)
+        table = np.full((self.n_nodes, slot.max() + 1), -1)
+        table[src, slot] = dst
+        return table
+
+    def axis_views(self, values) -> list[np.ndarray]:
+        """An array (E, ...) in ``edges()`` order as one grid-shaped view
+        per axis: view j has the grid's shape with m_j edges along axis j
+        (m_j - 1 on an interval), followed by the array's trailing shape."""
+        values = np.asarray(values)
+        views, start = [], 0
+        for axis, f in enumerate(self.factors):
+            shape = list(self.shape)
+            shape[axis] -= not f.periodic
+            count = int(np.prod(shape))
+            views.append(values[start : start + count].reshape(*shape, *values.shape[1:]))
+            start += count
+        return views
 
     def unwrap(self, d) -> np.ndarray:
         """Parameter displacements (..., param_dim) shifted by one period
@@ -152,8 +168,7 @@ class ParamSlice:
     ambient points (..., ambient_dim); ``jacobian``, when given, returns
     (..., ambient_dim, param_dim).  Without it, derivatives fall back to
     central differences.  The mesh is one product grid of intervals and
-    circles with at least 2 nodes per factor, so it is always connected:
-    ``components`` labels every node 0 and ``n_components`` is 1.
+    circles with at least 2 nodes per factor, so it is always connected.
     """
 
     def __init__(
@@ -178,8 +193,6 @@ class ParamSlice:
         if self.points.ndim != 2 or self.points.shape[0] != self.mesh.n_nodes:
             raise ValueError("immersion must map (N, param_dim) to (N, ambient_dim)")
         self.ambient_dim = self.points.shape[1]
-        self.components = np.zeros(self.mesh.n_nodes, dtype=int)
-        self.n_components = 1
 
     @property
     def param_dim(self) -> int:
@@ -287,16 +300,37 @@ def _cochain(model, slc: ParamSlice, edges: np.ndarray) -> np.ndarray:
     return _edge_integrals(model, slc, u_a, u_a + slc.mesh.edge_vector(edges[:, 0], edges[:, 1]))
 
 
-def _generator_loops(mesh: Mesh) -> list[np.ndarray]:
-    """Positions in ``mesh.edges()`` of each periodic generator loop's
-    edges, in chain order: the edges along one periodic axis through node
-    0.  Edges come axis by axis; a periodic axis has one per start node."""
-    loops, start = [], 0
-    for axis, (f, m) in enumerate(zip(mesh.factors, mesh.shape)):
-        if f.periodic:  # row-major node ids along the axis: multiples of its stride
-            loops.append(start + np.arange(m) * int(np.prod(mesh.shape[axis + 1:])))
-        start += mesh.n_nodes // m * (m if f.periodic else m - 1)
-    return loops
+def _comb(grid: np.ndarray, axis: int, pdim: int) -> np.ndarray:
+    """View of a grid-shaped array (pdim grid axes first) at coordinate 0
+    on every grid axis after ``axis``: the lines along ``axis`` from the
+    comb of the earlier axes; ``[(0,) * axis]`` is the one through node 0."""
+    return grid[(slice(None),) * (axis + 1) + (0,) * (pdim - axis - 1)]
+
+
+def _loops(mesh: Mesh, values: np.ndarray) -> list[np.ndarray]:
+    """Entries of an array in ``edges()`` order on each periodic generator
+    loop, in chain order: the line along a periodic axis through node 0."""
+    views = zip(mesh.factors, mesh.axis_views(values))
+    return [_comb(view, axis, mesh.param_dim)[(0,) * axis] for axis, (f, view) in enumerate(views) if f.periodic]
+
+
+def _tree_sums(mesh: Mesh, cochain: np.ndarray) -> np.ndarray:
+    """Node values (N,) from 0 at node 0 by adding an edge cochain (E,)
+    along a spanning tree: the comb that runs along axis 0 through node 0,
+    then from each of its nodes along axis 1, and so on.  Each line is a
+    running sum seeded with its first node's value; on a circle of m
+    nodes it runs forward to node m // 2 and backward from node 0 to the
+    rest.  This is the breadth-first tree of the grid from node 0, summed
+    in the same order."""
+    grid = np.zeros(mesh.shape)
+    for axis, (f, view) in enumerate(zip(mesh.factors, mesh.axis_views(cochain))):
+        lines, steps = _comb(grid, axis, mesh.param_dim), _comb(view, axis, mesh.param_dim)
+        half = mesh.shape[axis] // 2 if f.periodic else mesh.shape[axis] - 1
+        seed = lines[..., :1]
+        lines[..., 1 : half + 1] = np.cumsum(np.concatenate([seed, steps[..., :half]], axis=-1), axis=-1)[..., 1:]
+        # backward from node 0 to nodes m - 1, ..., half + 1 (none on an interval)
+        lines[..., :half:-1] = np.cumsum(np.concatenate([seed, -steps[..., :half:-1]], axis=-1), axis=-1)[..., 1:]
+    return grid.ravel()
 
 
 def _loop_period(values: np.ndarray) -> float:
@@ -317,8 +351,7 @@ def periods(model, slc: ParamSlice, closed: CheckResult) -> list[float]:
     """
     if not closed.passed:
         raise NotClosed(f"closedness residual {closed.value:.3e} exceeds the tolerance")
-    edges = slc.mesh.edges()
-    return [_loop_period(_cochain(model, slc, edges[loop])) for loop in _generator_loops(slc.mesh)]
+    return [_loop_period(_cochain(model, slc, loop)) for loop in _loops(slc.mesh, slc.mesh.edges())]
 
 
 class PrimitiveField:
@@ -346,20 +379,18 @@ class PrimitiveField:
         values = self.values[node] + _edge_integrals(self.model, self.slice, u_node, u_node + delta)
         return float(values) if np.ndim(values) == 0 else values
 
-    def shifted(self, offsets: dict[int, float]) -> "PrimitiveField":
-        """Copy with a constant added per component (gauge change)."""
-        values = self.values.copy()
-        for comp, c in offsets.items():
-            values[self.slice.components == comp] += c
-        return PrimitiveField(self.model, self.slice, values, self.cycle_residual)
+    def shifted(self, offset: float) -> "PrimitiveField":
+        """Copy with a constant added (gauge change)."""
+        return PrimitiveField(self.model, self.slice, self.values + offset, self.cycle_residual)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
 def primitive(model, slc: ParamSlice, cycle_tol: float = 1e-6) -> PrimitiveField:
-    """Accumulate the edge integrals of the pullback along a breadth-first
-    spanning tree of the mesh graph, rooted at node 0 (the gauge f = 0).
+    """Accumulate the edge integrals of the pullback along a spanning tree
+    of the mesh graph rooted at node 0 (the gauge f = 0), by per-axis
+    running sums (``_tree_sums``).
 
     Requires every period to vanish: each generator loop's period is
     summed from the same all-edge cochain, and a nonzero one raises
@@ -371,25 +402,10 @@ def primitive(model, slc: ParamSlice, cycle_tol: float = 1e-6) -> PrimitiveField
     mesh = slc.mesh
     edges = mesh.edges()
     cochain = _cochain(model, slc, edges)
-    for loop in _generator_loops(mesh):
-        period = _loop_period(cochain[loop])
+    for period in map(_loop_period, _loops(mesh, cochain)):
         if period != 0.0:
             raise NonExact(period)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(mesh.n_nodes)]
-    for a, b, c in zip(*edges.T.tolist(), cochain.tolist()):
-        adj[a].append((b, c))
-        adj[b].append((a, -c))
-    values = np.zeros(mesh.n_nodes)
-    visited = np.zeros(mesh.n_nodes, dtype=bool)
-    visited[0] = True
-    queue = deque([0])
-    while queue:
-        a = queue.popleft()
-        for b, c in adj[a]:
-            if not visited[b]:
-                visited[b] = True
-                values[b] = values[a] + c
-                queue.append(b)
+    values = _tree_sums(mesh, cochain)
     worst = float(np.max(np.abs(values[edges[:, 0]] + cochain - values[edges[:, 1]])))
     if worst > cycle_tol:
         raise NonExact(worst)

@@ -173,11 +173,8 @@ def test_criterion_06_classification_consistency(collar_reports):
             start_point=np.zeros(3),
             end_point=np.array([0, 0, length]),
             length=length,
-            pure=True,
-            start_component=0,
-            end_component=0,
         )
-        cls = classify_chord(chord, action, Convention.FEASIBILITY).classification
+        cls = classify_chord(chord, action, Convention.FEASIBILITY)
         oracle = feasibility_oracle_1d(length, h_start=0.0, h_end=action, margin=0.0)
         agree += (cls == Classification.LONG) == oracle
     assert agree == 1000

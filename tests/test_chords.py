@@ -15,6 +15,7 @@ from reebkit.chords import (
 )
 from reebkit.errors import WrongModel
 from reebkit.numerics import integrate_flow, newton_solve_stack
+from reebkit.report import chord_table
 from reebkit.spatial import GridIndex
 
 TWO_PI = 2 * np.pi
@@ -40,7 +41,6 @@ def test_unknot_single_chord(projection_chords, unknot_entry):
     assert chord.length == pytest.approx(4.0 / 3.0, abs=1e-6)
     assert chord.start_param[0] == pytest.approx(3 * np.pi / 2, abs=1e-6)
     assert chord.end_param[0] == pytest.approx(np.pi / 2, abs=1e-6)
-    assert chord.pure
 
     # brute-force oracle agrees: the double point exists and its height gap
     # at the closest mesh pair matches the chord length at mesh resolution
@@ -272,9 +272,6 @@ def _mk(start, end, length, residual=0.0):
         start_point=np.array([start, 0.0, 0.0]),
         end_point=np.array([end, 0.0, length]),
         length=length,
-        pure=True,
-        start_component=0,
-        end_component=0,
         residual=residual,
     )
 
@@ -334,25 +331,14 @@ def test_dedup_matches_greedy_all_pairs():
 
 
 def test_found_chords_are_pure(projection_chords, shooting_chords):
-    # a slice is one connected grid: every chord joins component 0 to itself
-    for chords in (projection_chords["unknot"], shooting_chords["hopf_circle"]):
+    # a slice is one connected grid: the chord table prints every chord as
+    # pure, from component 0 to component 0
+    for chords, dims in ((projection_chords["unknot"], (1, 3)), (shooting_chords["hopf_circle"], (1, 4))):
         assert chords
-        assert all(c.pure and (c.start_component, c.end_component) == (0, 0) for c in chords)
-
-
-def test_mixed_chord_flag():
-    rec = ChordRecord(
-        start_param=np.array([0.0]),
-        end_param=np.array([1.0]),
-        start_point=np.zeros(3),
-        end_point=np.array([0.0, 0.0, 1.0]),
-        length=1.0,
-        pure=False,
-        start_component=0,
-        end_component=1,
-    )
-    assert rec.start_component != rec.end_component
-    assert not rec.pure
+        header, *rows = chord_table(chords, *dims).splitlines()
+        assert header.split(",")[-4:] == ["pure", "start_component", "end_component", "action"]
+        assert len(rows) == len(chords)
+        assert all(row.split(",")[-4:-1] == ["true", "0", "0"] for row in rows)
 
 
 def test_sort_key_ignores_length_noise(shooting_chords):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -347,6 +348,16 @@ BAD_VALUES = {
     "search_bool": {"slice": {"catalog": "unknot"}, "search": {"max_time": True}},
     "tolerance_bool": {"slice": {"catalog": "unknot"}, "tolerances": {"closed": True}},
     "tolerance_nan": {"slice": {"catalog": "torus_r5", "params": {"resolution": 8}}, "tolerances": {"closed": float("nan")}},
+    "tolerance_infinity": {"slice": {"catalog": "unknot"}, "tolerances": {"margin": float("inf")}},
+    "search_infinity": {"slice": {"catalog": "unknot"}, "search": {"min_length": float("inf")}},
+    "search_max_time_infinity": {"slice": {"catalog": "hopf_circle"}, "search": {"max_time": float("inf")}},
+    "c_nan": {"slice": {"catalog": "sheared_unknot", "params": {"c": float("nan")}}},
+    "c_infinity": {"slice": {"catalog": "sheared_unknot", "params": {"c": float("inf")}}},
+    "resolution_infinity": {"slice": {"catalog": "unknot", "params": {"resolution": float("inf")}}},
+    "max_time_zero": {"slice": {"catalog": "hopf_circle", "params": {"max_time": 0}}},
+    "max_time_negative": {"slice": {"catalog": "hopf_circle", "params": {"max_time": -1}}},
+    "max_time_nan": {"slice": {"catalog": "hopf_circle", "params": {"max_time": float("nan")}}},
+    "max_time_infinity": {"slice": {"catalog": "hopf_circle", "params": {"max_time": float("inf")}}},
     "seed_radius_negative": {"slice": {"catalog": "unknot"}, "search": {"seed_radius": -1}},
     "cluster_radius_zero": {"slice": {"catalog": "unknot"}, "search": {"cluster_radius": 0}},
     "capture_radius_negative": {"slice": {"catalog": "hopf_circle"}, "search": {"capture_radius": -1}},
@@ -440,3 +451,28 @@ def test_actions_use_one_quadrature_per_collar(manifest_path, monkeypatch):
     assert n_chords > 1
     assert inside == [(n_chords, 1)]
     assert len(quadratures) == 3
+
+
+@pytest.mark.parametrize("command", ["chords", "collar"])
+@pytest.mark.parametrize(
+    "search, flags",
+    [({"monitor_dt": 1e-7}, []), ({"max_time": 1e9}, []), ({}, ["--max-time", "1e9"])],
+    ids=["monitor_dt", "max_time", "max_time_flag"],
+)
+def test_shooting_monitor_is_bounded(manifest_path, monkeypatch, command, search, flags):
+    # more than MAX_MONITOR_STEPS monitor steps is refused before any
+    # trajectory is monitored: a search failure, not an endless run
+    import reebkit.chords
+
+    def never(*args, **kwargs):
+        raise AssertionError("the search monitored trajectories")
+
+    monkeypatch.setattr(reebkit.chords, "_capture_events", never)
+    path = manifest_path("hopf", {"slice": {"catalog": "hopf_circle"}, "search": search})
+    start = time.perf_counter()
+    code, out, err = run_cli([command, path, *flags])
+    assert time.perf_counter() - start < 10.0
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "exceed the bound of 100000" in err
+    assert "Traceback" not in err

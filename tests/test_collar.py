@@ -18,7 +18,7 @@ from reebkit.collar import (
     grid_around_slice,
     reeb_reparam_check,
 )
-from reebkit.errors import MissingPrimitive, MixedChord, ReparamDegenerate
+from reebkit.errors import MissingPrimitive, ReparamDegenerate
 from reebkit.models import DeformationSpec, RhoProfile, StandardRModel, SymplectizationModel, liouville_deformed
 
 
@@ -27,16 +27,13 @@ def _smoothstep(u):
     return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
-def _synthetic_chord(length, pure=True, components=(0, 0)):
+def _synthetic_chord(length):
     return ChordRecord(
         start_param=np.array([0.0]),
         end_param=np.array([1.0]),
         start_point=np.zeros(3),
         end_point=np.array([0.0, 0.0, length]),
         length=length,
-        pure=pure,
-        start_component=components[0],
-        end_component=components[1],
     )
 
 
@@ -61,17 +58,8 @@ def test_action_gauge_invariance(projection_chords, primitives):
     chord = projection_chords[("sheared_unknot", -0.5)][0]
     f = primitives[("sheared_unknot", -0.5)]
     base = chord_action(f, [chord])[0]
-    shifted = chord_action(f.shifted({0: 42.0}), [chord])[0]
+    shifted = chord_action(f.shifted(42.0), [chord])[0]
     assert abs(base - shifted) < 1e-9
-
-
-def test_action_rejects_mixed_chord(primitives):
-    mixed = _synthetic_chord(1.0, pure=False, components=(0, 1))
-    with pytest.raises(MixedChord):
-        chord_action(primitives["unknot"], [mixed])
-    # one impure chord anywhere in the stack refuses the whole stack
-    with pytest.raises(MixedChord):
-        chord_action(primitives["unknot"], [_synthetic_chord(1.0), mixed, _synthetic_chord(2.0)])
 
 
 def test_action_requires_primitive():
@@ -103,24 +91,19 @@ def test_legendrian_zero_action(projection_chords, shooting_chords, primitives):
 def test_classify_unknot_long_both():
     chord = _synthetic_chord(4.0 / 3.0)
     for conv in Convention:
-        assert classify_chord(chord, 0.0, conv).classification == Classification.LONG
+        assert classify_chord(chord, 0.0, conv) == Classification.LONG
 
 
 def test_classify_sheared_disagreement():
     chord = _synthetic_chord(1.0 / 3.0)
-    assert classify_chord(chord, 1.0, Convention.DIRECT).classification == Classification.SMALL
-    assert classify_chord(chord, 1.0, Convention.FEASIBILITY).classification == Classification.LONG
+    assert classify_chord(chord, 1.0, Convention.DIRECT) == Classification.SMALL
+    assert classify_chord(chord, 1.0, Convention.FEASIBILITY) == Classification.LONG
 
 
 def test_classify_sheared_01_long_both():
     chord = _synthetic_chord(23.0 / 15.0)  # 4/3 + 0.2
     for conv in Convention:
-        assert classify_chord(chord, -0.2, conv).classification == Classification.LONG
-
-
-def test_classify_rejects_mixed():
-    with pytest.raises(MixedChord):
-        classify_chord(_synthetic_chord(1.0, pure=False, components=(0, 1)), 0.0)
+        assert classify_chord(chord, -0.2, conv) == Classification.LONG
 
 
 def test_oracle_examples():
@@ -140,7 +123,7 @@ def test_oracle_matches_feasibility_classification():
         else:
             action = rng.uniform(-4.0, 4.0)
         chord = _synthetic_chord(length)
-        cls = classify_chord(chord, action, Convention.FEASIBILITY).classification
+        cls = classify_chord(chord, action, Convention.FEASIBILITY)
         # prescriptions h = -f make h_end - h_start equal the action
         feasible = feasibility_oracle_1d(length, -0.0, action, 0.0)
         assert (cls == Classification.LONG) == feasible
@@ -247,7 +230,7 @@ def test_extend_h_obstructed_synthetic(sheared_entries, primitives):
     entry = sheared_entries[0.5]
     f = primitives[("sheared_unknot", 0.5)]
     scale = 2.0 * (7.0 / 3.0)  # prescribed drop equals 2x the length
-    scaled = f.shifted({})
+    scaled = f.shifted(0.0)
     scaled.values = f.values * scale
     res = extend_h(entry.model, entry.slice, scaled, margin=0.05)
     assert not res.ok
@@ -266,7 +249,7 @@ def test_extend_h_oracle_equivalence_under_scaling(sheared_entries, primitives):
     length = 7.0 / 3.0
     margin = 0.05
     for scale in (0.5, 1.0, 2.0, 2.2, 2.3, 3.0, 5.0):
-        scaled = f.shifted({})
+        scaled = f.shifted(0.0)
         scaled.values = f.values * scale
         res = extend_h(entry.model, entry.slice, scaled, margin=margin)
         h_start = -scale * 0.5 * np.sin(3 * np.pi / 2)
@@ -490,11 +473,11 @@ def test_collar_hopf_circle(collar_reports):
     assert rep.verdict == Verdict.COLLARABLE
     assert rep.h_diagnostics["constructed"]
     assert rep.h_diagnostics.get("trivial")
-    assert all(c["class_direct"] == "Long" for c in rep.chords if c["pure"])
+    assert all(c["class_direct"] == "Long" for c in rep.chords)
 
 
 def test_collar_verdict_consistency(collar_reports):
-    # Collarable only without active-convention small pure chords
+    # Collarable only without active-convention small chords
     for key, rep in collar_reports.items():
         if rep.verdict == Verdict.COLLARABLE:
             active = rep.conventions["active"]

@@ -1,12 +1,19 @@
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
 
 from reebkit.errors import NonExact, NotClosed
 from reebkit.models import StandardRModel
 from reebkit.numerics import line_quadrature
+from reebkit.catalog import catalog_get
 from reebkit.slices import (
+    DomainFactor,
     Mesh,
     ParamSlice,
+    _cochain,
+    _tree_sums,
     check_closed,
     check_transverse,
     circle_factor,
@@ -152,23 +159,26 @@ def test_reeb_shear_covariance(unknot_entry, sheared_entries):
 
 def test_primitive_gauge_shift(primitives):
     f = primitives[("sheared_unknot", -0.5)]
-    shifted = f.shifted({0: 13.7})
+    shifted = f.shifted(13.7)
     a = f.value_at([1.1])
     b = shifted.value_at([1.1])
     assert b - a == pytest.approx(13.7, abs=1e-9)
 
 
-def test_components_single_box(unknot_entry, torus_entry):
-    assert unknot_entry.slice.n_components == 1
-    assert np.all(unknot_entry.slice.components == 0)
-    assert torus_entry.slice.n_components == 1
+def _adjacency(mesh: Mesh) -> list[list[int]]:
+    """Adjacency lists of the grid graph, built from its edges."""
+    adj: list[list[int]] = [[] for _ in range(mesh.n_nodes)]
+    for a, b in mesh.edges().tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
 
 
 def _label_components(mesh: Mesh) -> np.ndarray:
     """Reference labelling: connected components of the mesh graph by
     depth-first search, numbered in order of their lowest node."""
     labels = np.full(mesh.n_nodes, -1, dtype=int)
-    adj = mesh.neighbors()
+    adj = _adjacency(mesh)
     comp = 0
     for root in range(mesh.n_nodes):
         if labels[root] >= 0:
@@ -202,8 +212,6 @@ def _label_components(mesh: Mesh) -> np.ndarray:
 def test_product_grid_is_connected(factors, resolution):
     slc = ParamSlice(factors, lambda u: np.asarray(u, dtype=float), resolution=resolution)
     assert _label_components(slc.mesh).tolist() == [0] * slc.mesh.n_nodes
-    assert slc.components.tolist() == [0] * slc.mesh.n_nodes
-    assert slc.n_components == 1
 
 
 def test_embedding_proxy(unknot_entry):
@@ -282,7 +290,12 @@ def test_mesh_edges_order():
     mesh = Mesh([circle_factor(TWO_PI), interval_factor(0.0, 1.0)], [3, 2])
     expected = [(0, 2), (1, 3), (2, 4), (3, 5), (4, 0), (5, 1), (0, 1), (2, 3), (4, 5)]
     assert mesh.edges().tolist() == [list(e) for e in expected]
-    assert mesh.neighbors()[0] == [2, 4, 1]
+    # each node's neighbours in the order of its edges, padded with -1
+    assert mesh.neighbors().tolist() == [[2, 4, 1], [3, 5, 0], [0, 4, 3], [1, 5, 2], [2, 0, 5], [3, 1, 4]]
+    assert Mesh([interval_factor(0.0, 1.0)], [3]).neighbors().tolist() == [[1, -1], [0, 2], [1, -1]]
+    views = mesh.axis_views(mesh.edges())  # one grid of edges per axis
+    assert [v.shape for v in views] == [(3, 2, 2), (3, 1, 2)]
+    assert views[0][2, 1].tolist() == [5, 1] and views[1][1, 0].tolist() == [2, 3]
     vec = mesh.edge_vector(mesh.edges()[:, 0], mesh.edges()[:, 1])
     assert np.allclose(vec[:6], [[TWO_PI / 3, 0.0]] * 6)  # the seam edge is unwrapped
     assert np.allclose(vec[6:], [[0.0, 1.0]] * 3)
@@ -315,3 +328,62 @@ def test_primitive_exact_torus(exact_torus):
     assert f.cycle_residual < 1e-6
     for w in ([1.0, 2.0], [6.2, 0.05], [3.3, 5.9]):
         assert f.value_at(w) == pytest.approx(g(*w) - g(0.0, 0.0), abs=1e-6)
+
+
+def _bfs_primitive(mesh: Mesh, cochain: np.ndarray) -> np.ndarray:
+    """Reference: node values from 0 at node 0, adding the cochain (minus
+    it against an edge's orientation) along a breadth-first search over
+    adjacency lists of the grid edges."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(mesh.n_nodes)]
+    for a, b, c in zip(*mesh.edges().T.tolist(), cochain.tolist()):
+        adj[a].append((b, c))
+        adj[b].append((a, -c))
+    values = np.zeros(mesh.n_nodes)
+    visited = np.zeros(mesh.n_nodes, dtype=bool)
+    visited[0] = True
+    queue = deque([0])
+    while queue:
+        a = queue.popleft()
+        for b, c in adj[a]:
+            if not visited[b]:
+                visited[b] = True
+                values[b] = values[a] + c
+                queue.append(b)
+    return values
+
+
+def _small_grids():
+    """Every grid of 1-2 factors with 2-9 nodes each and of 3 factors with
+    2-5 nodes each, every factor periodic or not."""
+    for k, sizes in ((1, range(2, 10)), (2, range(2, 10)), (3, range(2, 6))):
+        for resolution in itertools.product(sizes, repeat=k):
+            for periodic in itertools.product((False, True), repeat=k):
+                yield Mesh([DomainFactor(0.0, 1.0, p) for p in periodic], resolution)
+
+
+def test_tree_sums_match_bfs_bitwise_on_small_grids():
+    # random cochains of magnitudes 1e-8 to 1e2 and both signs, so a
+    # different summation order or tree would show in the last bits
+    rng = np.random.default_rng(11)
+    count = 0
+    for mesh in _small_grids():
+        n_edges = len(mesh.edges())
+        cochain = rng.choice([-1.0, 1.0], n_edges) * 10.0 ** rng.uniform(-8.0, 2.0, n_edges)
+        want = _bfs_primitive(mesh, cochain)
+        got = _tree_sums(mesh, cochain)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (mesh.shape, [f.periodic for f in mesh.factors])
+        count += 1
+    assert count == 784
+
+
+@pytest.mark.parametrize("name", ["sheared_unknot", "hopf_circle", "exact_torus"])
+def test_primitive_matches_bfs_bitwise(name, exact_torus):
+    if name == "exact_torus":
+        model, slc, _ = exact_torus(47)
+    else:
+        params = {"c": 0.1, "resolution": 4096} if name == "sheared_unknot" else {}
+        entry = catalog_get(name, params)
+        model, slc = entry.model, entry.slice
+    values = primitive(model, slc).values
+    want = _bfs_primitive(slc.mesh, _cochain(model, slc, slc.mesh.edges()))
+    assert np.array_equal(values.view(np.int64), want.view(np.int64))

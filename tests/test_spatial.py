@@ -125,7 +125,10 @@ def fiber_data_scan(fld, shadow_point):
     near = np.nonzero(d2 <= fld.r_cut * fld.r_cut)[0]
     if near.size == 0:
         return None
-    adjacency = fld.slice.mesh.neighbors()
+    adjacency = [[] for _ in range(len(fld.proj))]  # from the grid edges, independent of Mesh.neighbors
+    for a, b in fld.slice.mesh.edges().tolist():
+        adjacency[a].append(b)
+        adjacency[b].append(a)
     reps = [min(c, key=lambda r: (d2[r], r)) for c in _clusters_scan(adjacency, near.tolist())]
     reps = sorted(reps, key=lambda r: fld.heights[r])
     zs = np.array([fld.heights[r] for r in reps])

@@ -329,7 +329,7 @@ def test_flow_stack_matches_start_loop(field, d):
 def test_flow_stack_step_underflow_names_lane():
     # y' = 1/(1-y) blows up at t = 0.5 from y = 0 only
     field = lambda y: 1.0 / np.maximum(1e-300, 1.0 - y)  # noqa: E731
-    with pytest.raises(StepUnderflow, match="lane 1"):
+    with pytest.raises(StepUnderflow, match="lane 1"), pytest.warns(RuntimeWarning, match="overflow"):
         integrate_flow(field, np.array([[-10.0], [0.0], [-20.0]]), 2.0)
 
 
@@ -346,7 +346,7 @@ def test_flow_stack_nonfinite_names_lane():
 
 def _vertical_chords(xs, lengths):
     return [
-        ChordRecord(np.zeros(1), np.zeros(1), np.array([x, 0.3, -0.5]), np.array([x, 0.3, -0.5 + ell]), ell, True, 0, 0)
+        ChordRecord(np.zeros(1), np.zeros(1), np.array([x, 0.3, -0.5]), np.array([x, 0.3, -0.5 + ell]), ell)
         for x, ell in zip(xs, lengths)
     ]
 
@@ -434,7 +434,7 @@ def test_value_at_stack_matches_point_loop(exact_torus):
     assert isinstance(slc.nearest_node(u[7]), int)
     assert prim.value_at(np.empty((0, 2))).shape == (0,)
     # chords between these points, as one stack
-    chords = [ChordRecord(a, b, slc.immerse(a), slc.immerse(b), 1.0, True, 0, 0) for a, b in zip(u[::2], u[1::2])]
+    chords = [ChordRecord(a, b, slc.immerse(a), slc.immerse(b), 1.0) for a, b in zip(u[::2], u[1::2])]
     actions = chord_action(prim, chords)
     assert np.array_equal(actions, values[::2] - values[1::2])
     assert np.max(np.abs(actions - reference_actions(prim, chords))) <= 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(loop)))
