@@ -320,6 +320,8 @@ def catalog_get(name: str, params: Optional[dict] = None) -> CatalogEntry:
     for key, value in params.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ParamOutOfRange(f"catalog parameter {key!r} must be finite, got {value}")
+        if key == "resolution" and isinstance(value, float) and not value.is_integer():
+            raise ParamOutOfRange(f"catalog parameter 'resolution' must be an integer, got {value}")
     return builder(params)
 
 

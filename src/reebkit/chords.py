@@ -83,7 +83,7 @@ def _first_of_clusters(coord: np.ndarray, radius: float, close) -> np.ndarray:
     if not len(coord):
         return keep
     index = GridIndex(coord[:, None], cell_size=radius)
-    pairs = np.concatenate([b[close(b[:, 0], b[:, 1])] for b in index.close_pairs(radius)])
+    pairs = index.close_pairs(radius, keep=close)
     for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
         keep[j] = keep[j] and not keep[i]  # dropped next to a kept earlier item
     return keep
@@ -142,10 +142,7 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
     seed_radius, exclusion = _resolve_projection_options(slc, opts)
 
     index = GridIndex(slc.points[:, :-1], cell_size=seed_radius)
-    pairs = np.concatenate([  # filtered block by block: all close pairs at once can be large
-        block[mesh.param_distance(mesh.params[block[:, 0]], mesh.params[block[:, 1]]) > exclusion]
-        for block in index.close_pairs(seed_radius)
-    ])
+    pairs = index.close_pairs(seed_radius, keep=lambda i, j: mesh.far_apart(i, j, exclusion))
     pdim = slc.param_dim
 
     def system(w, lanes):

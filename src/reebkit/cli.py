@@ -106,11 +106,7 @@ def cmd_chords(args) -> int:
         if not (closed.passed and transverse.passed):
             sys.stderr.write("slice checks failed; rerun with --force to search anyway\n")
             return 1
-    try:
-        found = find_chords(model, slc, opts.search)
-    except (NewtonFailuresExceeded, SearchTooLong) as exc:
-        sys.stderr.write(f"chord search failed: {exc}\n")
-        return 1
+    found = find_chords(model, slc, opts.search)
     _emit(chord_table(found, slc.param_dim, model.ambient_dim), args.output)
     return 0
 
@@ -215,6 +211,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 2
+    except (NewtonFailuresExceeded, SearchTooLong) as exc:
+        sys.stderr.write(f"chord search failed: {exc}\n")
+        return 1
     except ReebkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

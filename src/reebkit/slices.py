@@ -156,6 +156,25 @@ class Mesh:
                 d[..., j] = np.minimum(d[..., j], f.span - d[..., j])
         return float(np.linalg.norm(d)) if d.ndim == 1 else np.linalg.norm(d, axis=-1)
 
+    def far_apart(self, i, j, radius: float) -> np.ndarray:
+        """Mask of the node pairs (i, j), index arrays, at parameter distance
+        above ``radius``: ``param_distance(params[i], params[j]) > radius``.
+
+        The wrapped per-axis index offsets decide every pair whose offset
+        length is off ``radius`` by more than a relative 1e-9, without a
+        look at the parameters; ``param_distance`` decides the rest."""
+        grid = np.indices(self.shape).reshape(self.param_dim, -1)
+        length2 = np.zeros(np.shape(i))
+        for axis, (f, m) in enumerate(zip(self.factors, self.shape)):
+            steps = np.abs(np.arange(1 - m, m))  # index offsets -(m - 1) ... m - 1
+            if f.periodic:
+                steps = np.minimum(steps, m - steps)  # the shorter way round
+            length2 += ((steps * self.spacing(axis)) ** 2)[(grid[axis] + m - 1)[i] - grid[axis][j]]
+        far = length2 > (radius * (1 + 1e-9)) ** 2
+        ring = np.flatnonzero(~far & (length2 > (radius * (1 - 1e-9)) ** 2))
+        far[ring] = self.param_distance(self.params[i[ring]], self.params[j[ring]]) > radius
+        return far
+
     def wrap(self, u: np.ndarray) -> np.ndarray:
         """Map parameters into the fundamental domain."""
         return _wrap(self.factors, u)
@@ -232,12 +251,11 @@ class ParamSlice:
         distance below the exclusion radius to count as benign.
         """
         tol = ambient_tol * max(1.0, float(np.max(np.abs(self.points))))
-        return np.concatenate(list(GridIndex(self.points, cell_size=tol).close_pairs(tol)))
+        return GridIndex(self.points, cell_size=tol).close_pairs(tol)
 
     def embedded_at_mesh_scale(self, exclusion_radius: float) -> bool:
         pairs = self.coincident_point_pairs()
-        params = self.mesh.params
-        return bool(np.all(self.mesh.param_distance(params[pairs[:, 0]], params[pairs[:, 1]]) <= exclusion_radius))
+        return not np.any(self.mesh.far_apart(pairs[:, 0], pairs[:, 1], exclusion_radius))
 
 
 @dataclass

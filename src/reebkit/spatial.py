@@ -5,10 +5,14 @@ linearly modulo 2^64, code(k) = sum_i k_i m_i for fixed multipliers m_i,
 so the 3^d neighbour cells of a cell sit at fixed code offsets.  The codes
 are sorted once and cells are found with ``np.searchsorted``; a radius
 query inspects the neighbour cells of the query cell, so it is exact for
-radii up to the cell size.  Distinct cells whose codes collide only add
-candidates, which the distance test drops.  This is the spatial hashing
-of Teschner et al., "Optimized Spatial Hashing for Collision Detection of
-Deformable Objects" (VMV 2003), with a sorted table instead of buckets.
+radii up to the cell size.  Close pairs are enumerated per occupied cell
+instead of per point: each cell is paired with itself and with the cells
+at one code of each +-pair of neighbour offsets, so every pair of
+neighbouring cells is visited once.  Distinct cells whose codes collide
+only add candidates, which the distance test drops.  This is the spatial
+hashing of Teschner et al., "Optimized Spatial Hashing for Collision
+Detection of Deformable Objects" (VMV 2003), with a sorted table instead
+of buckets.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import numpy as np
 _SLACK = 2.0**-16
 # The hash multipliers are the powers of this odd constant (2^64 / phi).
 _GOLDEN = 0x9E3779B97F4A7C15
-# Neighbour-cell probes per block of ``close_pairs``, bounding its memory.
-_BLOCK_PROBES = 2**14
+# Cell probes, and candidate point pairs, per block of ``close_pairs``,
+# bounding its memory.
+_BLOCK = 2**15
 
 
 class GridIndex:
@@ -32,12 +37,16 @@ class GridIndex:
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         self.points = np.asarray(points, dtype=float)
+        self._columns = np.ascontiguousarray(self.points.T)
         self.cell_size = float(cell_size)
         dim = self.points.shape[1]
         self._origin = self.points.min(axis=0)
         self._mult = np.array([pow(_GOLDEN, k + 1, 2**64) for k in range(dim)], dtype=np.uint64)
         # offsets with colliding codes would probe the same cells twice
         self._stencil = np.unique(self._hash(np.indices((3,) * dim).reshape(dim, -1).T - 1))
+        # the stencil codes come in pairs c, -c (mod 2^64) around 0; the
+        # half stencil is 0 and the lower code of each pair
+        self._half = self._stencil[self._stencil <= -self._stencil]
         self._codes = self._hash(self._keys(self.points))
         self._order = np.argsort(self._codes, kind="stable")
         self._cells, self._starts, self._counts = np.unique(
@@ -55,15 +64,21 @@ class GridIndex:
     def _hash(self, keys) -> np.ndarray:
         return (keys.astype(np.int64).view(np.uint64) * self._mult).sum(axis=-1, dtype=np.uint64)
 
-    def _probe(self, codes: np.ndarray):
-        """(query row, stored index) for every stored point in the
-        neighbour cells of each query cell code, grouped by query row."""
-        probes = codes[:, None] + self._stencil
+    def _neighbour_cells(self, codes: np.ndarray, stencil: np.ndarray):
+        """(row, cell) for every occupied cell at code ``codes[row] + s``,
+        s in ``stencil``, grouped by row: the occupancy bitmap drops most
+        misses, a binary search finds the rest."""
+        probes = codes[:, None] + stencil
         rows, cols = np.nonzero(self._occupied[probes >> self._shift])
         probes = probes[rows, cols]
         k = np.minimum(np.searchsorted(self._cells, probes), len(self._cells) - 1)
         hit = self._cells[k] == probes
-        rows, k = rows[hit], k[hit]
+        return rows[hit], k[hit]
+
+    def _probe(self, codes: np.ndarray):
+        """(query row, stored index) for every stored point in the
+        neighbour cells of each query cell code, grouped by query row."""
+        rows, k = self._neighbour_cells(codes, self._stencil)
         counts = self._counts[k]
         first = self._starts[k] - np.cumsum(counts) + counts
         return np.repeat(rows, counts), self._order[np.repeat(first, counts) + np.arange(counts.sum())]
@@ -90,18 +105,45 @@ class GridIndex:
         index[rows[first]], dist[rows[first]] = hits[first], d[first]
         return index, dist
 
-    def close_pairs(self, radius: float):
-        """Yield (P, 2) arrays of index pairs i < j of points within
-        ``radius`` of each other, one block of i at a time, in ascending
-        (i, j) order."""
+    def close_pairs(self, radius: float, keep=None) -> np.ndarray:
+        """(P, 2) array of the index pairs i < j of points within ``radius``
+        of each other, in ascending (i, j) order.
+
+        The candidates are the point pairs of each occupied cell with itself
+        and with the cells at its half stencil, expanded ``_BLOCK`` at a
+        time.  ``keep(i, j)``, given index arrays with i < j, masks them
+        before the distance test."""
         if radius > self.cell_size:
             raise ValueError("radius exceeds cell size; rebuild with a larger cell")
-        block = max(1, _BLOCK_PROBES // len(self._stencil))
-        for lo in range(0, len(self.points), block):
-            rows, j = self._probe(self._codes[lo : lo + block])
-            upper = rows + lo < j
-            i, j = rows[upper] + lo, j[upper]
-            near = np.sum((self.points[i] - self.points[j]) ** 2, axis=1) <= radius * radius
-            i, j = i[near], j[near]
-            order = np.lexsort((j, i))
-            yield np.stack([i[order], j[order]], axis=1)
+        step = max(1, _BLOCK // len(self._half))
+        a, b = [], []  # the cell pairs: each occupied cell a and a cell b of its half stencil
+        for lo in range(0, len(self._cells), step):
+            rows, cells = self._neighbour_cells(self._cells[lo : lo + step], self._half)
+            a.append(rows + lo)
+            b.append(cells)
+        a, b = np.concatenate(a), np.concatenate(b)
+        inside, first_a, first_b, width = a == b, self._starts[a], self._starts[b], self._counts[b]
+        size = self._counts[a] * width
+        end = np.cumsum(size)  # cell pair p holds candidates begin[p] to end[p] - 1
+        begin = end - size
+        n, total = len(self.points), int(end[-1])
+        keys = []
+        for lo in range(0, total, _BLOCK):
+            hi = min(lo + _BLOCK, total)
+            span = np.arange(np.searchsorted(end, lo, side="right"), np.searchsorted(end, hi - 1, side="right") + 1)
+            p = np.repeat(span, np.minimum(end[span], hi) - np.maximum(begin[span], lo))
+            s, u = np.divmod(np.arange(lo, hi) - begin[p], width[p])  # candidate = (s-th of a, u-th of b)
+            upper = ~inside[p] | (s < u)  # inside a cell, ascending index order gives i < j
+            i = self._order[first_a[p] + s][upper]
+            j = self._order[first_b[p] + u][upper]
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            if keep is not None:
+                kept = keep(i, j)
+                i, j = i[kept], j[kept]
+            d2 = np.zeros(len(i))
+            for x in self._columns:  # in order: for d < 8 the sums of np.sum over a row
+                d2 += (x[i] - x[j]) ** 2
+            near = d2 <= radius * radius
+            keys.append(i[near] * n + j[near])
+        keys = np.sort(np.concatenate(keys))
+        return np.stack(np.divmod(keys, n), axis=1)

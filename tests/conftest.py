@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from reebkit import catalog_get, chords_projection, chords_shooting, primitive
+from reebkit import chords as chords_module
 from reebkit.chords import SearchOptions
 from reebkit.models import StandardRModel
+from reebkit.numerics import newton_solve_stack
 from reebkit.slices import ParamSlice, circle_factor
 
 SHEAR_SWEEP = (-0.5, -0.25, 0.0, 0.25, 0.5)
@@ -156,3 +158,18 @@ def collar_reports(
         opts(convention=Convention.FEASIBILITY),
     )
     return out
+
+
+@pytest.fixture()
+def stack_solves(monkeypatch):
+    """Records (seeds, options, result) of every stacked solve a chord
+    search makes."""
+    calls = []
+
+    def recording(system, seeds, opts=None):
+        result = newton_solve_stack(system, seeds, opts)
+        calls.append((np.array(seeds), opts, result))
+        return result
+
+    monkeypatch.setattr(chords_module, "newton_solve_stack", recording)
+    return calls

@@ -27,6 +27,14 @@ def test_sheared_param_range():
     assert entry.expected.chord_lengths[0] == pytest.approx(4.0 / 3.0 - 1.2)
 
 
+def test_resolution_must_be_integral():
+    # a fractional resolution is refused instead of truncated; an integral
+    # float builds the same slice as the integer
+    with pytest.raises(ParamOutOfRange, match="must be an integer"):
+        catalog_get("torus_r5", {"resolution": 8.9})
+    assert catalog_get("torus_r5", {"resolution": 24.0}).slice.mesh.shape == (24, 24)
+
+
 def test_every_entry_has_derivation_doc():
     for name in catalog_list():
         doc = catalog_doc(name)

@@ -354,6 +354,7 @@ BAD_VALUES = {
     "c_nan": {"slice": {"catalog": "sheared_unknot", "params": {"c": float("nan")}}},
     "c_infinity": {"slice": {"catalog": "sheared_unknot", "params": {"c": float("inf")}}},
     "resolution_infinity": {"slice": {"catalog": "unknot", "params": {"resolution": float("inf")}}},
+    "resolution_fractional": {"slice": {"catalog": "torus_r5", "params": {"resolution": 8.9}}},
     "max_time_zero": {"slice": {"catalog": "hopf_circle", "params": {"max_time": 0}}},
     "max_time_negative": {"slice": {"catalog": "hopf_circle", "params": {"max_time": -1}}},
     "max_time_nan": {"slice": {"catalog": "hopf_circle", "params": {"max_time": float("nan")}}},
@@ -475,4 +476,5 @@ def test_shooting_monitor_is_bounded(manifest_path, monkeypatch, command, search
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "exceed the bound of 100000" in err
+    assert err.startswith("chord search failed: ")  # the same line under both commands
     assert "Traceback" not in err

@@ -387,3 +387,20 @@ def test_primitive_matches_bfs_bitwise(name, exact_torus):
     values = primitive(model, slc).values
     want = _bfs_primitive(slc.mesh, _cochain(model, slc, slc.mesh.edges()))
     assert np.array_equal(values.view(np.int64), want.view(np.int64))
+
+
+def test_far_apart_matches_param_distance_on_small_grids():
+    # radii exactly on offset lengths (k steps along an axis, and the
+    # distances of node pairs themselves) put pairs on the boundary, where
+    # the parameters decide
+    rng = np.random.default_rng(5)
+    count = 0
+    for mesh in _small_grids():
+        i, j = (g.ravel() for g in np.meshgrid(np.arange(mesh.n_nodes), np.arange(mesh.n_nodes), indexing="ij"))
+        dist = mesh.param_distance(mesh.params[i], mesh.params[j])
+        radii = [k * mesh.spacing(0) for k in (1, 2, 5)] + [5.0 * mesh.max_spacing(), 0.0]
+        radii += rng.choice(dist, size=3).tolist()
+        for radius in radii:
+            assert np.array_equal(mesh.far_apart(i, j, radius), dist > radius), (mesh.shape, radius)
+        count += 1
+    assert count == 784

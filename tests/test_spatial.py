@@ -1,11 +1,13 @@
-"""The grid index against brute force, and the fiber field that queries it
-against an all-nodes scan."""
+"""The grid index against brute force and against the per-point probe it
+replaced, and the fiber field that queries it against an all-nodes scan."""
 
 import numpy as np
 import pytest
 
-from reebkit import catalog_get, primitive
+from reebkit import catalog_get, chords_projection, primitive
+from reebkit.chords import SearchOptions, _resolve_projection_options
 from reebkit.collar import FiberBumpField
+from reebkit.slices import Mesh
 from reebkit.spatial import GridIndex
 
 CELL = 0.1
@@ -32,12 +34,53 @@ def _brute_pairs(pts: np.ndarray, radius: float) -> np.ndarray:
 @pytest.mark.parametrize("radius", [CELL, 0.6 * CELL])
 def test_close_pairs_match_brute_force(dim, radius):
     pts = _points(dim, seed=dim)
-    blocks = list(GridIndex(pts, cell_size=CELL).close_pairs(radius))
-    assert all(b.ndim == 2 and b.shape[1] == 2 for b in blocks)
-    got = np.concatenate(blocks)
+    got = GridIndex(pts, cell_size=CELL).close_pairs(radius)
     want = _brute_pairs(pts, radius)  # ascending (i, j) by construction
     assert len(want) >= 10  # the test sees real neighbours
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_close_pairs_keep_masks_before_the_distance_test(dim):
+    pts = _points(dim, seed=20 + dim)
+    seen = []
+
+    def odd_sum(i, j):
+        assert np.all(i < j)
+        seen.append(len(i))
+        return (i + j) % 2 == 1
+
+    got = GridIndex(pts, cell_size=CELL).close_pairs(CELL, keep=odd_sum)
+    want = _brute_pairs(pts, CELL)
+    want = want[want.sum(axis=1) % 2 == 1]
+    assert len(want) >= 10
     assert np.array_equal(got, want)
+    assert sum(seen) > len(_brute_pairs(pts, CELL))  # keep saw candidates beyond the close pairs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_close_pairs_in_one_cell_with_duplicates(dim):
+    # every point in one cell, a third of them repeated: the cell pairs
+    # with itself only, and a duplicate is a pair at distance 0
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(0.0, 0.4 * CELL, size=(120, dim))
+    pts[80:] = pts[rng.integers(0, 80, size=40)]
+    index = GridIndex(pts, cell_size=CELL)
+    assert len(index._cells) == 1
+    for radius in (CELL, 0.1 * CELL, 0.0):
+        assert np.array_equal(index.close_pairs(radius), _brute_pairs(pts, radius))
+    assert len(index.close_pairs(0.0)) >= 40
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_half_stencil_visits_each_neighbour_cell_pair_once(dim):
+    # no two of the 3^d offsets share a code, and none but 0 hashes to 0 or
+    # to its own negative, so the half stencil holds 0 and one code of each
+    # pair of opposite offsets
+    index = GridIndex(np.zeros((1, dim)), cell_size=CELL)
+    assert len(index._stencil) == 3**dim
+    assert len(index._half) == (3**dim + 1) // 2
+    assert np.array_equal(np.union1d(index._half, -index._half), index._stencil)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -46,7 +89,7 @@ def test_close_pairs_on_a_long_lattice(dim):
     # their cell keys from independently rounded quotients
     pts = np.zeros((400, dim))
     pts[:, 0] = np.arange(-200, 200) * CELL
-    got = np.concatenate(list(GridIndex(pts, cell_size=CELL).close_pairs(CELL)))
+    got = GridIndex(pts, cell_size=CELL).close_pairs(CELL)
     assert np.array_equal(got, _brute_pairs(pts, CELL))
 
 
@@ -92,9 +135,70 @@ def test_radius_beyond_cell_rejected():
     with pytest.raises(ValueError):
         index.nearest_within(np.zeros(3), 1.01 * CELL)
     with pytest.raises(ValueError):
-        next(index.close_pairs(1.01 * CELL))
+        index.close_pairs(1.01 * CELL)
     with pytest.raises(ValueError):
         GridIndex(np.zeros((2, 3)), cell_size=0.0)
+
+
+def per_point_close_pairs(index: GridIndex, radius: float) -> np.ndarray:
+    """Reference for ``GridIndex.close_pairs``: the per-point probe it
+    replaced.  Each point probes all 3^d neighbour cells of its own cell, in
+    blocks of points; the i < j half within ``radius`` is kept, sorted by
+    (i, j) per block."""
+    blocks = []
+    for lo in range(0, len(index.points), 200):
+        rows, j = index._probe(index._codes[lo : lo + 200])
+        upper = rows + lo < j
+        i, j = rows[upper] + lo, j[upper]
+        near = np.sum((index.points[i] - index.points[j]) ** 2, axis=1) <= radius * radius
+        i, j = i[near], j[near]
+        order = np.lexsort((j, i))
+        blocks.append(np.stack([i[order], j[order]], axis=1))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize(
+    "name, params, n_close, n_seeds",
+    [("torus_r5", {"resolution": 96}, 129_024, 0), ("sheared_unknot", {"c": 0.1, "resolution": 4096}, None, 749)],
+)
+def test_projection_seeds_match_per_point_probe(stack_solves, name, params, n_close, n_seeds):
+    # the seed pairs: close projections (per-point probe) whose parameters
+    # are beyond the exclusion radius (param_distance), as before the half
+    # stencil and the offset test
+    entry = catalog_get(name, params)
+    slc, mesh = entry.slice, entry.slice.mesh
+    seed_radius, exclusion = _resolve_projection_options(slc, SearchOptions())
+    index = GridIndex(slc.points[:, :-1], cell_size=seed_radius)
+    close = per_point_close_pairs(index, seed_radius)
+    assert np.array_equal(index.close_pairs(seed_radius), close)
+    if n_close is not None:
+        assert len(close) == n_close
+    want = close[mesh.param_distance(mesh.params[close[:, 0]], mesh.params[close[:, 1]]) > exclusion]
+    assert len(want) == n_seeds
+    chords_projection(entry.model, entry.slice)
+    ((seeds, _, _),) = stack_solves
+    assert np.array_equal(seeds, np.concatenate([mesh.params[want[:, 0]], mesh.params[want[:, 1]]], axis=1))
+
+
+def test_projection_seed_scan_work_on_torus(monkeypatch):
+    # on torus_r5 at 96x96 the half stencil enumerates the 471,680 upper
+    # candidates of the per-point probe once each, and the grid-offset rule
+    # leaves 159,396 of them (parameters beyond the exclusion radius) for
+    # the projection distance test; no seed survives both
+    candidates, tested = [], []
+    original = Mesh.far_apart
+
+    def counted(mesh, i, j, radius):
+        far = original(mesh, i, j, radius)
+        candidates.append(len(i))
+        tested.append(int(np.sum(far)))
+        return far
+
+    monkeypatch.setattr(Mesh, "far_apart", counted)
+    entry = catalog_get("torus_r5", {"resolution": 96})
+    assert chords_projection(entry.model, entry.slice) == []
+    assert sum(candidates) == 471_680
+    assert sum(tested) == 159_396
 
 
 def _clusters_scan(adjacency, near):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from reebkit import catalog_get
-from reebkit import chords as chords_module
 from reebkit.chords import ChordRecord, SearchOptions, chords_projection, chords_shooting
 from reebkit.collar import chord_action, directional_dh_reeb, reeb_reparam_check
 from reebkit.errors import NonFinite, ReparamDegenerate, StepUnderflow
@@ -171,21 +170,6 @@ def assert_lanes_match(stack, refs):
         assert lane.residual_norm == ref.residual_norm, i
         assert lane.iterations == ref.iterations, i
         assert lane.failure == ref.failure, i
-
-
-@pytest.fixture()
-def stack_solves(monkeypatch):
-    """Records (seeds, options, result) of every stacked solve a chord
-    search makes."""
-    calls = []
-
-    def recording(system, seeds, opts=None):
-        result = newton_solve_stack(system, seeds, opts)
-        calls.append((np.array(seeds), opts, result))
-        return result
-
-    monkeypatch.setattr(chords_module, "newton_solve_stack", recording)
-    return calls
 
 
 def projection_system(slc):

@@ -1,6 +1,6 @@
 """Snapshot what the reebkit CLI prints for a fixed set of inputs.
 
-    python3 tools/output_snapshot.py OUTDIR [--src SRC]
+    python3 tools/output_snapshot.py OUTDIR [--src SRC] [--kernel-variants]
 
 For every input below it runs ``reebkit check``, ``chords``,
 ``chords --force`` and ``collar``, each in a fresh interpreter with
@@ -26,6 +26,14 @@ printed anything different.  Stderr can differ in traceback paths.
 Every command must end with a documented exit code and a one-line
 message: the script exits 1, naming the input and command, when any
 command's stderr holds a Python traceback.
+
+``--kernel-variants`` then reruns every command under each BLAS and SIMD
+kernel variant of ``KERNEL_VARIANTS`` (OpenBLAS forced to its Haswell or
+its Prescott kernels; numpy without its AVX-512 dispatch), writing
+``OUTDIR/variants/<variant>/`` like ``out/``, and names each file that
+differs from the default run's.  Printed numbers still depend on the
+kernels, so a difference is reported, not an error: it does not change
+the exit code.
 """
 
 from __future__ import annotations
@@ -54,6 +62,13 @@ WORKLOADS = {
     "wl_sheared_c-0.5_n4096": {"model": "r3", "slice": {"catalog": "sheared_unknot", "params": {"c": -0.5, "resolution": 4096}}},
     "wl_hopf_circle": {"model": "s3", "slice": {"catalog": "hopf_circle", "params": {}}},
     "wl_torus_r5_96": {"model": "r5", "slice": {"catalog": "torus_r5", "params": {}}},
+}
+
+# variant name -> environment settings that select other BLAS or SIMD kernels
+KERNEL_VARIANTS = {
+    "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas_prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy_no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
 }
 
 # (name, catalog entry, catalog params, model, embed (x..., z) into the model)
@@ -92,27 +107,11 @@ def write_mesh_exports(inputs: Path, src: Path):
         (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("outdir", type=Path)
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="reebkit source tree to run")
-    args = parser.parse_args(argv)
-    src = args.src.resolve()
-    inputs, out = args.outdir / "inputs", args.outdir / "out"
-    inputs.mkdir(parents=True, exist_ok=True)
+def run_commands(names: list[str], inputs: Path, out: Path, env: dict) -> list[str]:
+    """Run every command on every input in ``inputs``, writing stdout,
+    stderr and exit code under ``out``; the "input (command)" labels whose
+    stderr holds a Python traceback."""
     out.mkdir(parents=True, exist_ok=True)
-
-    names = []
-    for path in sorted((ROOT / "manifests").glob("*.json")):
-        shutil.copyfile(path, inputs / path.name)
-        names.append(path.stem)
-    for name, manifest in WORKLOADS.items():
-        (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
-        names.append(name)
-    write_mesh_exports(inputs, src)
-    names += [name for name, *_ in MESH_EXPORTS]
-
-    env = dict(os.environ, PYTHONPATH=str(src))
     tracebacks = []
     for name in names:
         for label, command in COMMANDS.items():
@@ -127,8 +126,44 @@ def main(argv=None) -> int:
             print(f"{name:28s} {label:13s} exit {proc.returncode}", flush=True)
             if "Traceback (most recent call last)" in proc.stderr:
                 tracebacks.append(f"{name}.json ({label})")
+    return tracebacks
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="reebkit source tree to run")
+    parser.add_argument(
+        "--kernel-variants", action="store_true", help="rerun under each kernel variant and name the files that differ"
+    )
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    inputs, out = args.outdir / "inputs", args.outdir / "out"
+    inputs.mkdir(parents=True, exist_ok=True)
+
+    names = []
+    for path in sorted((ROOT / "manifests").glob("*.json")):
+        shutil.copyfile(path, inputs / path.name)
+        names.append(path.stem)
+    for name, manifest in WORKLOADS.items():
+        (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
+        names.append(name)
+    write_mesh_exports(inputs, src)
+    names += [name for name, *_ in MESH_EXPORTS]
+
+    env = dict(os.environ, PYTHONPATH=str(src))
+    tracebacks = run_commands(names, inputs, out, env)
     for where in tracebacks:
         print(f"traceback on stderr: {where}", file=sys.stderr)
+    if args.kernel_variants:
+        files = sorted(path.name for path in out.iterdir())
+        for variant, settings in KERNEL_VARIANTS.items():
+            variant_out = args.outdir / "variants" / variant
+            run_commands(names, inputs, variant_out, dict(env, **settings))
+            differ = [f for f in files if (variant_out / f).read_bytes() != (out / f).read_bytes()]
+            print(f"kernel variant {variant}: {len(differ)} of {len(files)} files differ", flush=True)
+            for f in differ:
+                print(f"  {f}", flush=True)
     return 1 if tracebacks else 0
 
 
