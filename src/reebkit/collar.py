@@ -56,6 +56,11 @@ from .spatial import GridIndex
 
 _SMOOTHSTEP_MAX_SLOPE = 1.875  # max of d/du [u^3 (10 - 15u + 6u^2)] on [0, 1]
 LEGENDRIAN_TOL = 1e-9
+RUNWAY = 1.0  # least length over which a fiber profile decays to zero beyond its extremes
+DH_STEP = 1e-6  # relative central-difference step of dh along the Reeb vector
+GRID_PADDING = 0.3  # margin of the verification grid around the slice, per coordinate
+REPARAM_SAMPLES = 256  # Simpson intervals per chord of the rescaled flow time
+REPARAM_DRIFT_TOL = 1e-5  # largest endpoint drift the reparametrized-flow check passes
 
 
 class Convention(enum.Enum):
@@ -132,16 +137,16 @@ def feasibility_oracle_1d(length, h_start, h_end, margin: float = 0.0):
 _FIBER_BLOCK = 512  # shadows per block of the fiber pass, bounding its memory
 
 
-def _build_profiles(zs: np.ndarray, vs: np.ndarray, counts: np.ndarray, margin: float, runway: float) -> np.ndarray:
+def _build_profiles(zs: np.ndarray, vs: np.ndarray, counts: np.ndarray, margin: float) -> np.ndarray:
     """Padded profiles (U, K, 5) through the first ``counts[i]`` prescribed
     (z, value) pairs of row i of zs, vs (U, M), decaying to zero over
-    slope-safe runways beyond the extremes (a zero profile for count 0).
-    A pure smoothstep steepens the mean slope by up to 1.875x, so a
-    descending piece's blend shrinks toward linear as its mean approaches
-    the bound -1 + margin, with a 2% cushion so the finite-difference
-    verification cannot sit on the edge."""
+    slope-safe runways, ``RUNWAY`` or longer, beyond the extremes (a zero
+    profile for count 0).  A pure smoothstep steepens the mean slope by up
+    to 1.875x, so a descending piece's blend shrinks toward linear as its
+    mean approaches the bound -1 + margin, with a 2% cushion so the
+    finite-difference verification cannot sit on the edge."""
     rows = np.arange(len(counts))
-    run = np.maximum(runway, _SMOOTHSTEP_MAX_SLOPE * np.abs(vs) / (1.0 - margin) * 1.02 + 1e-9)
+    run = np.maximum(RUNWAY, _SMOOTHSTEP_MAX_SLOPE * np.abs(vs) / (1.0 - margin) * 1.02 + 1e-9)
     z, v = np.pad(zs, ((0, 0), (1, 1))), np.pad(vs, ((0, 0), (1, 1)))
     z[:, 0] = zs[:, 0] - run[:, 0]
     z[rows, counts + 1], v[rows, counts + 1] = zs[rows, counts - 1] + run[rows, counts - 1], 0.0
@@ -190,14 +195,13 @@ class FiberBumpField:
     Each distinct shadow (a point with its last coordinate dropped) is one
     row of a table: ``profiles`` (U, K, 5), padded; ``bumps`` (U,), 0 where
     no node is in reach; ``reps`` (U, K-1), its fiber nodes by height,
-    padded with -1.  A shadow's row is keyed by the shadow rounded to 12
-    digits.
+    padded with -1.  A shadow's row is keyed by the shadow's exact bytes,
+    and rows are numbered in the order the shadows first occur.
     """
 
-    def __init__(self, slc: ParamSlice, prim: PrimitiveField, margin: float, runway: float):
+    def __init__(self, slc: ParamSlice, prim: PrimitiveField, margin: float):
         self.slice = slc
         self.margin = margin
-        self.runway = runway
         self.proj = slc.points[:, :-1]
         self.heights = slc.points[:, -1]
         self.prescriptions = -prim.values
@@ -239,24 +243,24 @@ class FiberBumpField:
         return nodes[reps], np.bincount(rows[reps], minlength=len(shadows)), np.sqrt(dist)
 
     def rows(self, shadows: np.ndarray) -> np.ndarray:
-        """Table row of each row of ``shadows`` (N, d-1).  Shadows equal to
-        12 digits share a row, built from the first of them; missing rows
-        are appended in blocks, padding the narrower of the table and the
-        block."""
-        keys = np.round(shadows, 12)
-        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()  # one bytes key per row
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        keys = [keys[i].tobytes() for i in first]
-        missing = [(i, key) for i, key in zip(first.tolist(), keys) if key not in self._row]
-        for lo in range(0, len(missing), _FIBER_BLOCK):
-            block, block_keys = zip(*missing[lo : lo + _FIBER_BLOCK])
-            self._row.update((key, len(self.bumps) + j) for j, key in enumerate(block_keys))
-            nodes, counts, dist = self.fibers(shadows[list(block)])
+        """Table row of each row of ``shadows`` (N, d-1).  Bitwise equal
+        shadows share a row; the missing ones get rows in the order they
+        first occur, appended in blocks, padding the narrower of the table
+        and the block."""
+        keys = [shadow.tobytes() for shadow in shadows]
+        missing: dict[bytes, int] = {}  # each new key's first index
+        for i, key in enumerate(keys):
+            if key not in self._row:
+                missing.setdefault(key, i)
+        self._row.update((key, len(self.bumps) + j) for j, key in enumerate(missing))
+        first = list(missing.values())
+        for lo in range(0, len(first), _FIBER_BLOCK):
+            nodes, counts, dist = self.fibers(shadows[first[lo : lo + _FIBER_BLOCK]])
             filled = np.arange(max(1, counts.max())) < counts[:, None]
             zs, vs = np.zeros((2, *filled.shape))
             reps = np.full(filled.shape, -1)
             zs[filled], vs[filled], reps[filled] = self.heights[nodes], self.prescriptions[nodes], nodes
-            profiles = _build_profiles(zs, vs, counts, self.margin, self.runway)
+            profiles = _build_profiles(zs, vs, counts, self.margin)
             # 0 at distance inf, where no node is in reach
             bumps = 1.0 - _smoothstep((dist - self.r_plateau) / max(self.r_cut - self.r_plateau, 1e-12))
             k = max(self.profiles.shape[1], profiles.shape[1])
@@ -264,7 +268,7 @@ class FiberBumpField:
             fill = [np.pad(a, ((0, 0), (0, k - 1 - a.shape[1])), constant_values=-1) for a in (self.reps, reps)]
             self.profiles, self.reps = np.concatenate(edge), np.concatenate(fill)
             self.bumps = np.append(self.bumps, bumps)
-        return np.array([self._row[key] for key in keys])[inverse]
+        return np.array([self._row[key] for key in keys], dtype=int)
 
     def __call__(self, points) -> np.ndarray:
         """Field values at points of shape (..., d), with shape (...): one
@@ -286,13 +290,7 @@ class ExtendResult:
     max_h_plus_f: float = 0.0
 
 
-def extend_h(
-    model,
-    slc: ParamSlice,
-    prim: PrimitiveField,
-    margin: float = 0.05,
-    runway: float = 1.0,
-) -> ExtendResult:
+def extend_h(model, slc: ParamSlice, prim: PrimitiveField, margin: float = 0.05) -> ExtendResult:
     """Extend the boundary prescription h = -f to a field on the ambient
     space with slope above -1 + margin along every Reeb fiber.
 
@@ -304,7 +302,7 @@ def extend_h(
     """
     if not isinstance(model, StandardRModel):
         raise WrongModel("fiber extension requires a Euclidean model")
-    fld = FiberBumpField(slc, prim, margin, runway)
+    fld = FiberBumpField(slc, prim, margin)
     fld.rows(fld.proj)  # the table now holds the rows of the node shadows, and no other
     profiles, reps = fld.profiles, fld.reps
 
@@ -337,24 +335,24 @@ def extend_h(
 # ---------------------------------------------------------------------------
 
 
-def directional_dh_reeb(model, h: Callable[[np.ndarray], np.ndarray], points, step: float = 1e-6) -> np.ndarray:
+def directional_dh_reeb(model, h: Callable[[np.ndarray], np.ndarray], points) -> np.ndarray:
     """Directional derivatives of h along the (unnormalized) Reeb vector
     at points of shape (..., d), by central differences with a per-point
-    step and one call of h on both shifted stacks; the result has shape
-    (...)."""
+    step of ``DH_STEP`` times the point's scale and one call of h on both
+    shifted stacks; the result has shape (...)."""
     p = np.asarray(points, dtype=float)
     r = model.reeb(p)
     scale = np.maximum(1.0, np.linalg.norm(r, axis=-1))
-    s = (step * (1.0 + np.max(np.abs(p), axis=-1)) / scale)[..., None]
+    s = (DH_STEP * (1.0 + np.max(np.abs(p), axis=-1)) / scale)[..., None]
     plus, minus = h(np.stack([p + s * r, p - s * r]))
     return (plus - minus) / (2.0 * s[..., 0])
 
 
-def grid_around_slice(slc: ParamSlice, per_axis: int = 9, z_axis: int = 33, padding: float = 0.3) -> np.ndarray:
-    """Evaluation grid covering the slice with extra resolution along the
-    last (Reeb) coordinate."""
-    lo = slc.points.min(axis=0) - padding
-    hi = slc.points.max(axis=0) + padding
+def grid_around_slice(slc: ParamSlice, per_axis: int = 9, z_axis: int = 33) -> np.ndarray:
+    """Evaluation grid covering the slice, padded by ``GRID_PADDING``, with
+    extra resolution along the last (Reeb) coordinate."""
+    lo = slc.points.min(axis=0) - GRID_PADDING
+    hi = slc.points.max(axis=0) + GRID_PADDING
     axes = [
         np.linspace(lo[j], hi[j], z_axis if j == slc.points.shape[1] - 1 else per_axis)
         for j in range(slc.points.shape[1])
@@ -396,24 +394,19 @@ def check_deformation(sym: SymplectizationModel, spec: DeformationSpec, grid: np
 
 
 def reeb_reparam_check(
-    model,
-    slc: ParamSlice,
-    h: Optional[Callable[[np.ndarray], np.ndarray]],
-    chords: Sequence[ChordRecord],
-    samples: int = 256,
-    drift_tol: float = 1e-5,
+    model, slc: ParamSlice, h: Optional[Callable[[np.ndarray], np.ndarray]], chords: Sequence[ChordRecord]
 ) -> dict:
     """Verify that rescaling the Reeb field by 1/(1 + dh(R)) changes chord
     flow times but not endpoints.
 
     For each chord the original trajectory is sampled from the closed-form
     flow ``model.flow``, the rescaled flow time is obtained by Simpson
-    quadrature of 1 + dh(R) along it, and the rescaled field, which has no
-    closed form, is integrated numerically for that time; the endpoint
-    must land back on the recorded end point.  With ``h`` None (the
-    trivial profile) the rescaled field is ``model.reeb`` itself.  All
-    chords are sampled, differentiated and integrated together, one lane
-    per chord.
+    quadrature of 1 + dh(R) along it over ``REPARAM_SAMPLES`` intervals,
+    and the rescaled field, which has no closed form, is integrated
+    numerically for that time; the endpoint must land back on the recorded
+    end point within ``REPARAM_DRIFT_TOL``.  With ``h`` None (the trivial
+    profile) the rescaled field is ``model.reeb`` itself.  All chords are
+    sampled, differentiated and integrated together, one lane per chord.
 
     Raises:
         ReparamDegenerate: 1 + dh(R) drops to zero on some chord.
@@ -428,8 +421,8 @@ def reeb_reparam_check(
             return model.reeb(p) / denom[..., None]
 
     if not chords:
-        return {"max_endpoint_drift": 0.0, "pass": 0.0 < drift_tol, "rescaled_times": []}
-    n = samples + samples % 2
+        return {"max_endpoint_drift": 0.0, "pass": True, "rescaled_times": []}
+    n = REPARAM_SAMPLES
     starts = np.array([c.start_point for c in chords])
     dt = np.array([c.length for c in chords]) / n
     if h is None:
@@ -446,7 +439,7 @@ def reeb_reparam_check(
     max_drift = max([0.0, *drifts.tolist()])
     return {
         "max_endpoint_drift": max_drift,
-        "pass": max_drift < drift_tol,
+        "pass": max_drift < REPARAM_DRIFT_TOL,
         "rescaled_times": rescaled_times.tolist(),
     }
 

@@ -55,8 +55,8 @@ class Manifest:
                 raise ManifestError("mesh_file slices require an explicit model name")
             if self.param_dim is None or self.periodic is None:
                 raise ManifestError("mesh_file slices require param_dim and periodic flags")
-            if isinstance(self.param_dim, bool) or not isinstance(self.param_dim, int):
-                raise ManifestError("param_dim must be an integer")
+            if isinstance(self.param_dim, bool) or not isinstance(self.param_dim, int) or self.param_dim < 1:
+                raise ManifestError("param_dim must be a positive integer")
             if not isinstance(self.periodic, list) or not all(isinstance(p, bool) for p in self.periodic):
                 raise ManifestError("periodic must be a list of booleans")
         if self.model is not None and self.model not in MODEL_BUILDERS:

@@ -75,9 +75,6 @@ class StandardRModel:
         p = np.asarray(points, dtype=float)
         return np.all(np.isfinite(p), axis=-1)
 
-    def project(self, points):
-        return np.asarray(points, dtype=float)
-
 
 class StandardSphereModel:
     """Unit sphere S^(2n-1) with the (1/2)-normalized rotation-invariant form.
@@ -218,14 +215,13 @@ class DeformationSpec:
 
     ``h`` maps points of shape (..., ambient_dim) to values of shape (...);
     ``None`` is the trivial profile h = 0.  The time profile must ramp
-    from 0 below 1 - epsilon to 1 at t = 1, nondecreasing, with vanishing
+    from 0 below 1 - rho.epsilon to 1 at t = 1, nondecreasing, with zero
     slope at t = 1; this is validated on a sample grid at construction.
     """
 
     h: Optional[Callable[[np.ndarray], np.ndarray]]
     rho: RhoProfile
     margin: float = 0.05
-    epsilon: float = 0.2
 
     def __post_init__(self):
         if self.margin <= 0:
@@ -234,15 +230,15 @@ class DeformationSpec:
             raise ValueError("rho(1) must equal 1")
         if abs(float(self.rho.derivative(1.0))) > 1e-12:
             raise ValueError("rho'(1) must vanish")
-        if abs(float(self.rho(1.0 - self.epsilon))) > 1e-12:
+        if abs(float(self.rho(1.0 - self.rho.epsilon))) > 1e-12:
             raise ValueError("rho must vanish at 1 - epsilon")
-        ts = np.linspace(1.0 - self.epsilon, 1.0, 64)
+        ts = np.linspace(1.0 - self.rho.epsilon, 1.0, 64)
         if np.any(np.diff(self.rho(ts)) < -1e-12):
             raise ValueError("rho must be nondecreasing")
 
     @staticmethod
-    def trivial(margin: float = 0.05, epsilon: float = 0.2) -> "DeformationSpec":
-        return DeformationSpec(h=None, rho=RhoProfile(epsilon), margin=margin, epsilon=epsilon)
+    def trivial() -> "DeformationSpec":
+        return DeformationSpec(h=None, rho=RhoProfile())
 
 
 class SymplectizationModel:

@@ -23,6 +23,8 @@ DEFAULT_INTERVAL_NODES = 129
 DEFAULT_CLOSED_TOL = 1e-6
 DEFAULT_TRANSVERSE_TOL = 1e-4
 PERIOD_ZERO_TOL = 1e-8
+CYCLE_TOL = 1e-6  # largest edge defect of a primitive, f(b) - f(a) against the edge integral
+COINCIDENT_TOL = 1e-9  # ambient distance, relative to the coordinate scale, of coincident nodes
 _NEAREST_BLOCK = 32  # queries per block of the nearest-node scan, bounding its (block, N) distances
 
 
@@ -196,12 +198,10 @@ class ParamSlice:
         immersion: Callable[[np.ndarray], np.ndarray],
         jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         resolution: Optional[Sequence[int]] = None,
-        fd_step: float = 1e-6,
     ):
         self.factors = tuple(factors)
         self.immersion = immersion
         self.analytic_jacobian = jacobian
-        self.fd_step = fd_step
         if resolution is None:
             resolution = [
                 DEFAULT_CIRCLE_NODES if f.periodic else DEFAULT_INTERVAL_NODES
@@ -224,7 +224,7 @@ class ParamSlice:
         u = np.asarray(u, dtype=float)
         if self.analytic_jacobian is not None:
             return np.asarray(self.analytic_jacobian(u), dtype=float)
-        return jacobian_fd(self.immerse, u, self.fd_step)
+        return jacobian_fd(self.immerse, u)
 
     def nearest_node(self, u):
         """Index of the nearest mesh node to each parameter point of u
@@ -242,15 +242,15 @@ class ParamSlice:
             node[lo : lo + _NEAREST_BLOCK] = np.argmin(np.sum(d * d, axis=-1), axis=-1)
         return int(node[0]) if w.ndim == 1 else node.reshape(w.shape[:-1])
 
-    def coincident_point_pairs(self, ambient_tol: float = 1e-9) -> np.ndarray:
+    def coincident_point_pairs(self) -> np.ndarray:
         """Mesh node pairs i < j, as an (P, 2) array in ascending order,
-        whose ambient images are within ``ambient_tol`` times the scale
+        whose ambient images are within ``COINCIDENT_TOL`` times the scale
         max(1, max |coordinate|) of each other.
 
         Used by the embedding proxy: any such pair must be at parameter
         distance below the exclusion radius to count as benign.
         """
-        tol = ambient_tol * max(1.0, float(np.max(np.abs(self.points))))
+        tol = COINCIDENT_TOL * max(1.0, float(np.max(np.abs(self.points))))
         return GridIndex(self.points, cell_size=tol).close_pairs(tol)
 
     def embedded_at_mesh_scale(self, exclusion_radius: float) -> bool:
@@ -405,7 +405,7 @@ class PrimitiveField:
         return float(np.max(np.abs(self.values)))
 
 
-def primitive(model, slc: ParamSlice, cycle_tol: float = 1e-6) -> PrimitiveField:
+def primitive(model, slc: ParamSlice) -> PrimitiveField:
     """Accumulate the edge integrals of the pullback along a spanning tree
     of the mesh graph rooted at node 0 (the gauge f = 0), by per-axis
     running sums (``_tree_sums``).
@@ -414,7 +414,7 @@ def primitive(model, slc: ParamSlice, cycle_tol: float = 1e-6) -> PrimitiveField
     summed from the same all-edge cochain, and a nonzero one raises
     NonExact with its value.  Path independence is verified on every edge:
     the endpoint difference of f must match the edge integral within
-    ``cycle_tol`` (NonExact with the worst defect otherwise).  There is no
+    ``CYCLE_TOL`` (NonExact with the worst defect otherwise).  There is no
     separate closedness check, so this never raises NotClosed.
     """
     mesh = slc.mesh
@@ -425,7 +425,7 @@ def primitive(model, slc: ParamSlice, cycle_tol: float = 1e-6) -> PrimitiveField
             raise NonExact(period)
     values = _tree_sums(mesh, cochain)
     worst = float(np.max(np.abs(values[edges[:, 0]] + cochain - values[edges[:, 1]])))
-    if worst > cycle_tol:
+    if worst > CYCLE_TOL:
         raise NonExact(worst)
     return PrimitiveField(model, slc, values, worst)
 
@@ -499,7 +499,9 @@ def load_mesh_slice(
                 vals = np.concatenate([vals, np.take(vals, [0], axis=j)], axis=j)
             else:
                 ext_axes.append(axes[j])
-        rgi = RegularGridInterpolator(tuple(ext_axes), vals, method="linear")
+        # linear extrapolation past an interval's ends, where finite
+        # differences step, as the 1-D spline extrapolates
+        rgi = RegularGridInterpolator(tuple(ext_axes), vals, method="linear", bounds_error=False, fill_value=None)
 
         def immersion(u):
             return rgi(_wrap(factors, u))

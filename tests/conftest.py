@@ -1,8 +1,12 @@
 """Session-scoped fixtures: catalog entries and chord searches are built
-once and shared, since the searches dominate suite runtime."""
+once and shared, since the searches dominate suite runtime.
+
+Hypothesis runs under the ``ci`` profile: derandomized, so every checkout
+draws the same examples, with no example database and no deadline."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from reebkit import catalog_get, chords_projection, chords_shooting, primitive
 from reebkit import chords as chords_module
@@ -10,6 +14,9 @@ from reebkit.chords import SearchOptions
 from reebkit.models import StandardRModel
 from reebkit.numerics import newton_solve_stack
 from reebkit.slices import ParamSlice, circle_factor
+
+settings.register_profile("ci", derandomize=True, database=None, deadline=None)
+settings.load_profile("ci")
 
 SHEAR_SWEEP = (-0.5, -0.25, 0.0, 0.25, 0.5)
 

@@ -6,7 +6,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reebkit.catalog import catalog_list
 from reebkit.cli import main
 
 
@@ -373,6 +375,7 @@ BAD_VALUES = {
     "convention_list": {"convention": ["direct"], "slice": {"catalog": "unknot"}},
     "param_dim_string": {"model": "r3", "slice": {"mesh_file": "m.csv", "param_dim": "x", "periodic": [True]}},
     "periodic_bool": {"model": "r3", "slice": {"mesh_file": "m.csv", "param_dim": 1, "periodic": True}},
+    "param_dim_zero": {"model": "r3", "slice": {"mesh_file": "m.csv", "param_dim": 0, "periodic": []}},
 }
 
 
@@ -478,3 +481,80 @@ def test_shooting_monitor_is_bounded(manifest_path, monkeypatch, command, search
     assert err.count("\n") == 1 and "exceed the bound of 100000" in err
     assert err.startswith("chord search failed: ")  # the same line under both commands
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def interval_mesh_files(tmp_path_factory):
+    """Manifest paths of two 2-D mesh files with an interval factor, whose
+    finite differences step past the interval's ends: a 6x6 grid on
+    [0, 1]^2 in r3, (u1, u2, u1 u2), and a 6x8 interval x circle strip in
+    r5, (u1, 0, cos u2, sin u2, 0.3 u1)."""
+    directory = tmp_path_factory.mktemp("interval_meshes")
+    u, v = np.linspace(0.0, 1.0, 6), 2 * np.pi * np.arange(8) / 8
+    tables = {
+        "surface": ("r3", [False, False], "u1,u2,x,y,z", [(a, b, a, b, a * b) for a in u for b in u]),
+        "strip": (
+            "r5",
+            [False, True],
+            "u1,u2,x1,y1,x2,y2,z",
+            [(a, b, a, 0.0, np.cos(b), np.sin(b), 0.3 * a) for a in u for b in v],
+        ),
+    }
+    paths = {}
+    for name, (model, periodic, header, rows) in tables.items():
+        mesh_path = directory / f"{name}.csv"
+        mesh_path.write_text(header + "\n" + "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows))
+        slice_src = {"mesh_file": str(mesh_path), "param_dim": 2, "periodic": periodic}
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps({"model": model, "slice": slice_src}))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "name, command, exit_code",
+    [
+        ("surface", "check", 1),
+        ("surface", "chords", 1),
+        ("surface", "collar", 5),
+        ("strip", "check", 0),
+        ("strip", "chords", 0),
+        ("strip", "collar", 4),
+    ],
+)
+def test_mesh_file_interval_edge_extrapolates(interval_mesh_files, name, command, exit_code):
+    # the immersion extrapolates linearly past an interval's ends, so the
+    # slice checks' finite differences there end in a verdict
+    code, _, err = run_cli([command, str(interval_mesh_files[name])])
+    assert code == exit_code, err  # collar: 5 is NotASlice, 4 NonExact
+    assert err.count("\n") <= 1 and "Traceback" not in err
+
+
+@st.composite
+def contract_inputs(draw):
+    """A mesh-file edge case, or a catalog entry at 2-16 nodes per axis
+    with ``c`` and ``max_time`` drawn inside their ranges: the manifest's
+    slice object or the edge case's name."""
+    name = draw(st.sampled_from(["surface", "strip", *catalog_list()]))
+    if name in ("surface", "strip"):
+        return name
+    params = {"resolution": draw(st.integers(min_value=2, max_value=16))}
+    if name == "sheared_unknot":
+        params["c"] = draw(st.floats(min_value=-2 / 3, max_value=2.0, exclude_min=True))
+    if name in ("circle", "hopf_circle"):
+        params["max_time"] = draw(st.floats(min_value=1e-3, max_value=20.0))
+    return {"catalog": name, "params": params}
+
+
+@settings(max_examples=100)
+@given(source=contract_inputs(), command=st.sampled_from([["check"], ["chords"], ["chords", "--force"], ["collar"]]))
+def test_commands_end_with_exit_code_and_one_line(interval_mesh_files, source, command):
+    # the crash-free contract: every command ends with a documented exit
+    # code and at most one line on stderr, never a traceback
+    if isinstance(source, str):
+        path = interval_mesh_files[source]
+    else:
+        path = interval_mesh_files["surface"].with_name("catalog.json")
+        path.write_text(json.dumps({"slice": source}))
+    code, _, err = run_cli([*command, str(path)])
+    assert code in range(6), err
+    assert err.count("\n") <= 1 and "Traceback" not in err

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from reebkit.chords import ChordRecord
+from reebkit import catalog_get, primitive
+from reebkit.chords import ChordRecord, SearchOptions, chords_projection
 from reebkit.collar import (
     Classification,
     Convention,
@@ -137,7 +138,7 @@ def test_oracle_matches_feasibility_classification():
 
 def _build_profile(zs, vs, margin):
     """One profile from the stacked builder."""
-    return _build_profiles(zs[None], vs[None], np.array([len(zs)]), margin, runway=1.0)[0]
+    return _build_profiles(zs[None], vs[None], np.array([len(zs)]), margin)[0]
 
 
 def test_oracle_against_constructed_profile():
@@ -188,7 +189,7 @@ def test_eval_profile_matches_piece_loop():
         profiles.append(profile)
         heights.append(z)
     # profiles of different lengths built together, their last rows repeated
-    stack = _build_profiles(zs, vs, counts, 0.05, runway=1.0)
+    stack = _build_profiles(zs, vs, counts, 0.05)
     assert stack.shape == (len(counts), counts.max() + 1, 5)
     for profile, padded, z in zip(profiles, stack, heights):
         assert np.array_equal(padded[: len(profile)], profile)
@@ -280,10 +281,10 @@ def test_fiber_field_stack_matches_per_point_calls(sheared_01_entry, primitives)
     prim = primitives[("sheared_unknot", 0.1)]
     grid = grid_around_slice(slc, per_axis=7, z_axis=33)
     for pts in (slc.points, grid):
-        stacked = FiberBumpField(slc, prim, margin=0.05, runway=1.0)(pts)
-        single = FiberBumpField(slc, prim, margin=0.05, runway=1.0)
+        stacked = FiberBumpField(slc, prim, margin=0.05)(pts)
+        single = FiberBumpField(slc, prim, margin=0.05)
         assert np.array_equal(stacked, [single(p) for p in pts])
-    shaped = FiberBumpField(slc, prim, margin=0.05, runway=1.0)(grid.reshape(7, 7, 33, 3))
+    shaped = FiberBumpField(slc, prim, margin=0.05)(grid.reshape(7, 7, 33, 3))
     assert np.array_equal(shaped, stacked.reshape(7, 7, 33))
 
 
@@ -294,16 +295,51 @@ def test_fiber_table_growth_matches_one_call(sheared_01_entry, primitives):
     prim = primitives[("sheared_unknot", 0.1)]
     grid = grid_around_slice(slc, per_axis=7, z_axis=5)
     calls = np.array_split(grid, 3) + np.array_split(slc.points, 2)
-    grown = FiberBumpField(slc, prim, margin=0.05, runway=1.0)
+    grown = FiberBumpField(slc, prim, margin=0.05)
     values, widths = [], []
     for pts in calls:
         values.append(grown(pts))
         widths.append(grown.profiles.shape[1])
     assert len(set(widths)) > 1
     assert len(grown.bumps) == len(grown.profiles) == len(grown.reps)
-    fresh = FiberBumpField(slc, prim, margin=0.05, runway=1.0)
+    fresh = FiberBumpField(slc, prim, margin=0.05)
     assert np.array_equal(np.concatenate(values), fresh(np.concatenate(calls)))
     assert np.array_equal(grown(np.concatenate(calls)), fresh(np.concatenate(calls)))
+
+
+def test_fiber_rows_keyed_by_exact_shadow(sheared_01_entry, primitives):
+    # two shadows equal to 12 digits, but not bitwise, get a row each
+    fld = FiberBumpField(sheared_01_entry.slice, primitives[("sheared_unknot", 0.1)], margin=0.05)
+    s, t = np.array([0.1, 0.2]), np.array([0.1 + 1e-14, 0.2])
+    assert np.array_equal(np.round(s, 12), np.round(t, 12))
+    assert fld.rows(np.array([s, t])).tolist() == [0, 1]
+    assert len(fld.bumps) == len(fld.profiles) == len(fld.reps) == 2
+
+
+def test_fiber_rows_repeated_shadow_gets_one_row(sheared_01_entry, primitives):
+    # rows in first-occurrence order; a repeat within a call or in a later
+    # call reuses its row
+    fld = FiberBumpField(sheared_01_entry.slice, primitives[("sheared_unknot", 0.1)], margin=0.05)
+    s, t = sheared_01_entry.slice.points[3, :-1], np.array([0.05, -0.3])
+    assert fld.rows(np.array([t, s, t, t])).tolist() == [0, 1, 0, 0]
+    assert fld.rows(np.array([s, t, s])).tolist() == [1, 0, 1]
+    assert len(fld.bumps) == 2
+
+
+@pytest.mark.parametrize("resolution, new_rows", [(256, 0), (250, 1)])
+def test_reparam_check_adds_one_row_per_chord_start(resolution, new_rows):
+    # every trajectory sample, Reeb-direction difference and flow stage of
+    # a chord keeps its start's shadow bitwise, so the check adds one row
+    # per chord-start shadow the table lacks: none when the start is a mesh
+    # node (256 nodes), one otherwise (250 nodes)
+    entry = catalog_get("sheared_unknot", {"c": 0.1, "resolution": resolution})
+    chords = chords_projection(entry.model, entry.slice, SearchOptions(max_time=3.0))
+    fld = extend_h(entry.model, entry.slice, primitive(entry.model, entry.slice)).h
+    before = len(fld.bumps)
+    starts = {c.start_point[:-1].tobytes() for c in chords}
+    assert len(starts) == 1 and sum(key not in fld._row for key in starts) == new_rows
+    assert reeb_reparam_check(entry.model, entry.slice, fld, chords)["pass"]
+    assert len(fld.bumps) - before == new_rows
 
 
 def _per_point_minima(sym, spec, grid):

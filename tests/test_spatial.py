@@ -250,7 +250,7 @@ def test_fiber_data_matches_all_nodes_scan(build, exact_torus):
     # the 1-D curve has one double point in its projection; the 2-D torus
     # folds its projection up to 4:1, and symmetric shadows tie exactly
     model, slc = _sheared_unknot() if build == "sheared_unknot" else exact_torus(24)[:2]
-    fld = FiberBumpField(slc, primitive(model, slc), margin=0.05, runway=1.0)
+    fld = FiberBumpField(slc, primitive(model, slc), margin=0.05)
     rng = np.random.default_rng(3)
     lo, hi = fld.proj.min(axis=0) - 2 * fld.r_cut, fld.proj.max(axis=0) + 2 * fld.r_cut
     shadows = np.concatenate([fld.proj, rng.uniform(lo, hi, size=(300, lo.size)), np.full((1, lo.size), 5.0)])
@@ -265,8 +265,8 @@ def test_fiber_data_matches_all_nodes_scan(build, exact_torus):
         assert got_dist == want[3]  # the bump input
         crossings += len(want[2]) > 1
     assert crossings > 0  # shadows over several fiber intersections are queried
-    # the table rows, built in blocks: shadows equal to 12 digits share
-    # the row of the first of them
+    # the table rows, built in blocks: bitwise equal shadows share the row
+    # of the first of them
     rows = fld.rows(shadows)
     for row, k in zip(*np.unique(rows, return_index=True)):
         reps, profile = fld.reps[row], fld.profiles[row]
