@@ -165,12 +165,13 @@ def _build_profiles(zs: np.ndarray, vs: np.ndarray, counts: np.ndarray, margin: 
 def _eval_profile(profile: np.ndarray, z) -> np.ndarray:
     """Values at heights z (...) of profiles (..., K, 5) broadcast against
     them, 0 outside a profile's span; each height is evaluated on the
-    first piece whose z1 reaches it."""
+    first piece whose z1 reaches it, taken by one gather from the pieces
+    of all profiles flattened to (M K, 5)."""
     z = np.asarray(z, dtype=float)
-    profile = np.broadcast_to(profile, z.shape + profile.shape[-2:])
-    k = np.minimum(np.sum(profile[..., 1] < z[..., None], axis=-1), profile.shape[-2] - 1)
-    row = np.take_along_axis(profile, k[..., None, None], axis=-2)[..., 0, :]
-    z0, z1, v0, v1, blend = np.moveaxis(row, -1, 0)
+    n = profile.shape[-2]
+    k = np.minimum(np.count_nonzero(profile[..., 1] < z[..., None], axis=-1), n - 1)
+    first = n * np.arange(profile[..., 0, 0].size).reshape(profile.shape[:-2])
+    z0, z1, v0, v1, blend = profile.reshape(-1, 5).T[:, first + k]
     u = np.clip((z - z0) / (z1 - z0), 0.0, 1.0)
     ramp = (1.0 - blend) * u + blend * _smoothstep(u)
     inside = (z > profile[..., 0, 0]) & (z < profile[..., -1, 1])
@@ -399,20 +400,29 @@ def reeb_reparam_check(
     """Verify that rescaling the Reeb field by 1/(1 + dh(R)) changes chord
     flow times but not endpoints.
 
-    For each chord the original trajectory is sampled from the closed-form
-    flow ``model.flow``, the rescaled flow time is obtained by Simpson
-    quadrature of 1 + dh(R) along it over ``REPARAM_SAMPLES`` intervals,
-    and the rescaled field, which has no closed form, is integrated
-    numerically for that time; the endpoint must land back on the recorded
-    end point within ``REPARAM_DRIFT_TOL``.  With ``h`` None (the trivial
-    profile) the rescaled field is ``model.reeb`` itself.  All chords are
+    With ``h`` None (the trivial profile) 1 + dh(R) is 1, so the rescaled
+    field is the Reeb field, each rescaled time is the chord length, and
+    the endpoints are one call of the closed-form flow ``model.flow``.
+    Only a constructed profile is integrated: each chord's original
+    trajectory is sampled from ``model.flow``, the rescaled flow time is
+    obtained by Simpson quadrature of 1 + dh(R) along it over
+    ``REPARAM_SAMPLES`` intervals, and the rescaled field, which has no
+    closed form, is integrated numerically for that time; all chords are
     sampled, differentiated and integrated together, one lane per chord.
+    Either way the endpoint must land back on the recorded end point
+    within ``REPARAM_DRIFT_TOL``.
 
     Raises:
         ReparamDegenerate: 1 + dh(R) drops to zero on some chord.
     """
-    rescaled_field = model.reeb
-    if h is not None:
+    if not chords:
+        return {"max_endpoint_drift": 0.0, "pass": True, "rescaled_times": []}
+    starts = np.array([c.start_point for c in chords])
+    lengths = np.array([c.length for c in chords])
+    if h is None:
+        rescaled_times = lengths
+        endpoints = model.flow(starts, lengths)
+    else:
 
         def rescaled_field(p):
             denom = 1.0 + directional_dh_reeb(model, h, p)
@@ -420,21 +430,15 @@ def reeb_reparam_check(
                 raise ReparamDegenerate("1 + dh(Reeb) vanished along a trajectory")
             return model.reeb(p) / denom[..., None]
 
-    if not chords:
-        return {"max_endpoint_drift": 0.0, "pass": True, "rescaled_times": []}
-    n = REPARAM_SAMPLES
-    starts = np.array([c.start_point for c in chords])
-    dt = np.array([c.length for c in chords]) / n
-    if h is None:
-        vals = np.ones((len(chords), n + 1))
-    else:
+        n = REPARAM_SAMPLES
+        dt = lengths / n
         states = model.flow(starts[:, None, :], dt[:, None] * np.arange(n + 1))
         vals = 1.0 + directional_dh_reeb(model, h, states)
-    low = np.min(vals, axis=1)
-    if np.any(low <= 1e-6):
-        raise ReparamDegenerate(f"1 + dh(Reeb) reached {float(np.min(low)):.3e} on a chord")
-    rescaled_times = dt / 3.0 * (vals[:, None, :] @ _simpson_weights(n)[:, None])[:, 0, 0]
-    endpoints = integrate_flow(rescaled_field, starts, rescaled_times, tol=1e-10)
+        low = np.min(vals, axis=1)
+        if np.any(low <= 1e-6):
+            raise ReparamDegenerate(f"1 + dh(Reeb) reached {float(np.min(low)):.3e} on a chord")
+        rescaled_times = dt / 3.0 * (vals[:, None, :] @ _simpson_weights(n)[:, None])[:, 0, 0]
+        endpoints = integrate_flow(rescaled_field, starts, rescaled_times, tol=1e-10)
     drifts = _row_norms(endpoints - np.array([c.end_point for c in chords]))
     max_drift = max([0.0, *drifts.tolist()])
     return {

@@ -82,8 +82,11 @@ class StandardSphereModel:
     Inputs near the sphere are radially projected before evaluation, i.e.
     the evaluators act through the scale-invariant extension off the
     constraint surface; points beyond the band raise OffManifold.  The
-    band must admit Runge-Kutta stage points, which sit O(step^2) off the
-    sphere during flow integration.
+    band admits points slightly off the sphere, such as a mesh-file
+    immersion interpolated between its nodes at Newton iterates and
+    finite-difference steps.  No command integrates a sphere field; only
+    the tests do, and their Runge-Kutta stage points sit O(step^2) off
+    the sphere.
     """
 
     #: inputs inside this band are projected; beyond it they are rejected

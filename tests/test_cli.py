@@ -186,6 +186,22 @@ def test_collar_determinism(manifest_path):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("resolution", [16, 64])
+def test_collar_hopf_long_chords(manifest_path, resolution):
+    # chords up to time 20 on the great circle: the trivial profile's check
+    # flows them in closed form, so collar ends like chords does
+    path = manifest_path("hopf", {"slice": {"catalog": "hopf_circle", "params": {"resolution": resolution, "max_time": 20}}})
+    code, out, err = run_cli(["chords", path])
+    assert code == 0, err
+    n_chords = len(out.strip().splitlines()) - 1
+    assert n_chords > 0
+    code, out, err = run_cli(["collar", path])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["verdict"] == "Collarable"
+    assert len(doc["chords"]) == n_chords
+
+
 def test_export_front_cusps(manifest_path, tmp_path):
     path = manifest_path("unknot", {"slice": {"catalog": "unknot"}})
     out_base = str(tmp_path / "front")

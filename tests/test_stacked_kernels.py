@@ -11,7 +11,7 @@ import pytest
 
 from reebkit import catalog_get
 from reebkit.chords import ChordRecord, SearchOptions, chords_projection, chords_shooting
-from reebkit.collar import chord_action, directional_dh_reeb, reeb_reparam_check
+from reebkit.collar import Verdict, chord_action, collar_report, directional_dh_reeb, reeb_reparam_check
 from reebkit.errors import NonFinite, ReparamDegenerate, StepUnderflow
 from reebkit.models import StandardRModel, _smoothstep
 from reebkit.numerics import NewtonOptions, NewtonResult, integrate_flow, jacobian_fd, newton_solve_stack
@@ -102,22 +102,28 @@ def reference_flow(field, start, duration, tol=1e-10):
 
 
 def reference_reparam(model, h, chords, samples=256):
-    """(rescaled times, max endpoint drift) of the per-chord loop."""
+    """(rescaled times, max endpoint drift) of the per-chord loop: for the
+    trivial profile (h None) the closed-form flow for the chord's length,
+    for a constructed one Simpson times and Dormand-Prince endpoints."""
+    times, drift = [], 0.0
+    if h is None:
+        for chord in chords:
+            times.append(chord.length)
+            end = model.flow(chord.start_point, chord.length)
+            drift = max(drift, float(np.linalg.norm(end - chord.end_point)))
+        return times, drift
     n = samples + samples % 2
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    field = model.reeb
-    if h is not None:
 
-        def field(p):
-            return model.reeb(p) / (1.0 + directional_dh_reeb(model, h, p))
+    def field(p):
+        return model.reeb(p) / (1.0 + directional_dh_reeb(model, h, p))
 
-    times, drift = [], 0.0
     for chord in chords:
         dt = chord.length / n
         states = model.flow(chord.start_point, dt * np.arange(n + 1))
-        vals = np.ones(n + 1) if h is None else 1.0 + directional_dh_reeb(model, h, states)
+        vals = 1.0 + directional_dh_reeb(model, h, states)
         times.append(float(dt / 3.0 * np.dot(weights, vals)))
         end = reference_flow(field, chord.start_point, times[-1])
         drift = max(drift, float(np.linalg.norm(end - chord.end_point)))
@@ -358,6 +364,24 @@ def test_reparam_stack_matches_chord_loop_hopf(shooting_chords, hopf_entry):
     times, drift = reference_reparam(hopf_entry.model, None, chords)
     assert out["rescaled_times"] == times
     assert out["max_endpoint_drift"] == drift
+
+
+@pytest.mark.parametrize("name", ["hopf_circle", "unknot"])
+def test_trivial_profile_never_integrates(monkeypatch, name):
+    # a Legendrian slice's trivial profile rescales nothing: its check is
+    # the closed-form flow, and the collar verdict needs no integration
+    import reebkit.collar
+
+    def never(*args, **kwargs):
+        raise AssertionError("the trivial profile was integrated")
+
+    monkeypatch.setattr(reebkit.collar, "integrate_flow", never)
+    entry = catalog_get(name)
+    report = collar_report(entry.model, entry.slice)
+    assert report.verdict == Verdict.COLLARABLE
+    assert report.h_diagnostics["trivial"]
+    assert report.h_diagnostics["reparam_pass"]
+    assert report.h_diagnostics["reparam_max_drift"] < 1e-12
 
 
 def test_reparam_degenerate_on_one_chord():

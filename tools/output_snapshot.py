@@ -17,7 +17,9 @@ Inputs:
   c = 0.1 and c = -0.5, hopf_circle, torus_r5 at 96x96;
 * mesh-file exports: torus_r5 at 24x24 and warped_torus (2-D, r5), and
   the r3 unknot and sheared_unknot c = 0.1 embedded in r5 as
-  (x, y, 0, 0, z) (1-D, default collar grid).
+  (x, y, 0, 0, z) (1-D, default collar grid);
+* reproducers of mended faults: hopf_circle at 16 nodes with chords up
+  to time 20 (``collar`` once exited 1 with a point off S^3).
 
 Two snapshots, one per checkout, are compared with ``diff -r A B``: no
 difference under ``out/*.out`` and ``out/*.code`` means no command
@@ -62,6 +64,10 @@ WORKLOADS = {
     "wl_sheared_c-0.5_n4096": {"model": "r3", "slice": {"catalog": "sheared_unknot", "params": {"c": -0.5, "resolution": 4096}}},
     "wl_hopf_circle": {"model": "s3", "slice": {"catalog": "hopf_circle", "params": {}}},
     "wl_torus_r5_96": {"model": "r5", "slice": {"catalog": "torus_r5", "params": {}}},
+}
+
+REPRODUCERS = {
+    "repro_hopf_r16_t20": {"model": "s3", "slice": {"catalog": "hopf_circle", "params": {"resolution": 16, "max_time": 20}}},
 }
 
 # variant name -> environment settings that select other BLAS or SIMD kernels
@@ -145,7 +151,7 @@ def main(argv=None) -> int:
     for path in sorted((ROOT / "manifests").glob("*.json")):
         shutil.copyfile(path, inputs / path.name)
         names.append(path.stem)
-    for name, manifest in WORKLOADS.items():
+    for name, manifest in {**WORKLOADS, **REPRODUCERS}.items():
         (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
         names.append(name)
     write_mesh_exports(inputs, src)
