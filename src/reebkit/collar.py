@@ -48,6 +48,7 @@ from .slices import (
     PrimitiveField,
     check_closed,
     check_transverse,
+    edge_cochain,
     periods,
     primitive,
     pullback_alpha,
@@ -528,7 +529,11 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     if not all(c["pass"] for c in checks.values()):
         return CollarReport(checks, [], False, [], empty_conventions, {"constructed": False}, Verdict.NOT_A_SLICE)
 
-    period_values = periods(model, slc, closed)
+    # a 1-D slice needs the all-edge cochain anyway, and its one loop's
+    # period is its sum, bit for bit; a 2-D slice needs it only when exact,
+    # and its loops read from it would differ in the last bits
+    cochain = edge_cochain(model, slc) if slc.param_dim == 1 else None
+    period_values = periods(model, slc, closed, cochain)
     exact = all(p == 0.0 for p in period_values)
 
     found = find_chords(model, slc, opts.search)
@@ -536,7 +541,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     prim, h_diag = None, {"constructed": False}
     if exact:
         try:
-            prim = primitive(model, slc)
+            prim = primitive(model, slc, cochain)
         except NonExact as exc:
             # periods vanished but spanning-tree integration found a cycle
             # defect beyond tolerance: treat as non-exact at mesh scale

@@ -4,7 +4,8 @@ periods over generator loops, and primitives of exact pullbacks.
 
 Periods and primitives are both sums of one edge cochain: the integral of
 the pullback over each mesh edge, from a single Simpson quadrature stacked
-over the edges (a generator chain for a period, all edges for a primitive).
+over the edges (a generator chain for a period, all edges for a primitive;
+on a 1-D slice the two are one stack, which both may share).
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ def circle_factor(period: float = 2 * np.pi) -> DomainFactor:
 
 def interval_factor(lo: float, hi: float) -> DomainFactor:
     return DomainFactor(lo, hi, False)
+
+
+def _sweep_direction(dim: int) -> np.ndarray:
+    """Fixed generic unit vector of R^dim, (sqrt 2, ..., sqrt(dim + 1))
+    normalized: few point sets line up across it by accident."""
+    w = np.sqrt(np.arange(2.0, dim + 2))
+    return w / np.sqrt(np.sum(w * w))
 
 
 def _wrap(factors: Sequence[DomainFactor], u) -> np.ndarray:
@@ -249,9 +257,27 @@ class ParamSlice:
 
         Used by the embedding proxy: any such pair must be at parameter
         distance below the exclusion radius to count as benign.
+
+        The candidates come from a 1-D grid index over the projections of
+        the nodes onto the unit vector ``_sweep_direction``: |w . dp| <= |dp|,
+        so every pair within the tolerance is within it along w as well,
+        and twice the tolerance covers the rounding of the projections.
+        Each candidate is decided by its squared distance summed column by
+        column, d2 <= tol^2, as a grid index over the nodes decides it.
         """
         tol = COINCIDENT_TOL * max(1.0, float(np.max(np.abs(self.points))))
-        return GridIndex(self.points, cell_size=tol).close_pairs(tol)
+        columns = np.ascontiguousarray(self.points.T)
+        along = np.zeros(self.mesh.n_nodes)
+        for w, x in zip(_sweep_direction(self.ambient_dim), columns):
+            along = along + w * x
+
+        def within(i, j):
+            d2 = np.zeros(len(i))
+            for x in columns:
+                d2 += (x[i] - x[j]) ** 2
+            return d2 <= tol * tol
+
+        return GridIndex(along[:, None], cell_size=2 * tol).close_pairs(2 * tol, keep=within)
 
     def embedded_at_mesh_scale(self, exclusion_radius: float) -> bool:
         pairs = self.coincident_point_pairs()
@@ -358,7 +384,12 @@ def _loop_period(values: np.ndarray) -> float:
     return 0.0 if abs(total) < PERIOD_ZERO_TOL else total
 
 
-def periods(model, slc: ParamSlice, closed: CheckResult) -> list[float]:
+def edge_cochain(model, slc: ParamSlice) -> np.ndarray:
+    """Integral of the pullback over every mesh edge, in ``edges()`` order."""
+    return _cochain(model, slc, slc.mesh.edges())
+
+
+def periods(model, slc: ParamSlice, closed: CheckResult, cochain: Optional[np.ndarray] = None) -> list[float]:
     """Integral of the pullback around each periodic generator loop.
 
     Each loop is the chain of edges along one periodic axis through node 0;
@@ -366,10 +397,18 @@ def periods(model, slc: ParamSlice, closed: CheckResult) -> list[float]:
     below 1e-8 are snapped to exactly zero.  ``closed`` is the caller's
     ``check_closed`` result, which is not recomputed here; raises
     NotClosed when it failed.
+
+    Each loop is integrated as its own stack, unless the caller passes the
+    all-edge ``cochain`` (``edge_cochain``) to read the loops from.  On a
+    circle the one loop is all of ``edges()``, in the same order, so the
+    two agree bit for bit; on higher-dimensional meshes they differ in
+    the last bits.
     """
     if not closed.passed:
         raise NotClosed(f"closedness residual {closed.value:.3e} exceeds the tolerance")
-    return [_loop_period(_cochain(model, slc, loop)) for loop in _loops(slc.mesh, slc.mesh.edges())]
+    if cochain is None:
+        return [_loop_period(_cochain(model, slc, loop)) for loop in _loops(slc.mesh, slc.mesh.edges())]
+    return [_loop_period(loop) for loop in _loops(slc.mesh, cochain)]
 
 
 class PrimitiveField:
@@ -405,10 +444,11 @@ class PrimitiveField:
         return float(np.max(np.abs(self.values)))
 
 
-def primitive(model, slc: ParamSlice) -> PrimitiveField:
+def primitive(model, slc: ParamSlice, cochain: Optional[np.ndarray] = None) -> PrimitiveField:
     """Accumulate the edge integrals of the pullback along a spanning tree
     of the mesh graph rooted at node 0 (the gauge f = 0), by per-axis
-    running sums (``_tree_sums``).
+    running sums (``_tree_sums``).  The integrals are the caller's
+    ``edge_cochain`` when given, else computed here.
 
     Requires every period to vanish: each generator loop's period is
     summed from the same all-edge cochain, and a nonzero one raises
@@ -419,7 +459,8 @@ def primitive(model, slc: ParamSlice) -> PrimitiveField:
     """
     mesh = slc.mesh
     edges = mesh.edges()
-    cochain = _cochain(model, slc, edges)
+    if cochain is None:
+        cochain = _cochain(model, slc, edges)
     for period in map(_loop_period, _loops(mesh, cochain)):
         if period != 0.0:
             raise NonExact(period)

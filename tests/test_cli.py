@@ -444,7 +444,8 @@ def test_closedness_checked_once_per_command(manifest_path, monkeypatch, command
 def test_actions_use_one_quadrature_per_collar(manifest_path, monkeypatch):
     # every chord's action comes from one stacked evaluation of the
     # primitive: one chord_action call holding one line_quadrature call,
-    # beside the one each for the periods and the primitive
+    # beside the one all-edge cochain that the periods and the primitive
+    # of this 1-D slice share
     import reebkit.collar
     import reebkit.slices
 
@@ -470,7 +471,7 @@ def test_actions_use_one_quadrature_per_collar(manifest_path, monkeypatch):
     n_chords = len(json.loads(out)["chords"])
     assert n_chords > 1
     assert inside == [(n_chords, 1)]
-    assert len(quadratures) == 3
+    assert len(quadratures) == 2
 
 
 @pytest.mark.parametrize("command", ["chords", "collar"])
@@ -561,16 +562,31 @@ def contract_inputs(draw):
     return {"catalog": name, "params": params}
 
 
+def _contract_manifest(interval_mesh_files, source):
+    """Manifest path of a ``contract_inputs`` draw."""
+    if isinstance(source, str):
+        return interval_mesh_files[source]
+    path = interval_mesh_files["surface"].with_name("catalog.json")
+    path.write_text(json.dumps({"slice": source}))
+    return path
+
+
 @settings(max_examples=100)
 @given(source=contract_inputs(), command=st.sampled_from([["check"], ["chords"], ["chords", "--force"], ["collar"]]))
 def test_commands_end_with_exit_code_and_one_line(interval_mesh_files, source, command):
     # the crash-free contract: every command ends with a documented exit
     # code and at most one line on stderr, never a traceback
-    if isinstance(source, str):
-        path = interval_mesh_files[source]
-    else:
-        path = interval_mesh_files["surface"].with_name("catalog.json")
-        path.write_text(json.dumps({"slice": source}))
-    code, _, err = run_cli([*command, str(path)])
+    code, _, err = run_cli([*command, str(_contract_manifest(interval_mesh_files, source))])
+    assert code in range(6), err
+    assert err.count("\n") <= 1 and "Traceback" not in err
+
+
+@settings(max_examples=60)
+@given(source=contract_inputs(), what=st.sampled_from(["front", "lagrangian-projection", "chords"]))
+def test_export_plot_ends_with_exit_code_and_one_line(interval_mesh_files, source, what):
+    # the same contract for export-plot, writing under the module's
+    # temporary directory
+    path = _contract_manifest(interval_mesh_files, source)
+    code, _, err = run_cli(["export-plot", str(path), what, "-o", str(path.with_name(f"plot_{what}"))])
     assert code in range(6), err
     assert err.count("\n") <= 1 and "Traceback" not in err

@@ -532,3 +532,21 @@ def test_failed_reparam_check_blocks_collarable(unknot_entry, monkeypatch):
     report = collar.collar_report(unknot_entry.model, unknot_entry.slice, opts)
     assert report.h_diagnostics["reparam_pass"] is False
     assert report.verdict != Verdict.COLLARABLE
+
+
+def test_collar_shares_the_cochain_of_a_curve(sheared_01_entry, monkeypatch):
+    # on a 1-D slice the periods and the primitive sum one all-edge
+    # cochain: one line_quadrature call for both, one for the actions
+    from reebkit import collar, slices
+
+    calls = []
+    original = slices.line_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slices, "line_quadrature", counted)
+    report = collar.collar_report(sheared_01_entry.model, sheared_01_entry.slice)
+    assert report.exact and report.chords
+    assert len(calls) == 2

@@ -9,14 +9,17 @@ from reebkit.models import StandardRModel
 from reebkit.numerics import line_quadrature
 from reebkit.catalog import catalog_get
 from reebkit.slices import (
+    COINCIDENT_TOL,
     DomainFactor,
     Mesh,
     ParamSlice,
     _cochain,
+    _sweep_direction,
     _tree_sums,
     check_closed,
     check_transverse,
     circle_factor,
+    edge_cochain,
     interval_factor,
     load_mesh_slice,
     periods,
@@ -238,6 +241,140 @@ def test_embedding_proxy(unknot_entry):
     assert straddle.points[-1, 2] == pytest.approx(0.5000001e-9, abs=1e-22)
     assert straddle.coincident_point_pairs().tolist() == [[0, 31]]
     assert not straddle.embedded_at_mesh_scale(5.0 * straddle.mesh.max_spacing())
+
+
+def _cloud_slice(cloud: np.ndarray) -> ParamSlice:
+    """A 1-D slice whose node k is the point cloud[k]."""
+    return ParamSlice(
+        [interval_factor(0.0, len(cloud) - 1.0)],
+        lambda u: cloud[np.rint(u[..., 0]).astype(int)],
+        resolution=[len(cloud)],
+    )
+
+
+def _brute_coincident_pairs(points: np.ndarray) -> np.ndarray:
+    """Every pair i < j with the squared distance, summed column by
+    column, at most tol^2: the O(N^2) reference."""
+    tol = COINCIDENT_TOL * max(1.0, float(np.max(np.abs(points))))
+    i, j = np.triu_indices(len(points), k=1)
+    d2 = np.zeros(len(i))
+    for x in points.T:
+        d2 += (x[i] - x[j]) ** 2
+    near = d2 <= tol * tol
+    return np.stack([i[near], j[near]], axis=1)
+
+
+def _planted_cloud(dim: int, seed: int):
+    """A seeded cloud in [-1, 1]^dim (so the tolerance is COINCIDENT_TOL)
+    with planted pairs, and the (inside, outside) node pairs planted at
+    tol (1 -+ 1e-12) apart.  Those sit within 1e-6 of the origin, where
+    the coordinates resolve the 1e-12; other pairs, tol / 2 apart along
+    the sweep direction, straddle the faces of its 1-D cells."""
+    rng = np.random.default_rng(seed)
+    tol, w = COINCIDENT_TOL, _sweep_direction(dim)
+    cloud = [rng.uniform(-1.0, 1.0, size=(400, dim))]
+    inside, outside = [], []
+    for k in range(16):
+        base = (k + 1) * 1e-7 * rng.choice([-1.0, 1.0], size=dim)
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        planted = inside if k % 2 else outside
+        planted.append((sum(map(len, cloud)), sum(map(len, cloud)) + 1))
+        cloud.append(np.stack([base, base + (1 - 1e-12 if k % 2 else 1 + 1e-12) * tol * u]))
+    origin = float(np.min(cloud[0] @ w))
+    cell = 2 * tol * (1 + 2.0**-16)
+    for x in rng.uniform(-0.9, 0.9, size=(20, dim)):
+        face = origin + cell * np.ceil((x @ w - origin) / cell)  # the next face of x's cell along w
+        p = x + (face - x @ w - tol / 4) * w
+        cloud.append(np.stack([p, p + tol / 2 * w]))
+    return np.concatenate(cloud), inside, outside
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coincident_pairs_match_brute_force(dim, seed):
+    cloud, inside, outside = _planted_cloud(dim, seed)
+    got = _cloud_slice(cloud).coincident_point_pairs()
+    expected = _brute_coincident_pairs(cloud)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    found = set(map(tuple, got.tolist()))
+    assert set(inside) <= found
+    assert not set(outside) & found
+    assert len(found) == len(inside) + 20  # and the planted face straddlers
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_coincident_pairs_on_one_sweep_value(dim):
+    # every point lies in the hyperplane orthogonal to the sweep
+    # direction, so all share one 1-D cell: the pairs stay exact, and the
+    # candidates are expanded block by block instead of all N^2 / 2 at once
+    import tracemalloc
+
+    rng = np.random.default_rng(dim)
+    w = _sweep_direction(dim)
+    basis = np.linalg.qr(np.column_stack([w, rng.normal(size=(dim, dim - 1))]))[0][:, 1:]
+    cloud = rng.uniform(-0.5, 0.5, size=(2000, dim - 1)) @ basis.T
+    cloud[1::50] = cloud[::50] + 0.4 * COINCIDENT_TOL * basis[:, 0]
+    assert np.ptp(cloud @ w) < COINCIDENT_TOL
+    slc = _cloud_slice(cloud)
+    tracemalloc.start()
+    try:
+        got = slc.coincident_point_pairs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _brute_coincident_pairs(cloud))
+    assert len(got) == 40
+    assert peak < 16 * 2**20  # all 2M candidates at once take over 100 MB
+
+
+def test_coincident_scan_keeps_few_candidates(torus_entry, monkeypatch):
+    # torus_r5 at 96 x 96: the 1-D sweep passes at most one candidate per
+    # node to the exact distance test
+    import reebkit.slices
+    from reebkit.spatial import GridIndex
+
+    slc = torus_entry.slice
+    assert slc.mesh.shape == (96, 96)
+    tested = []
+
+    class Counted(GridIndex):
+        def close_pairs(self, radius, keep=None):
+            assert self.points.shape == (slc.mesh.n_nodes, 1)
+
+            def counted(i, j):
+                tested.append(len(i))
+                return keep(i, j)
+
+            return super().close_pairs(radius, keep=counted)
+
+    monkeypatch.setattr(reebkit.slices, "GridIndex", Counted)
+    assert slc.coincident_point_pairs().shape == (0, 2)
+    assert sum(tested) <= slc.mesh.n_nodes
+
+
+@pytest.mark.parametrize("name", ["circle", "unknot", "hopf_circle", "vertical_segment"])
+def test_periods_from_shared_cochain_match_bitwise(name):
+    # a 1-D slice's one generator loop is all of edges(), in order: the
+    # periods summed from the all-edge cochain are the integrated ones
+    entry = catalog_get(name)
+    model, slc = entry.model, entry.slice
+    closed = check_closed(model, slc)
+    cochain = edge_cochain(model, slc)
+    assert periods(model, slc, closed, cochain) == periods(model, slc, closed)
+    if name != "circle":
+        shared, own = primitive(model, slc, cochain), primitive(model, slc)
+        assert np.array_equal(shared.values, own.values)
+
+
+def test_periods_read_from_the_cochain_on_a_torus(torus_entry):
+    # on 2-D meshes the loops read from the all-edge cochain agree with
+    # the loops integrated on their own up to round-off
+    model, slc = torus_entry.model, torus_entry.slice
+    closed = check_closed(model, slc)
+    shared = periods(model, slc, closed, edge_cochain(model, slc))
+    assert shared == pytest.approx(periods(model, slc, closed), rel=1e-12)
+    assert shared == pytest.approx([np.pi, np.pi], rel=1e-6)
 
 
 def test_on_manifold_at_nodes(hopf_entry):

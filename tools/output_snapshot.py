@@ -18,6 +18,10 @@ Inputs:
 * mesh-file exports: torus_r5 at 24x24 and warped_torus (2-D, r5), and
   the r3 unknot and sheared_unknot c = 0.1 embedded in r5 as
   (x, y, 0, 0, z) (1-D, default collar grid);
+* a mesh-file curve with a real self-intersection: the figure-eight
+  (sin t, sin 2t / 2, 0) in r3 at 32 nodes, whose nodes t = 0 and t = pi
+  coincide, so ``collar`` ends in ``NotASlice`` through the embedding
+  check;
 * reproducers of mended faults: hopf_circle at 16 nodes with chords up
   to time 20 (``collar`` once exited 1 with a point off S^3).
 
@@ -86,6 +90,25 @@ MESH_EXPORTS = (
 )
 
 
+# (sin t, sin 2t / 2, 0) at 32 nodes, periodic: nodes t = 0 and pi coincide
+FIGURE_EIGHT = "mesh_figure_eight_r3"
+
+
+def write_mesh(inputs: Path, name: str, model: str, params: np.ndarray, points: np.ndarray, periodic: list[bool]):
+    """Write one node table, parameters (N, p) then points (N, d), and
+    its manifest."""
+    header = [f"u{j}" for j in range(params.shape[1])] + [f"a{j}" for j in range(points.shape[1])]
+    with open(inputs / f"{name}.csv", "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for u, p in zip(params.tolist(), points.tolist()):
+            fh.write(",".join(f"{v:.17g}" for v in [*u, *p]) + "\n")
+    manifest = {
+        "model": model,
+        "slice": {"mesh_file": f"{name}.csv", "param_dim": params.shape[1], "periodic": periodic},
+    }
+    (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
 def write_mesh_exports(inputs: Path, src: Path):
     """Write each export's node table and manifest, using the catalog of
     the checkout under test (an unchanged catalog gives identical files)."""
@@ -97,20 +120,10 @@ def write_mesh_exports(inputs: Path, src: Path):
         points = slc.points
         if embed:  # (x, y, z) -> (x, y, 0, 0, z)
             points = np.insert(points, [-1, -1], 0.0, axis=1)
-        header = [f"u{j}" for j in range(slc.param_dim)] + [f"a{j}" for j in range(points.shape[1])]
-        with open(inputs / f"{name}.csv", "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for u, p in zip(slc.mesh.params.tolist(), points.tolist()):
-                fh.write(",".join(f"{v:.17g}" for v in [*u, *p]) + "\n")
-        manifest = {
-            "model": model,
-            "slice": {
-                "mesh_file": f"{name}.csv",
-                "param_dim": slc.param_dim,
-                "periodic": [f.periodic for f in slc.factors],
-            },
-        }
-        (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
+        write_mesh(inputs, name, model, slc.mesh.params, points, [f.periodic for f in slc.factors])
+    t = 2 * np.pi * np.arange(32) / 32
+    figure_eight = np.stack([np.sin(t), np.sin(2 * t) / 2, 0 * t], axis=-1)
+    write_mesh(inputs, FIGURE_EIGHT, "r3", t[:, None], figure_eight, [True])
 
 
 def run_commands(names: list[str], inputs: Path, out: Path, env: dict) -> list[str]:
@@ -155,7 +168,7 @@ def main(argv=None) -> int:
         (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
         names.append(name)
     write_mesh_exports(inputs, src)
-    names += [name for name, *_ in MESH_EXPORTS]
+    names += [name for name, *_ in MESH_EXPORTS] + [FIGURE_EIGHT]
 
     env = dict(os.environ, PYTHONPATH=str(src))
     tracebacks = run_commands(names, inputs, out, env)
