@@ -30,7 +30,7 @@ from .chords import (
     _exclusion_radius,
     find_chords,
 )
-from .errors import MissingPrimitive, NonExact, ReparamDegenerate, WrongModel
+from .errors import MissingPrimitive, NonExact, NonFinite, ReparamDegenerate, ReparamUnresolved, WrongModel
 from .models import (
     DeformationSpec,
     RhoProfile,
@@ -40,7 +40,7 @@ from .models import (
     _smoothstep,
     liouville_deformed,
 )
-from .numerics import _row_norms, _simpson_weights, integrate_flow
+from .numerics import _row_norms, _simpson_weights
 from .slices import (
     DEFAULT_CLOSED_TOL,
     DEFAULT_TRANSVERSE_TOL,
@@ -62,6 +62,9 @@ DH_STEP = 1e-6  # relative central-difference step of dh along the Reeb vector
 GRID_PADDING = 0.3  # margin of the verification grid around the slice, per coordinate
 REPARAM_SAMPLES = 256  # Simpson intervals per chord of the rescaled flow time
 REPARAM_DRIFT_TOL = 1e-5  # largest endpoint drift the reparametrized-flow check passes
+REPARAM_MIN_RATE = 1e-6  # least 1 + dh(R) the rescaled Reeb field may meet
+REPARAM_ROOT_TOL = 1e-14  # Newton correction, relative to 1 + |z|, that ends the fiber root solve
+REPARAM_ROOT_ITERATIONS = 60  # cap of the fiber root solve (bisection alone needs about 40)
 
 
 class Convention(enum.Enum):
@@ -395,6 +398,67 @@ def check_deformation(sym: SymplectizationModel, spec: DeformationSpec, grid: np
     return DeformationCheck(min_dh, min_dt, pass_dh, pass_dt, pass_dh == pass_dt)
 
 
+def _fiber_endpoints(model, h, states: np.ndarray, times: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Endpoints of the rescaled field R/(1 + dh(R)) after ``times`` (C,)
+    from the chord starts, for R = dz on a Euclidean model.
+
+    That field moves a point along its own fiber, and g(z) = z + h(shadow, z)
+    grows at rate 1 along it, so the endpoint keeps the start's shadow and
+    its height is the root of g(z) = g(z_0) + T.  ``states`` (C, n + 2, d)
+    samples each chord's fiber at equal steps from its start (index 0) to
+    one step past its end; ``seeds`` (C,) are the recorded end heights.
+    Since T > 0 the root lies above the start.  One call of h on the samples gives g there;
+    the two samples around g(z_0) + T bracket the root, and a Newton
+    iteration seeded at the end height, with slopes from
+    ``directional_dh_reeb``, bisects whenever a step leaves its bracket.
+
+    Raises:
+        NonFinite: g or a residual is not finite.
+        ReparamDegenerate: g fails to increase between samples, or
+            1 + dh(R) drops to ``REPARAM_MIN_RATE`` at an iterate.
+        ReparamUnresolved: a root lies past the last sample, or the solve
+            hits ``REPARAM_ROOT_ITERATIONS``.
+    """
+    z = states[..., -1]
+    g = z + h(states)
+    target = g[:, 0] + times
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(target))):
+        raise NonFinite("z + h is not finite along a chord")
+    if np.any(np.diff(g, axis=1) <= 0.0):
+        raise ReparamDegenerate("z + h fails to increase between samples of a chord")
+    above = np.count_nonzero(g <= target[:, None], axis=1)  # g[above - 1] <= target < g[above]
+    beyond = above == g.shape[1]
+    if np.any(beyond):
+        k = int(np.argmax(beyond))
+        raise ReparamUnresolved(f"the rescaled flow of chord {k} ends more than one sample width past the chord")
+    lanes = np.arange(len(g))
+    lo, hi = z[lanes, above - 1], z[lanes, above]
+    root = np.clip(seeds, lo, hi)
+    ends = states[:, 0].copy()  # the starts, whose shadows stay bitwise
+    for _ in range(REPARAM_ROOT_ITERATIONS):
+        ends[lanes, -1] = root[lanes]
+        p = ends[lanes]
+        residual = p[:, -1] + h(p) - target[lanes]
+        if not np.all(np.isfinite(residual)):
+            raise NonFinite("z + h is not finite at an iterate of the fiber root solve")
+        rate = 1.0 + directional_dh_reeb(model, h, p)
+        if np.any(rate <= REPARAM_MIN_RATE):
+            raise ReparamDegenerate(f"1 + dh(Reeb) reached {float(np.min(rate)):.3e} near a chord end")
+        lo[lanes] = np.where(residual < 0.0, p[:, -1], lo[lanes])
+        hi[lanes] = np.where(residual > 0.0, p[:, -1], hi[lanes])
+        newton = p[:, -1] - residual / rate
+        tol = REPARAM_ROOT_TOL * (1.0 + np.abs(p[:, -1]))
+        done = (np.abs(newton - p[:, -1]) <= tol) | (hi[lanes] - lo[lanes] <= tol)
+        inside = (newton > lo[lanes]) & (newton < hi[lanes])
+        root[lanes] = np.where(inside, newton, 0.5 * (lo[lanes] + hi[lanes]))
+        lanes = lanes[~done]
+        if not lanes.size:
+            return ends
+    raise ReparamUnresolved(
+        f"the fiber root solve did not converge in {REPARAM_ROOT_ITERATIONS} iterations on chord {int(lanes[0])}"
+    )
+
+
 def reeb_reparam_check(
     model, slc: ParamSlice, h: Optional[Callable[[np.ndarray], np.ndarray]], chords: Sequence[ChordRecord]
 ) -> dict:
@@ -404,43 +468,43 @@ def reeb_reparam_check(
     With ``h`` None (the trivial profile) 1 + dh(R) is 1, so the rescaled
     field is the Reeb field, each rescaled time is the chord length, and
     the endpoints are one call of the closed-form flow ``model.flow``.
-    Only a constructed profile is integrated: each chord's original
-    trajectory is sampled from ``model.flow``, the rescaled flow time is
-    obtained by Simpson quadrature of 1 + dh(R) along it over
-    ``REPARAM_SAMPLES`` intervals, and the rescaled field, which has no
-    closed form, is integrated numerically for that time; all chords are
-    sampled, differentiated and integrated together, one lane per chord.
-    Either way the endpoint must land back on the recorded end point
-    within ``REPARAM_DRIFT_TOL``.
+    A constructed profile lives on a Euclidean model, where R = dz: each
+    chord's fiber is sampled from ``model.flow``, the rescaled flow time
+    is obtained by Simpson quadrature of 1 + dh(R) along the chord over
+    ``REPARAM_SAMPLES`` intervals, and the rescaled flow's endpoint solves
+    z + h = (z_0 + h_0) + time along the start's fiber
+    (``_fiber_endpoints``); all chords are sampled, differentiated and
+    solved together.  Either way the endpoint must land back on the
+    recorded end point within ``REPARAM_DRIFT_TOL``.
 
     Raises:
         ReparamDegenerate: 1 + dh(R) drops to zero on some chord.
+        NonFinite: the profile is not finite on a chord's fiber.
+        ReparamUnresolved: a rescaled endpoint could not be located.
+        WrongModel: a constructed profile on a non-Euclidean model.
     """
     if not chords:
         return {"max_endpoint_drift": 0.0, "pass": True, "rescaled_times": []}
     starts = np.array([c.start_point for c in chords])
     lengths = np.array([c.length for c in chords])
+    end_points = np.array([c.end_point for c in chords])
     if h is None:
         rescaled_times = lengths
         endpoints = model.flow(starts, lengths)
     else:
-
-        def rescaled_field(p):
-            denom = 1.0 + directional_dh_reeb(model, h, p)
-            if np.any(denom <= 1e-6):
-                raise ReparamDegenerate("1 + dh(Reeb) vanished along a trajectory")
-            return model.reeb(p) / denom[..., None]
-
+        if not isinstance(model, StandardRModel):
+            raise WrongModel("a constructed profile's rescaled flow needs a Euclidean model")
         n = REPARAM_SAMPLES
         dt = lengths / n
-        states = model.flow(starts[:, None, :], dt[:, None] * np.arange(n + 1))
-        vals = 1.0 + directional_dh_reeb(model, h, states)
+        # one more sample past the end brackets an endpoint that overshoots
+        states = model.flow(starts[:, None, :], dt[:, None] * np.arange(n + 2))
+        vals = 1.0 + directional_dh_reeb(model, h, states[:, :-1])
         low = np.min(vals, axis=1)
-        if np.any(low <= 1e-6):
+        if np.any(low <= REPARAM_MIN_RATE):
             raise ReparamDegenerate(f"1 + dh(Reeb) reached {float(np.min(low)):.3e} on a chord")
         rescaled_times = dt / 3.0 * (vals[:, None, :] @ _simpson_weights(n)[:, None])[:, 0, 0]
-        endpoints = integrate_flow(rescaled_field, starts, rescaled_times, tol=1e-10)
-    drifts = _row_norms(endpoints - np.array([c.end_point for c in chords]))
+        endpoints = _fiber_endpoints(model, h, states, rescaled_times, end_points[:, -1])
+    drifts = _row_norms(endpoints - end_points)
     max_drift = max([0.0, *drifts.tolist()])
     return {
         "max_endpoint_drift": max_drift,

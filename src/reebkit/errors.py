@@ -53,6 +53,12 @@ class ReparamDegenerate(ReebkitError):
     """Rescaled Reeb field blows up on a chord (1 + dh(R) <= 0)."""
 
 
+class ReparamUnresolved(ReebkitError):
+    """A rescaled flow's endpoint was not located: it lies more than one
+    sample width past its chord's end, or its root solve hit the iteration
+    cap."""
+
+
 class UnknownEntry(ReebkitError):
     """Catalog name is not registered."""
 

@@ -18,10 +18,9 @@ Field = Callable[[np.ndarray], np.ndarray]
 
 # Dormand-Prince 5(4) tableau.  The 5th-order solution is propagated; the
 # difference against the embedded 4th-order solution estimates local error.
-# Rows are (1, i) arrays, so ``row @ k[:, :i]`` combines the stages of a
-# (lanes, 7, d) stack lane by lane.
+# Row i combines stages 0..i-1: ``_DP_A[i] @ k[:i]`` on a (7, d) stage array.
 _DP_A = [
-    np.array([row])
+    np.array(row)
     for row in (
         (),
         (1 / 5,),
@@ -32,10 +31,8 @@ _DP_A = [
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     )
 ]
-_DP_B5 = np.array([[35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]])
-_DP_B4 = np.array(
-    [[5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]]
-)
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_ERR = _DP_B5 - _DP_B4
 
 
@@ -46,99 +43,64 @@ def _row_norms(f: np.ndarray) -> np.ndarray:
     return np.sqrt(f[..., None, :] @ f[..., :, None])[..., 0, 0]
 
 
-def _eval_field(field: Field, y: np.ndarray, lanes: Optional[np.ndarray] = None) -> np.ndarray:
-    """``field(y)``; raises NonFinite naming the first bad lane (row of y)
-    when ``lanes`` labels the rows of a stack."""
+def _eval_field(field: Field, y: np.ndarray) -> np.ndarray:
+    """``field(y)``; raises NonFinite on NaN or infinity."""
     f = np.asarray(field(y), dtype=float)
     if not np.all(np.isfinite(f)):
-        if lanes is None:
-            raise NonFinite(f"field returned non-finite values at {y}")
-        row = int(np.argmin(np.all(np.isfinite(f), axis=-1)))
-        raise NonFinite(f"field returned non-finite values in lane {lanes[row]} at {y[row]}")
+        raise NonFinite(f"field returned non-finite values at {y}")
     return f
 
 
 def integrate_flow(
     field: Field,
     start,
-    duration,
+    duration: float,
     tol: float = 1e-10,
-):
-    """Integrate the autonomous ODE y' = field(y) for the given duration,
-    on one start or on a stack of lanes.
+) -> np.ndarray:
+    """Integrate the autonomous ODE y' = field(y) for the given duration.
 
     Uses an embedded 4(5) Runge-Kutta pair with proportional step control;
-    local error per accepted step is kept at or below ``tol``.  Lanes keep
-    their own step size, time and FSAL stage; each stage evaluates the
-    field once on the lanes still running, and a lane retires when it
-    reaches its duration.  A lane's arithmetic does not depend on the
-    other lanes, so a stack gives the endpoints of one call per lane.
+    local error per accepted step is kept at or below ``tol``.  The last
+    stage of an accepted step is the first of the next (FSAL).
 
     Args:
-        field: callable mapping a state (d,) to its velocity for a single
-            start, and states (k, d) to velocities (k, d) for a stack.
-        start: initial state (d,), or a stack of initial states (S, d).
-        duration: nonnegative flow time, a scalar or one per lane (S,).
+        field: callable mapping a state (d,) to its velocity (d,).
+        start: initial state (d,).
+        duration: nonnegative flow time.
         tol: local error tolerance per step.
 
     Returns:
-        The endpoint state(s), shaped like ``start``.
+        The endpoint state (d,).
 
     Raises:
-        StepUnderflow: a lane's adaptive step shrank below the machine
-            threshold.
+        StepUnderflow: the adaptive step shrank below the machine threshold.
         NonFinite: the field returned NaN or infinity.
     """
     y = np.array(start, dtype=float)
-    single = y.ndim == 1
-    lane_field = field
-    if single:
-        y = y[None]
-
-        def lane_field(p):
-            return np.asarray(field(p[0]), dtype=float)[None]
-
-    durations = np.broadcast_to(np.asarray(duration, dtype=float), y.shape[:1])
-    if not np.all(durations >= 0):
+    duration = float(duration)
+    if not duration >= 0:
         raise ValueError("duration must be nonnegative")
     if tol <= 0:
         raise ValueError("tol must be positive")
-
-    h_floor = 1e-14 * np.maximum(1.0, durations)
-    h = durations / 100.0
-    t = np.zeros(len(y))
-    live = np.flatnonzero(durations > 0.0)
-    k1 = np.empty_like(y)
-    if live.size:
-        k1[live] = _eval_field(lane_field, y[live], live)
-    while live.size:
-        hl = np.minimum(h[live], durations[live] - t[live])
-        under = hl < h_floor[live]
-        if np.any(under):
-            row = int(np.argmax(under))
-            raise StepUnderflow(
-                f"step size {hl[row]:.3e} underflowed at t={t[live[row]]:.6g} in lane {live[row]}"
-            )
-        # stages lane-major, (lanes, 7, d): each lane's combinations are
-        # the same BLAS calls as for a lone lane, whatever the stack size
-        k = np.empty((live.size, 7, y.shape[1]))
-        k[:, 0] = k1[live]
-        y_live = y[live]
+    h_floor = 1e-14 * max(1.0, duration)
+    h = duration / 100.0
+    t = 0.0
+    k1 = _eval_field(field, y) if duration > 0.0 else None
+    while t < duration:
+        h = min(h, duration - t)
+        if h < h_floor:
+            raise StepUnderflow(f"step size {h:.3e} underflowed at t={t:.6g}")
+        k = np.empty((7,) + y.shape)
+        k[0] = k1
         for i in range(1, 7):
-            yi = y_live + hl[:, None] * (_DP_A[i] @ k[:, :i])[:, 0]
-            k[:, i] = _eval_field(lane_field, yi, live)
-        err = hl * _row_norms((_DP_ERR @ k)[:, 0])
-        ok = err <= tol
-        done = live[ok]
-        y[done] = y_live[ok] + hl[ok, None] * (_DP_B5 @ k[ok])[:, 0]
-        t[done] += hl[ok]
-        k1[done] = k[ok, 6]  # FSAL: last stage is the next first stage
-        # proportional controller with safety factor and growth clamps, in
-        # Python floats per lane (numpy's vectorized power rounds differently)
-        factors = [5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * (tol / e) ** 0.2)) for e in err.tolist()]
-        h[live] = hl * factors
-        live = live[t[live] < durations[live]]
-    return y[0] if single else y
+            k[i] = _eval_field(field, y + h * (_DP_A[i] @ k[:i]))
+        err = h * float(np.linalg.norm(_DP_ERR @ k))
+        if err <= tol:
+            y = y + h * (_DP_B5 @ k)
+            t += h
+            k1 = k[6]
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+    return y
 
 
 def rk4_step(field: Field, y: np.ndarray, h: float) -> np.ndarray:

@@ -328,8 +328,8 @@ def test_fiber_rows_repeated_shadow_gets_one_row(sheared_01_entry, primitives):
 
 @pytest.mark.parametrize("resolution, new_rows", [(256, 0), (250, 1)])
 def test_reparam_check_adds_one_row_per_chord_start(resolution, new_rows):
-    # every trajectory sample, Reeb-direction difference and flow stage of
-    # a chord keeps its start's shadow bitwise, so the check adds one row
+    # every fiber sample, Reeb-direction difference and root iterate of a
+    # chord keeps its start's shadow bitwise, so the check adds one row
     # per chord-start shadow the table lacks: none when the start is a mesh
     # node (256 nodes), one otherwise (250 nodes)
     entry = catalog_get("sheared_unknot", {"c": 0.1, "resolution": resolution})

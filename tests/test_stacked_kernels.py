@@ -1,18 +1,29 @@
-"""The stacked Newton, Dormand-Prince and primitive kernels against the
-one-seed, one-start and one-point loops they replaced.  The loops are kept
-below as references; every lane of a stack must reproduce its own loop bit
-for bit: iterate, residual, iteration count and failure reason for Newton,
-endpoint for the flow, nearest node and chord action for the primitive.
-The one exception is where BLAS sums a stack in another order than a lone
-lane, named at its tolerance."""
+"""The stacked Newton, reparametrized-flow and primitive kernels against
+the one-seed, one-chord and one-point loops they replaced.  The loops are
+kept below as references; every lane of a stack must reproduce its own
+loop bit for bit: iterate, residual, iteration count and failure reason
+for Newton, rescaled time and endpoint drift for the reparametrized flow,
+nearest node and chord action for the primitive.  The one exception is
+where BLAS sums a stack in another order than a lone lane, named at its
+tolerance."""
 
 import numpy as np
 import pytest
 
 from reebkit import catalog_get
 from reebkit.chords import ChordRecord, SearchOptions, chords_projection, chords_shooting
-from reebkit.collar import Verdict, chord_action, collar_report, directional_dh_reeb, reeb_reparam_check
-from reebkit.errors import NonFinite, ReparamDegenerate, StepUnderflow
+from reebkit.collar import (
+    REPARAM_DRIFT_TOL,
+    REPARAM_ROOT_ITERATIONS,
+    REPARAM_ROOT_TOL,
+    Verdict,
+    chord_action,
+    collar_report,
+    directional_dh_reeb,
+    extend_h,
+    reeb_reparam_check,
+)
+from reebkit.errors import NonFinite, ReparamDegenerate, ReparamUnresolved
 from reebkit.models import StandardRModel, _smoothstep
 from reebkit.numerics import NewtonOptions, NewtonResult, integrate_flow, jacobian_fd, newton_solve_stack
 from reebkit.slices import _NEAREST_BLOCK, ParamSlice, _edge_integrals, circle_factor, primitive
@@ -60,74 +71,57 @@ def reference_newton(system, seed, opts):
     return NewtonResult(False, x, res, opts.max_iterations, failure=reason)
 
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-
-
-def reference_flow(field, start, duration, tol=1e-10):
-    """Dormand-Prince 5(4) on one start, as run once per chord before
-    stacking."""
-    y = np.array(start, dtype=float)
-    if duration == 0.0:
-        return y
-    h_floor = 1e-14 * max(1.0, duration)
-    h = duration / 100.0
-    t = 0.0
-    k1 = np.asarray(field(y), dtype=float)
-    while t < duration:
-        h = min(h, duration - t)
-        if h < h_floor:
-            raise StepUnderflow(f"step size {h:.3e} underflowed at t={t:.6g}")
-        k = np.empty((7,) + y.shape)
-        k[0] = k1
-        for i in range(1, 7):
-            k[i] = field(y + h * np.tensordot(np.array(_DP_A[i]), k[:i], axes=(0, 0)))
-        err = h * float(np.linalg.norm(np.tensordot(_DP_ERR, k, axes=(0, 0))))
-        if err <= tol:
-            y = y + h * np.tensordot(_DP_B5, k, axes=(0, 0))
-            t += h
-            k1 = k[6]
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-        h *= factor
-    return y
+def reference_fiber_root(model, h, states, time, seed):
+    """The endpoint of one chord's rescaled flow after ``time``: the root of
+    g = z + h at g(start) + time on the fiber of ``states[0]`` (the start),
+    bracketed by the two samples around it and refined by Newton steps
+    seeded at ``seed`` that bisect when they leave the bracket."""
+    g = states[:, -1] + h(states)
+    target = g[0] + time
+    k = int(np.searchsorted(g, target, side="right"))
+    assert 0 < k < len(g)
+    lo, hi = states[k - 1, -1], states[k, -1]
+    end = states[0].copy()
+    end[-1] = min(max(seed, lo), hi)
+    for _ in range(REPARAM_ROOT_ITERATIONS):
+        z = end[-1]
+        residual = z + h(end) - target
+        rate = 1.0 + directional_dh_reeb(model, h, end)
+        if residual < 0.0:
+            lo = z
+        elif residual > 0.0:
+            hi = z
+        newton = z - residual / rate
+        tol = REPARAM_ROOT_TOL * (1.0 + abs(z))
+        if abs(newton - z) <= tol or hi - lo <= tol:
+            return end
+        end[-1] = newton if lo < newton < hi else 0.5 * (lo + hi)
+    raise AssertionError("the reference root solve did not converge")
 
 
 def reference_reparam(model, h, chords, samples=256):
-    """(rescaled times, max endpoint drift) of the per-chord loop: for the
-    trivial profile (h None) the closed-form flow for the chord's length,
-    for a constructed one Simpson times and Dormand-Prince endpoints."""
-    times, drift = [], 0.0
-    if h is None:
-        for chord in chords:
-            times.append(chord.length)
-            end = model.flow(chord.start_point, chord.length)
-            drift = max(drift, float(np.linalg.norm(end - chord.end_point)))
-        return times, drift
+    """(rescaled times, endpoints (C, d), max endpoint drift) of the
+    per-chord loop: for the trivial profile (h None) the closed-form flow
+    for the chord's length; for a constructed one the Simpson time and the
+    fiber root of z + h = (z_0 + h_0) + time, on samples that run from the
+    chord's start to one step past its end."""
+    times, ends = [], []
     n = samples + samples % 2
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-
-    def field(p):
-        return model.reeb(p) / (1.0 + directional_dh_reeb(model, h, p))
-
     for chord in chords:
+        if h is None:
+            times.append(chord.length)
+            ends.append(model.flow(chord.start_point, chord.length))
+            continue
         dt = chord.length / n
-        states = model.flow(chord.start_point, dt * np.arange(n + 1))
-        vals = 1.0 + directional_dh_reeb(model, h, states)
+        states = model.flow(chord.start_point, dt * np.arange(n + 2))
+        vals = 1.0 + directional_dh_reeb(model, h, states[:-1])
         times.append(float(dt / 3.0 * np.dot(weights, vals)))
-        end = reference_flow(field, chord.start_point, times[-1])
-        drift = max(drift, float(np.linalg.norm(end - chord.end_point)))
-    return times, drift
+        ends.append(reference_fiber_root(model, h, states, times[-1], chord.end_point[-1]))
+    drift = max([0.0, *(float(np.linalg.norm(end - c.end_point)) for end, c in zip(ends, chords))])
+    return times, np.array(ends), drift
 
 
 def reference_node_distances(slc, u):
@@ -291,45 +285,6 @@ def test_newton_stack_without_lanes():
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince
-# ---------------------------------------------------------------------------
-
-
-def twisted3(y):
-    return np.stack([-y[..., 1] + 0.1 * np.sin(y[..., 2]), y[..., 0], 0.5 * np.cos(y[..., 0]) * y[..., 1]], axis=-1)
-
-
-def twisted4(y):
-    return np.stack([-y[..., 1], y[..., 0] + 0.2 * y[..., 3] ** 2, -2.0 * y[..., 3], 2.0 * y[..., 2]], axis=-1)
-
-
-@pytest.mark.parametrize("field, d", [(twisted3, 3), (twisted4, 4)])
-def test_flow_stack_matches_start_loop(field, d):
-    starts = np.random.default_rng(d).uniform(-1.0, 1.0, size=(6, d))
-    durations = np.array([0.7, 2.5, 0.0, 1.3, 4.0, 1e-3])
-    ends = integrate_flow(field, starts, durations)
-    assert ends.shape == starts.shape
-    for start, duration, end in zip(starts, durations, ends):
-        assert np.array_equal(end, reference_flow(field, start, duration))
-    assert np.array_equal(ends[2], starts[2])
-    # a single start and a scalar duration run as a one-lane stack
-    assert np.array_equal(integrate_flow(field, starts[1], 2.5), ends[1])
-
-
-def test_flow_stack_step_underflow_names_lane():
-    # y' = 1/(1-y) blows up at t = 0.5 from y = 0 only
-    field = lambda y: 1.0 / np.maximum(1e-300, 1.0 - y)  # noqa: E731
-    with pytest.raises(StepUnderflow, match="lane 1"), pytest.warns(RuntimeWarning, match="overflow"):
-        integrate_flow(field, np.array([[-10.0], [0.0], [-20.0]]), 2.0)
-
-
-def test_flow_stack_nonfinite_names_lane():
-    field = lambda y: np.where(y > 5.0, np.nan, 1.0)  # noqa: E731
-    with pytest.raises(NonFinite, match="lane 2"):
-        integrate_flow(field, np.array([[0.0], [3.0], [4.9]]), np.array([1.0, 1.0, 1.0]))
-
-
-# ---------------------------------------------------------------------------
 # reparametrized-flow check
 # ---------------------------------------------------------------------------
 
@@ -341,47 +296,161 @@ def _vertical_chords(xs, lengths):
     ]
 
 
+def _bump_profile(p):
+    planar = 1.0 - _smoothstep((np.abs(p[..., 0]) - 0.2) / 0.6)
+    return 0.3 * planar * _smoothstep((p[..., 2] + 0.9) / 1.5)
+
+
 def test_reparam_stack_matches_chord_loop():
     model = StandardRModel(2)
     slc = catalog_get("unknot").slice
-
-    def h(p):
-        planar = 1.0 - _smoothstep((np.abs(p[..., 0]) - 0.2) / 0.6)
-        return 0.3 * planar * _smoothstep((p[..., 2] + 0.9) / 1.5)
-
     chords = _vertical_chords([-0.5, 0.0, 0.1, 0.7, 2.0], [1.0, 1.3, 0.4, 2.0, 0.9])
-    out = reeb_reparam_check(model, slc, h, chords)
-    times, drift = reference_reparam(model, h, chords)
+    out = reeb_reparam_check(model, slc, _bump_profile, chords)
+    times, _, drift = reference_reparam(model, _bump_profile, chords)
     assert out["rescaled_times"] == times
     assert out["max_endpoint_drift"] == drift
     assert out["pass"]
+
+
+def test_reparam_root_matches_integrated_rescaled_field():
+    # independent of the root solve: Dormand-Prince on the rescaled field
+    # R/(1 + dh(R)) for the same Simpson times lands on the same endpoints
+    model = StandardRModel(2)
+    chords = _vertical_chords([-0.5, 0.0, 0.1, 0.7, 2.0], [1.0, 1.3, 0.4, 2.0, 0.9])
+    times, ends, drift = reference_reparam(model, _bump_profile, chords)
+
+    def rescaled(p):
+        return model.reeb(p) / (1.0 + directional_dh_reeb(model, _bump_profile, p))
+
+    integrated = np.array([integrate_flow(rescaled, c.start_point, t, tol=1e-10) for c, t in zip(chords, times)])
+    assert np.max(np.abs(integrated - ends)) <= 1e-8
+    assert np.array_equal(integrated[:, :-1], ends[:, :-1])  # both stay on the start's fiber
+    assert 1e-9 < drift < REPARAM_DRIFT_TOL  # the Simpson error shows, well inside the tolerance
 
 
 def test_reparam_stack_matches_chord_loop_hopf(shooting_chords, hopf_entry):
     chords = shooting_chords["hopf_circle"]
     assert len(chords) > 1
     out = reeb_reparam_check(hopf_entry.model, hopf_entry.slice, None, chords)
-    times, drift = reference_reparam(hopf_entry.model, None, chords)
+    times, _, drift = reference_reparam(hopf_entry.model, None, chords)
     assert out["rescaled_times"] == times
     assert out["max_endpoint_drift"] == drift
+
+
+def _forbid_integration(monkeypatch):
+    import reebkit.numerics
+
+    def never(*args, **kwargs):
+        raise AssertionError("a collar run integrated a flow")
+
+    monkeypatch.setattr(reebkit.numerics, "integrate_flow", never)
 
 
 @pytest.mark.parametrize("name", ["hopf_circle", "unknot"])
 def test_trivial_profile_never_integrates(monkeypatch, name):
     # a Legendrian slice's trivial profile rescales nothing: its check is
     # the closed-form flow, and the collar verdict needs no integration
-    import reebkit.collar
-
-    def never(*args, **kwargs):
-        raise AssertionError("the trivial profile was integrated")
-
-    monkeypatch.setattr(reebkit.collar, "integrate_flow", never)
+    _forbid_integration(monkeypatch)
     entry = catalog_get(name)
     report = collar_report(entry.model, entry.slice)
     assert report.verdict == Verdict.COLLARABLE
     assert report.h_diagnostics["trivial"]
     assert report.h_diagnostics["reparam_pass"]
     assert report.h_diagnostics["reparam_max_drift"] < 1e-12
+
+
+@pytest.mark.parametrize("c, verdict", [(0.1, Verdict.COLLARABLE), (-0.5, Verdict.SCHEME_OBSTRUCTED)])
+def test_constructed_profile_never_integrates(monkeypatch, c, verdict):
+    # a constructed profile's rescaled flow is a root solve along the fiber
+    _forbid_integration(monkeypatch)
+    entry = catalog_get("sheared_unknot", {"c": c})
+    report = collar_report(entry.model, entry.slice)
+    assert report.verdict == verdict
+    assert not report.h_diagnostics["trivial"]
+    assert report.h_diagnostics["reparam_pass"]
+    assert 0.0 < report.h_diagnostics["reparam_max_drift"] < 1e-8
+
+
+def _with_end_height(chord, dz):
+    end = chord.end_point.copy()
+    end[-1] += dz
+    return ChordRecord(chord.start_param, chord.end_param, chord.start_point, end, chord.length)
+
+
+@pytest.mark.parametrize("delta", [1e-3, -1e-3])
+def test_reparam_drift_of_a_shifted_end(sheared_entries, projection_chords, primitives, delta):
+    # on c = -0.5 the Simpson time overshoots: the rescaled flow ends past
+    # the last sample, which is the recorded end; a record whose end height
+    # is off by delta must drift by that, whichever way it is off
+    entry = sheared_entries[-0.5]
+    (chord,) = projection_chords[("sheared_unknot", -0.5)]
+    h = extend_h(entry.model, entry.slice, primitives[("sheared_unknot", -0.5)]).h
+    _, (end,), drift = reference_reparam(entry.model, h, [chord])
+    last_sample = entry.model.flow(chord.start_point, chord.length / 256 * 256)
+    assert end[-1] - last_sample[-1] > 1e-10 and drift > 1e-10
+    shifted = _with_end_height(chord, delta)
+    out = reeb_reparam_check(entry.model, entry.slice, h, [shifted])
+    assert not out["pass"]
+    assert out["max_endpoint_drift"] == pytest.approx(abs(delta), abs=1e-8)
+    assert out["max_endpoint_drift"] == pytest.approx(float(np.linalg.norm(end - shifted.end_point)), abs=1e-13)
+
+
+def _hidden_drops(depth, gaps):
+    """Profile that drops by ``depth`` inside each of the sample gaps
+    ``gaps`` of a unit chord from z = -0.5 (256 samples), so the Simpson
+    time, which sees dh(R) = 0 at every sample, misses every drop."""
+    dt = 1.0 / 256
+
+    def h(p):
+        z = p[..., 2]
+        return -depth * sum(_smoothstep((z + 0.5 - (k + 0.25) * dt) / (0.5 * dt)) for k in gaps)
+
+    return h
+
+
+def test_reparam_root_past_the_last_sample():
+    # a drop of 5e-4 that no sample sees: the rescaled flow ends 5e-4 past
+    # the chord's last sample and end, and the check must say so
+    model = StandardRModel(2)
+    slc = catalog_get("unknot").slice
+    chords = _vertical_chords([0.4], [1.0])
+    out = reeb_reparam_check(model, slc, _hidden_drops(5e-4, [100]), chords)
+    assert out["rescaled_times"] == [1.0]
+    assert not out["pass"]
+    assert out["max_endpoint_drift"] == pytest.approx(5e-4, abs=1e-13)
+
+
+def test_reparam_root_beyond_the_samples():
+    # three hidden drops of 0.6 sample widths put the endpoint 1.8 sample
+    # widths past the chord end, beyond the last sample: not located
+    model = StandardRModel(2)
+    slc = catalog_get("unknot").slice
+    h = _hidden_drops(0.6 / 256, [10, 20, 30])
+    with pytest.raises(ReparamUnresolved, match="chord 0"):
+        reeb_reparam_check(model, slc, h, _vertical_chords([0.4], [1.0]))
+
+
+def test_reparam_root_solve_has_a_cap(monkeypatch):
+    # the sheared profile's root takes two iterations; with a cap of one
+    # the solve must fail, never accept the unconverged iterate
+    import reebkit.collar
+
+    entry = catalog_get("sheared_unknot", {"c": 0.1})
+    h = extend_h(entry.model, entry.slice, primitive(entry.model, entry.slice)).h
+    chords = chords_projection(entry.model, entry.slice, SearchOptions())
+    assert reeb_reparam_check(entry.model, entry.slice, h, chords)["pass"]
+    monkeypatch.setattr(reebkit.collar, "REPARAM_ROOT_ITERATIONS", 1)
+    with pytest.raises(ReparamUnresolved, match="did not converge"):
+        reeb_reparam_check(entry.model, entry.slice, h, chords)
+
+
+def test_reparam_nonfinite_profile():
+    # the profile is NaN on the sample one step past the chord end
+    model = StandardRModel(2)
+    slc = catalog_get("unknot").slice
+    h = lambda p: np.where(p[..., 2] > 0.502, np.nan, 0.0)  # noqa: E731
+    with pytest.raises(NonFinite):
+        reeb_reparam_check(model, slc, h, _vertical_chords([0.4], [1.0]))
 
 
 def test_reparam_degenerate_on_one_chord():
