@@ -250,40 +250,60 @@ class FiberBumpField:
     def rows(self, shadows: np.ndarray) -> np.ndarray:
         """Table row of each row of ``shadows`` (N, d-1).  Bitwise equal
         shadows share a row; the missing ones get rows in the order they
-        first occur, appended in blocks, padding the narrower of the table
-        and the block."""
-        keys = [shadow.tobytes() for shadow in shadows]
-        missing: dict[bytes, int] = {}  # each new key's first index
-        for i, key in enumerate(keys):
-            if key not in self._row:
-                missing.setdefault(key, i)
-        self._row.update((key, len(self.bumps) + j) for j, key in enumerate(missing))
-        first = list(missing.values())
-        for lo in range(0, len(first), _FIBER_BLOCK):
-            nodes, counts, dist = self.fibers(shadows[first[lo : lo + _FIBER_BLOCK]])
-            filled = np.arange(max(1, counts.max())) < counts[:, None]
-            zs, vs = np.zeros((2, *filled.shape))
-            reps = np.full(filled.shape, -1)
-            zs[filled], vs[filled], reps[filled] = self.heights[nodes], self.prescriptions[nodes], nodes
-            profiles = _build_profiles(zs, vs, counts, self.margin)
-            # 0 at distance inf, where no node is in reach
-            bumps = 1.0 - _smoothstep((dist - self.r_plateau) / max(self.r_cut - self.r_plateau, 1e-12))
-            k = max(self.profiles.shape[1], profiles.shape[1])
-            edge = [np.pad(a, ((0, 0), (0, k - a.shape[1]), (0, 0)), mode="edge") for a in (self.profiles, profiles)]
-            fill = [np.pad(a, ((0, 0), (0, k - 1 - a.shape[1])), constant_values=-1) for a in (self.reps, reps)]
-            self.profiles, self.reps = np.concatenate(edge), np.concatenate(fill)
-            self.bumps = np.append(self.bumps, bumps)
-        return np.array([self._row[key] for key in keys], dtype=int)
+        first occur, appended to the table in one step, padding the
+        narrower of the table and the new rows.
+
+        Only the first shadow of each run of bitwise equal consecutive
+        shadows is looked up by its bytes: grids repeat each shadow along
+        their last axis."""
+        shadows = np.asarray(shadows, dtype=float)
+        bits = shadows.view(np.uint64)
+        starts = np.ones(len(shadows), dtype=bool)
+        starts[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+        heads = np.flatnonzero(starts)
+        first, head_rows = [], np.empty(len(heads), dtype=int)
+        for j, i in enumerate(heads.tolist()):
+            key = shadows[i].tobytes()
+            row = self._row.get(key)
+            if row is None:
+                row = self._row[key] = len(self.bumps) + len(first)
+                first.append(i)
+            head_rows[j] = row
+        if first:
+            self._append(shadows[first])
+        return np.repeat(head_rows, np.diff(heads, append=len(shadows)))
+
+    def _append(self, shadows: np.ndarray):
+        """Append one table row per row of ``shadows`` (B, d-1); the fiber
+        pass runs ``_FIBER_BLOCK`` shadows at a time."""
+        passes = [self.fibers(shadows[lo : lo + _FIBER_BLOCK]) for lo in range(0, len(shadows), _FIBER_BLOCK)]
+        nodes, counts, dist = (np.concatenate(parts) for parts in zip(*passes))
+        filled = np.arange(max(1, counts.max())) < counts[:, None]
+        zs, vs = np.zeros((2, *filled.shape))
+        reps = np.full(filled.shape, -1)
+        zs[filled], vs[filled], reps[filled] = self.heights[nodes], self.prescriptions[nodes], nodes
+        profiles = _build_profiles(zs, vs, counts, self.margin)
+        # 0 at distance inf, where no node is in reach
+        bumps = 1.0 - _smoothstep((dist - self.r_plateau) / max(self.r_cut - self.r_plateau, 1e-12))
+        k = max(self.profiles.shape[1], profiles.shape[1])
+        edge = [a if a.shape[1] == k else np.pad(a, ((0, 0), (0, k - a.shape[1]), (0, 0)), mode="edge")
+                for a in (self.profiles, profiles)]
+        fill = [a if a.shape[1] == k - 1 else np.pad(a, ((0, 0), (0, k - 1 - a.shape[1])), constant_values=-1)
+                for a in (self.reps, reps)]
+        self.profiles, self.reps = np.concatenate(edge), np.concatenate(fill)
+        self.bumps = np.append(self.bumps, bumps)
+
+    def values(self, rows: np.ndarray, heights) -> np.ndarray:
+        """Field values at the heights (N,) over the table rows (N,)."""
+        bump = self.bumps[rows]
+        return np.where(bump != 0.0, bump * _eval_profile(self.profiles[rows], heights), 0.0)
 
     def __call__(self, points) -> np.ndarray:
         """Field values at points of shape (..., d), with shape (...): one
         gather of the shadows' rows, then one evaluation of all heights."""
         p = np.asarray(points, dtype=float)
         flat = p.reshape(-1, p.shape[-1])
-        rows = self.rows(flat[:, :-1])
-        bump = self.bumps[rows]
-        values = np.where(bump != 0.0, bump * _eval_profile(self.profiles[rows], flat[:, -1]), 0.0)
-        return values.reshape(p.shape[:-1])
+        return self.values(self.rows(flat[:, :-1]), flat[:, -1]).reshape(p.shape[:-1])
 
 
 @dataclass
@@ -308,7 +328,7 @@ def extend_h(model, slc: ParamSlice, prim: PrimitiveField, margin: float = 0.05)
     if not isinstance(model, StandardRModel):
         raise WrongModel("fiber extension requires a Euclidean model")
     fld = FiberBumpField(slc, prim, margin)
-    fld.rows(fld.proj)  # the table now holds the rows of the node shadows, and no other
+    node_rows = fld.rows(fld.proj)  # the table now holds the rows of the node shadows, and no other
     profiles, reps = fld.profiles, fld.reps
 
     # consecutive prescriptions along each fiber; the padding adds only
@@ -331,7 +351,7 @@ def extend_h(model, slc: ParamSlice, prim: PrimitiveField, margin: float = 0.05)
     mean = (v1 - v0) / (z1 - z0)
     slopes = np.where(mean >= 0, mean * (1.0 - blend), mean * (1.0 - blend + _SMOOTHSTEP_MAX_SLOPE * blend))
     min_slope = min(0.0, float(np.min(slopes)))
-    max_defect = float(np.max(np.abs(fld(slc.points) - (-prim.values))))
+    max_defect = float(np.max(np.abs(fld.values(node_rows, fld.heights) - (-prim.values))))
     return ExtendResult(True, fld, min_slope=min_slope, max_h_plus_f=max_defect)
 
 

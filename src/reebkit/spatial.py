@@ -89,9 +89,12 @@ class GridIndex:
         if radius > self.cell_size:
             raise ValueError("radius exceeds cell size; rebuild with a larger cell")
         rows, hits = self._probe(self._hash(self._keys(points)))
-        near = np.flatnonzero(np.sum((self.points[hits] - points[rows]) ** 2, axis=1) <= radius * radius)
-        near = near[np.lexsort((hits[near], rows[near]))]
-        return rows[near], hits[near]
+        d2 = np.zeros(len(rows))
+        for x, q in zip(self._columns, points.T):  # in order: for d < 8 the sums of np.sum over a row
+            d2 += (x[hits] - q[rows]) ** 2
+        near = d2 <= radius * radius
+        keys = np.sort(rows[near] * len(self.points) + hits[near])  # unique, so in (row, index) order
+        return np.divmod(keys, len(self.points))
 
     def nearest_within(self, points: np.ndarray, radius: float):
         """(indices, distances) of the closest stored point within ``radius``

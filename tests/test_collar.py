@@ -21,6 +21,7 @@ from reebkit.collar import (
 )
 from reebkit.errors import MissingPrimitive, ReparamDegenerate
 from reebkit.models import DeformationSpec, RhoProfile, StandardRModel, SymplectizationModel, liouville_deformed
+from reebkit.slices import load_mesh_slice
 
 
 def _smoothstep(u):
@@ -243,6 +244,32 @@ def test_extend_h_obstructed_synthetic(sheared_entries, primitives):
     assert params[1] == pytest.approx(3 * np.pi / 2, abs=0.1)
 
 
+def _unknot_in_r5(tmp_path):
+    """(model, slice): the unknot mesh embedded in r5 as (x, y, 0, 0, z),
+    loaded from a mesh file."""
+    slc = catalog_get("unknot").slice
+    path = tmp_path / "unknot_r5.csv"
+    rows = [[u[0], x, y, 0.0, 0.0, z] for u, (x, y, z) in zip(slc.mesh.params, slc.points)]
+    path.write_text("t,x1,y1,x2,y2,z\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in rows))
+    return StandardRModel(2), load_mesh_slice(path, 1, [True])
+
+
+@pytest.mark.parametrize("case", ["sheared_0.1", "sheared_-0.5", "unknot_r5"])
+def test_extend_h_node_defect_matches_keyed_field(case, sheared_entries, sheared_01_entry, tmp_path):
+    # the node defect is evaluated on the rows of the node shadows; a
+    # fresh field keying every node shadow gives the same value to the bit
+    if case == "unknot_r5":
+        model, slc = _unknot_in_r5(tmp_path)
+    else:
+        entry = sheared_01_entry if case == "sheared_0.1" else sheared_entries[-0.5]
+        model, slc = entry.model, entry.slice
+    prim = primitive(model, slc)
+    res = extend_h(model, slc, prim, margin=0.05)
+    assert res.ok
+    keyed = FiberBumpField(slc, prim, margin=0.05)(slc.points)
+    assert res.max_h_plus_f == float(np.max(np.abs(keyed + prim.values)))
+
+
 def test_extend_h_oracle_equivalence_under_scaling(sheared_entries, primitives):
     # obstruction happens exactly when the chord-level oracle fails
     entry = sheared_entries[0.5]
@@ -324,6 +351,43 @@ def test_fiber_rows_repeated_shadow_gets_one_row(sheared_01_entry, primitives):
     assert fld.rows(np.array([t, s, t, t])).tolist() == [0, 1, 0, 0]
     assert fld.rows(np.array([s, t, s])).tolist() == [1, 0, 1]
     assert len(fld.bumps) == 2
+
+
+def test_fiber_rows_interleaved_repeats_get_one_row(sheared_01_entry, primitives):
+    # runs of equal shadows, and repeats apart from each other within one
+    # call, are each keyed to one row
+    fld = FiberBumpField(sheared_01_entry.slice, primitives[("sheared_unknot", 0.1)], margin=0.05)
+    s, t, u = sheared_01_entry.slice.points[3, :-1], np.array([0.05, -0.3]), np.array([0.7, 0.2])
+    rows = fld.rows(np.array([s, t, s, s, u, t, u, u, s]))
+    assert rows.tolist() == [0, 1, 0, 0, 2, 1, 2, 2, 0]
+    assert len(fld.bumps) == len(fld.profiles) == len(fld.reps) == 3
+    fresh = FiberBumpField(sheared_01_entry.slice, primitives[("sheared_unknot", 0.1)], margin=0.05)
+    assert fresh.rows(np.array([s, t, u])).tolist() == [0, 1, 2]
+    assert np.array_equal(fld.profiles, fresh.profiles) and np.array_equal(fld.bumps, fresh.bumps)
+
+
+def test_fiber_rows_signed_zero_starts_a_run(sheared_01_entry, primitives):
+    # adjacent shadows equal as numbers but not bitwise get a row each
+    fld = FiberBumpField(sheared_01_entry.slice, primitives[("sheared_unknot", 0.1)], margin=0.05)
+    shadows = np.array([[0.0, 0.1], [-0.0, 0.1], [-0.0, 0.1], [0.0, 0.1]])
+    assert np.all(shadows[0] == shadows[1])
+    assert fld.rows(shadows).tolist() == [0, 1, 1, 0]
+    assert len(fld.bumps) == 2
+
+
+def test_fiber_rows_of_a_grid_once_per_shadow(sheared_01_entry, primitives):
+    # the grid's last axis varies fastest, so its 7 * 7 * 5 points come in
+    # 49 runs of one shadow each
+    slc = sheared_01_entry.slice
+    prim = primitives[("sheared_unknot", 0.1)]
+    grid = grid_around_slice(slc, 7, 5)
+    fld = FiberBumpField(slc, prim, margin=0.05)
+    rows = fld.rows(grid[:, :-1])
+    assert len(fld.bumps) == 49 and rows.tolist() == np.repeat(np.arange(49), 5).tolist()
+    values = fld.values(rows, grid[:, -1])
+    single = FiberBumpField(slc, prim, margin=0.05)
+    assert np.array_equal(values, [single(p) for p in grid])
+    assert np.array_equal(values, fld(grid))
 
 
 @pytest.mark.parametrize("resolution, new_rows", [(256, 0), (250, 1)])

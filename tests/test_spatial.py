@@ -120,6 +120,35 @@ def test_ball_and_nearest_match_brute_force(dim, radius):
         assert got.shape == (0,)
 
 
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("radius", [CELL, 0.6 * CELL])
+def test_ball_query_matches_sum_and_lexsort_reference(dim, radius):
+    # two points planted per query at radius * (1 -+ 1e-12), one just inside
+    # the ball and one just outside it
+    rng = np.random.default_rng(40 + dim)
+    queries = rng.uniform(-0.25, 0.25, size=(40, dim))
+    directions = rng.normal(size=(40, 2, dim))
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    planted = queries[:, None] + radius * np.array([1 - 1e-12, 1 + 1e-12])[:, None] * directions
+    pts = np.concatenate([rng.uniform(-0.25, 0.25, size=(300, dim)), planted.reshape(-1, dim)])
+    index = GridIndex(pts, cell_size=CELL)
+    rows, hits = index.query_ball(queries, radius)
+    # the reference: np.sum distances over every (query, point) pair, in
+    # the lexsort order of (row, index)
+    r, h = np.divmod(np.arange(len(queries) * len(pts)), len(pts))
+    near = np.flatnonzero(np.sum((pts[h] - queries[r]) ** 2, axis=1) <= radius * radius)
+    near = near[np.lexsort((h[near], r[near]))]
+    assert np.array_equal(rows, r[near]) and np.array_equal(hits, h[near])
+    inside = set(zip(rows.tolist(), hits.tolist()))
+    for k in range(len(queries)):
+        assert (k, 300 + 2 * k) in inside and (k, 301 + 2 * k) not in inside
+    nearest, dist = index.nearest_within(queries, radius)
+    for k, q in enumerate(queries):
+        want = hits[rows == k]
+        d = np.linalg.norm(pts[want] - q, axis=1)
+        assert (nearest[k], dist[k]) == (want[np.argmin(d)], np.min(d))
+
+
 def test_nearest_tie_goes_to_lowest_index():
     pts = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.5, -0.5]]) / 8
     index = GridIndex(pts, cell_size=0.125)
@@ -265,8 +294,9 @@ def test_fiber_data_matches_all_nodes_scan(build, exact_torus):
         assert got_dist == want[3]  # the bump input
         crossings += len(want[2]) > 1
     assert crossings > 0  # shadows over several fiber intersections are queried
-    # the table rows, built in blocks: bitwise equal shadows share the row
-    # of the first of them
+    # the table rows, appended in one step after fiber passes of
+    # _FIBER_BLOCK shadows: bitwise equal shadows share the row of the
+    # first of them
     rows = fld.rows(shadows)
     for row, k in zip(*np.unique(rows, return_index=True)):
         reps, profile = fld.reps[row], fld.profiles[row]
