@@ -28,7 +28,6 @@ from .models import (
     reeb_at,
 )
 from .numerics import (
-    NewtonOptions,
     NewtonResult,
     NewtonStack,
     integrate_fixed,

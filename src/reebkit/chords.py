@@ -20,18 +20,20 @@ output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NewtonFailuresExceeded, SearchTooLong, WrongModel
 from .models import StandardRModel, StandardSphereModel
-from .numerics import NewtonOptions, _row_norms, newton_solve_stack
+from .numerics import _row_norms, newton_solve_stack
 from .slices import ParamSlice
 from .spatial import GridIndex
 
 MAX_MONITOR_STEPS = 100_000  # largest max_time / monitor_dt a shooting search runs
+PROJECTION_RESIDUAL_TOL = 1e-10  # Newton tolerance of the projection double-point system
+LANDING_RESIDUAL_TOL = 1e-9  # Newton tolerance of the shooting landing system
 
 
 @dataclass
@@ -66,7 +68,6 @@ class SearchOptions:
     launch_stride: int = 2
     monitor_dt: float = 0.02
     cluster_radius: float = 1e-4
-    newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(residual_tol=1e-10, max_iterations=60))
 
 
 def _ambient_spacing(points: np.ndarray, edges: np.ndarray) -> float:
@@ -149,7 +150,7 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
         return slc.immerse(w[:, :pdim])[:, :-1] - slc.immerse(w[:, pdim:])[:, :-1]
 
     seeds = np.concatenate([mesh.params[pairs[:, 0]], mesh.params[pairs[:, 1]]], axis=1)
-    result = newton_solve_stack(system, seeds, opts.newton)
+    result = newton_solve_stack(system, seeds, PROJECTION_RESIDUAL_TOL)
     failures = int(np.sum(~result.converged))
     if failures > 0.5 * len(pairs):
         raise NewtonFailuresExceeded(
@@ -287,8 +288,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
         residual = model.flow(slc.immerse(u), np.where(big_t <= 0, 1e-12, big_t)) - slc.immerse(v)
         return (bases[lanes] @ residual[..., None])[..., 0] if is_sphere else residual
 
-    newton_opts = replace(opts.newton, residual_tol=max(opts.newton.residual_tol, 1e-9))
-    result = newton_solve_stack(system, seeds, newton_opts)
+    result = newton_solve_stack(system, seeds, LANDING_RESIDUAL_TOL)
     x = result.x[result.converged]
     u, length, v = mesh.wrap(x[:, :pdim]), x[:, pdim], mesh.wrap(x[:, pdim + 1 :])
     residuals = result.residual_norm[result.converged]

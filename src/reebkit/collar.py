@@ -228,8 +228,7 @@ class FiberBumpField:
         over the mesh edges inside the row's ball.  A group is represented
         by its nearest node, the lowest one on an exact tie; equal heights
         keep the order of the groups' lowest nodes."""
-        rows, nodes = self._index.query_ball(shadows, self.r_cut)
-        d2 = np.sum((self.proj[nodes] - shadows[rows]) ** 2, axis=1)
+        rows, nodes, d2 = self._index.query_ball(shadows, self.r_cut)
         keys = rows * len(self.proj) + nodes  # ascending
         want = np.where(self._nbr[nodes] < 0, -1, rows[:, None] * len(self.proj) + self._nbr[nodes])
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
@@ -327,6 +326,8 @@ def extend_h(model, slc: ParamSlice, prim: PrimitiveField, margin: float = 0.05)
     """
     if not isinstance(model, StandardRModel):
         raise WrongModel("fiber extension requires a Euclidean model")
+    if not 0 < margin < 1:  # the profiles' slopes are scaled by 1 - margin
+        raise ValueError("margin must lie in (0, 1)")
     fld = FiberBumpField(slc, prim, margin)
     node_rows = fld.rows(fld.proj)  # the table now holds the rows of the node shadows, and no other
     profiles, reps = fld.profiles, fld.reps

@@ -71,6 +71,8 @@ class Manifest:
                 # NaN fails the range test too
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < float("inf"):
                     raise ManifestError(f"{section} {key!r} must be a finite positive number")
+        if not self.tolerances.get("margin", 0.0) < 1:
+            raise ManifestError("tolerance 'margin' must lie in (0, 1)")
         if not isinstance(self.search.get("launch_stride", 1), int):
             raise ManifestError("search 'launch_stride' must be an integer")
 

@@ -213,8 +213,8 @@ class RhoProfile:
 
 @dataclass(frozen=True)
 class DeformationSpec:
-    """Deformation data: ambient profile h, time profile rho, margin for
-    the strict transversality inequality dh(Reeb) > -1.
+    """Deformation data: ambient profile h, time profile rho, margin in
+    (0, 1) for the strict transversality inequality dh(Reeb) > -1.
 
     ``h`` maps points of shape (..., ambient_dim) to values of shape (...);
     ``None`` is the trivial profile h = 0.  The time profile must ramp
@@ -227,8 +227,8 @@ class DeformationSpec:
     margin: float = 0.05
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not 0 < self.margin < 1:
+            raise ValueError("margin must lie in (0, 1)")
         if abs(float(self.rho(1.0)) - 1.0) > 1e-12:
             raise ValueError("rho(1) must equal 1")
         if abs(float(self.rho.derivative(1.0))) > 1e-12:

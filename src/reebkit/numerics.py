@@ -16,6 +16,9 @@ from .errors import NonFinite, StepUnderflow
 
 Field = Callable[[np.ndarray], np.ndarray]
 
+NEWTON_MAX_ITERATIONS = 60  # Newton iterations per lane before it fails with "max_iterations"
+NEWTON_DAMPING = 0.5  # update scale factor per backtracking trial
+
 # Dormand-Prince 5(4) tableau.  The 5th-order solution is propagated; the
 # difference against the embedded 4th-order solution estimates local error.
 # Row i combines stages 0..i-1: ``_DP_A[i] @ k[:i]`` on a (7, d) stage array.
@@ -147,26 +150,6 @@ def jacobian_fd(map_fn: Callable[[np.ndarray], np.ndarray], point, step: float =
     return np.stack(cols, axis=-1)
 
 
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Settings for damped Newton iteration."""
-
-    residual_tol: float = 1e-10
-    max_iterations: int = 50
-    fd_step: float = 1e-6
-    damping: float = 0.5
-
-    def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-
-
 @dataclass
 class NewtonResult:
     converged: bool
@@ -224,7 +207,7 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
 
 
 def newton_solve_stack(
-    system: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds, opts: Optional[NewtonOptions] = None
+    system: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds, residual_tol: float
 ) -> NewtonStack:
     """Damped Newton iteration on a stack of seeds, one lane per seed.
 
@@ -234,34 +217,35 @@ def newton_solve_stack(
     one batched solve.  A singular or non-square Jacobian takes the
     least-squares step: the minimum-norm one, or Gauss-Newton for an
     overdetermined system (such as the projection system of a curve in
-    r5).  On a residual increase a lane halves its update, up to 20
-    times, before the step is accepted anyway; a lane whose seed already
-    satisfies the tolerance keeps it unchanged.  A lane's arithmetic does
+    r5).  On a residual increase a lane scales its update by
+    ``NEWTON_DAMPING``, up to 20 times, before the step is accepted
+    anyway; a lane whose seed already satisfies the tolerance keeps it
+    unchanged.  A lane's arithmetic does
     not depend on the other lanes, so the stack gives the outcomes of one
     ``newton_solve`` per seed.
 
     Returns:
         NewtonStack with ``converged`` set where the final residual norm is
-        at or below ``opts.residual_tol``; a failed lane carries its last
-        iterate, its residual, and a failure reason.
+        at or below ``residual_tol``; a failed lane carries its last
+        iterate, its residual, and a failure reason ("max_iterations" after
+        ``NEWTON_MAX_ITERATIONS`` iterations).
     """
-    opts = opts or NewtonOptions()
     x = np.array(seeds, dtype=float)
     fx = np.asarray(system(x, np.arange(len(x))), dtype=float)
     if not np.all(np.isfinite(fx)):
         raise NonFinite("system returned non-finite values at a seed")
     res = _row_norms(fx)
-    converged = res <= opts.residual_tol
+    converged = res <= residual_tol
     iterations = np.zeros(len(x), dtype=int)
     failure = np.full(len(x), None)
     singular_seen = np.zeros(len(x), dtype=bool)
 
     live = np.flatnonzero(~converged)
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, NEWTON_MAX_ITERATIONS + 1):
         if not live.size:
             break
         x_live, f_live, res_live = x[live], fx[live], res[live]
-        jac = jacobian_fd(lambda v: system(v, live), x_live, opts.fd_step)
+        jac = jacobian_fd(lambda v: system(v, live), x_live)
         delta, ranks = _newton_steps(jac, -f_live)
         lstsq = ranks >= 0
         singular_seen[live[lstsq]] = ranks[lstsq] < x.shape[1]
@@ -287,31 +271,31 @@ def newton_solve_stack(
             best_f[rows[better]] = f_try[better]
             best_res[rows[better]] = r_try[better]
             searching[rows[r_try < res_live[rows]]] = False
-            scale *= opts.damping
+            scale *= NEWTON_DAMPING
 
         failed = bad_step | np.isinf(best_res)
         iterations[live] = it
         failure[live[failed]] = "singular_jacobian"
         step = ~failed
         x[live[step]], fx[live[step]], res[live[step]] = best_x[step], best_f[step], best_res[step]
-        converged[live[step]] = best_res[step] <= opts.residual_tol
+        converged[live[step]] = best_res[step] <= residual_tol
         live = live[step & ~converged[live]]
     failure[live] = ["singular_jacobian" if seen else "max_iterations" for seen in singular_seen[live]]
     return NewtonStack(converged, x, res, iterations, failure)
 
 
-def newton_solve(system: Callable[[np.ndarray], np.ndarray], seed, opts: Optional[NewtonOptions] = None) -> NewtonResult:
+def newton_solve(system: Callable[[np.ndarray], np.ndarray], seed, residual_tol: float) -> NewtonResult:
     """Damped Newton iteration for one nonlinear system ``system(x)`` from
     one seed: a one-lane ``newton_solve_stack``.
 
     Returns:
         NewtonResult with ``converged`` set when the final residual norm is
-        at or below ``opts.residual_tol``; on failure the result carries the
+        at or below ``residual_tol``; on failure the result carries the
         last iterate, its residual, and a failure reason.
     """
     seeds = np.atleast_1d(np.array(seed, dtype=float))[None]
     return newton_solve_stack(
-        lambda x, lanes: np.atleast_1d(np.asarray(system(x[0]), dtype=float))[None], seeds, opts
+        lambda x, lanes: np.atleast_1d(np.asarray(system(x[0]), dtype=float))[None], seeds, residual_tol
     ).lane(0)
 
 

@@ -19,20 +19,22 @@ from .slices import ParamSlice
 
 _SVG_SIZE = 480.0
 _SVG_PAD = 24.0
+CUSP_SAMPLES = 2048  # front samples scanned for sign changes of x'
+PLOT_SAMPLES = 1024  # curve samples written to the CSV and drawn in the SVG
 
 
-def front_cusps(slc: ParamSlice, samples: int = 2048) -> list[float]:
+def front_cusps(slc: ParamSlice) -> list[float]:
     """Parameters where the front's x-velocity changes sign (cusp points).
 
     For Legendrian fronts both x' and z' vanish there and the (x, z)
     image has a semicubical point; the slope y = dz/dx stays finite.
     """
-    ts = np.linspace(0.0, slc.factors[0].span, samples, endpoint=False) + slc.factors[0].lo
+    ts = np.linspace(0.0, slc.factors[0].span, CUSP_SAMPLES, endpoint=False) + slc.factors[0].lo
     jac = slc.jacobian_at(ts[:, None])
     xdot = jac[:, 0, 0]
     out = []
-    for k in range(samples):
-        a, b = xdot[k], xdot[(k + 1) % samples]
+    for k in range(CUSP_SAMPLES):
+        a, b = xdot[k], xdot[(k + 1) % CUSP_SAMPLES]
         if a == 0.0:
             out.append(float(ts[k]))
         elif a * b < 0.0:
@@ -77,7 +79,6 @@ def export_plot(
     what: str,
     out_base: str,
     chords: list[ChordRecord] | None = None,
-    samples: int = 1024,
 ) -> dict:
     """Write ``<out_base>.csv`` (always) and ``<out_base>.svg`` (2-D views).
 
@@ -101,7 +102,7 @@ def export_plot(
         )
 
     f = slc.factors[0]
-    ts = np.linspace(f.lo, f.lo + f.span, samples, endpoint=False)
+    ts = np.linspace(f.lo, f.lo + f.span, PLOT_SAMPLES, endpoint=False)
     pts = slc.immerse(ts[:, None])
     closed = f.periodic
 
@@ -111,7 +112,7 @@ def export_plot(
         # delimited data only in higher dimensions
         header = ["t"] + [f"p_{j}" for j in range(pts.shape[1])]
         rows = [",".join(header)]
-        for k in range(samples):
+        for k in range(PLOT_SAMPLES):
             rows.append(",".join([fmt(ts[k])] + [fmt(v) for v in pts[k]]))
         with open(written["csv"], "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
@@ -136,7 +137,7 @@ def export_plot(
         header = ["t", "x", "y"]
 
     rows = [",".join(header)]
-    for k in range(samples):
+    for k in range(PLOT_SAMPLES):
         rows.append(",".join([fmt(ts[k]), fmt(xy[k, 0]), fmt(xy[k, 1])]))
     with open(written["csv"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")

@@ -61,10 +61,8 @@ def render_report(report: CollarReport, manifest_dict: dict | None = None) -> st
     return json.dumps(_clean(doc), indent=2) + "\n"
 
 
-def chord_table(records: list[ChordRecord], param_dim: int, point_dim: int | None = None) -> str:
+def chord_table(records: list[ChordRecord], param_dim: int, point_dim: int) -> str:
     """Comma-delimited chord table, fields in the record's canonical order."""
-    if point_dim is None:
-        point_dim = records[0].start_point.size if records else 0
     header = (
         [f"start_param_{j}" for j in range(param_dim)]
         + [f"end_param_{j}" for j in range(param_dim)]

@@ -19,8 +19,6 @@ from .errors import NonExact, NotClosed, OffManifold
 from .numerics import jacobian_fd, line_quadrature
 from .spatial import GridIndex
 
-DEFAULT_CIRCLE_NODES = 256
-DEFAULT_INTERVAL_NODES = 129
 DEFAULT_CLOSED_TOL = 1e-6
 DEFAULT_TRANSVERSE_TOL = 1e-4
 PERIOD_ZERO_TOL = 1e-8
@@ -197,7 +195,8 @@ class ParamSlice:
     ambient points (..., ambient_dim); ``jacobian``, when given, returns
     (..., ambient_dim, param_dim).  Without it, derivatives fall back to
     central differences.  The mesh is one product grid of intervals and
-    circles with at least 2 nodes per factor, so it is always connected.
+    circles, ``resolution`` nodes per factor (at least 2), so it is always
+    connected.
     """
 
     def __init__(
@@ -205,16 +204,12 @@ class ParamSlice:
         factors: Sequence[DomainFactor],
         immersion: Callable[[np.ndarray], np.ndarray],
         jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        resolution: Optional[Sequence[int]] = None,
+        *,
+        resolution: Sequence[int],
     ):
         self.factors = tuple(factors)
         self.immersion = immersion
         self.analytic_jacobian = jacobian
-        if resolution is None:
-            resolution = [
-                DEFAULT_CIRCLE_NODES if f.periodic else DEFAULT_INTERVAL_NODES
-                for f in factors
-            ]
         self.mesh = Mesh(factors, resolution)
         self.points = np.asarray(immersion(self.mesh.params), dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] != self.mesh.n_nodes:
@@ -471,13 +466,9 @@ def primitive(model, slc: ParamSlice, cochain: Optional[np.ndarray] = None) -> P
     return PrimitiveField(model, slc, values, worst)
 
 
-def load_mesh_slice(
-    path,
-    param_dim: int,
-    periodic: Sequence[bool],
-    resolution: Optional[Sequence[int]] = None,
-) -> ParamSlice:
-    """Build a ParamSlice from a delimited node table.
+def load_mesh_slice(path, param_dim: int, periodic: Sequence[bool]) -> ParamSlice:
+    """Build a ParamSlice from a delimited node table, meshed at its own
+    nodes.
 
     Row format: parameter coordinates first, ambient coordinates after; a
     header row names the columns.  Nodes must fill a regular grid (every
@@ -549,6 +540,4 @@ def load_mesh_slice(
 
         jacobian = None
 
-    if resolution is None:
-        resolution = shape
-    return ParamSlice(factors, immersion, jacobian=jacobian, resolution=resolution)
+    return ParamSlice(factors, immersion, jacobian=jacobian, resolution=shape)

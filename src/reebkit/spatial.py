@@ -84,24 +84,26 @@ class GridIndex:
         return np.repeat(rows, counts), self._order[np.repeat(first, counts) + np.arange(counts.sum())]
 
     def query_ball(self, points: np.ndarray, radius: float):
-        """(rows, indices) of the stored points within ``radius`` of each row
-        of ``points`` (Q, d), in ascending (row, index) order."""
+        """(rows, indices, d2) of the stored points within ``radius`` of each
+        row of ``points`` (Q, d), in ascending (row, index) order, with
+        their squared distances to the row."""
         if radius > self.cell_size:
             raise ValueError("radius exceeds cell size; rebuild with a larger cell")
         rows, hits = self._probe(self._hash(self._keys(points)))
         d2 = np.zeros(len(rows))
         for x, q in zip(self._columns, points.T):  # in order: for d < 8 the sums of np.sum over a row
             d2 += (x[hits] - q[rows]) ** 2
-        near = d2 <= radius * radius
-        keys = np.sort(rows[near] * len(self.points) + hits[near])  # unique, so in (row, index) order
-        return np.divmod(keys, len(self.points))
+        near = np.flatnonzero(d2 <= radius * radius)
+        keys = rows[near] * len(self.points) + hits[near]
+        order = np.argsort(keys)  # unique keys, so in (row, index) order
+        return (*np.divmod(keys[order], len(self.points)), d2[near[order]])
 
     def nearest_within(self, points: np.ndarray, radius: float):
         """(indices, distances) of the closest stored point within ``radius``
         of each row of ``points`` (Q, d), the lowest index on a tie; -1 and
         inf where none is in reach."""
-        rows, hits = self.query_ball(points, radius)
-        d = np.linalg.norm(self.points[hits] - points[rows], axis=1)
+        rows, hits, d2 = self.query_ball(points, radius)
+        d = np.sqrt(d2)  # below 8 dimensions bit for bit np.linalg.norm over a row
         first = np.lexsort((d, rows))  # stable: ascending index within a tie
         first = first[np.flatnonzero(np.diff(rows[first], prepend=-1))]
         index, dist = np.full(len(points), -1), np.full(len(points), np.inf)

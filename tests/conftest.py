@@ -169,13 +169,13 @@ def collar_reports(
 
 @pytest.fixture()
 def stack_solves(monkeypatch):
-    """Records (seeds, options, result) of every stacked solve a chord
-    search makes."""
+    """Records (seeds, residual tolerance, result) of every stacked solve a
+    chord search makes."""
     calls = []
 
-    def recording(system, seeds, opts=None):
-        result = newton_solve_stack(system, seeds, opts)
-        calls.append((np.array(seeds), opts, result))
+    def recording(system, seeds, residual_tol):
+        result = newton_solve_stack(system, seeds, residual_tol)
+        calls.append((np.array(seeds), residual_tol, result))
         return result
 
     monkeypatch.setattr(chords_module, "newton_solve_stack", recording)

@@ -255,9 +255,9 @@ def test_preclustering_matches_loop(entry_name, opts, request, monkeypatch):
         assert len(reps) < len(events)  # neighbouring launches merge
     seeds = []  # the Newton seeds of the kept events
 
-    def recording_solve(system, stack, newton_opts):
+    def recording_solve(system, stack, residual_tol):
         seeds.append(stack)
-        return newton_solve_stack(system, stack, newton_opts)
+        return newton_solve_stack(system, stack, residual_tol)
 
     monkeypatch.setattr(chords, "newton_solve_stack", recording_solve)
     chords_shooting(entry.model, entry.slice, opts)

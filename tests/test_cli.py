@@ -2,7 +2,11 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +371,8 @@ BAD_VALUES = {
     "tolerance_bool": {"slice": {"catalog": "unknot"}, "tolerances": {"closed": True}},
     "tolerance_nan": {"slice": {"catalog": "torus_r5", "params": {"resolution": 8}}, "tolerances": {"closed": float("nan")}},
     "tolerance_infinity": {"slice": {"catalog": "unknot"}, "tolerances": {"margin": float("inf")}},
+    "margin_one": {"slice": {"catalog": "unknot"}, "tolerances": {"margin": 1}},
+    "margin_above_one": {"slice": {"catalog": "hopf_circle"}, "tolerances": {"margin": 1.5}},
     "search_infinity": {"slice": {"catalog": "unknot"}, "search": {"min_length": float("inf")}},
     "search_max_time_infinity": {"slice": {"catalog": "hopf_circle"}, "search": {"max_time": float("inf")}},
     "c_nan": {"slice": {"catalog": "sheared_unknot", "params": {"c": float("nan")}}},
@@ -408,6 +414,26 @@ def test_bad_manifest_values_exit2(manifest_path, tmp_path, name, command):
     assert out == ""
     assert err.startswith("manifest error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("margin", ["1", "1.5"])
+@pytest.mark.parametrize(
+    "slice_src",
+    [
+        {"catalog": "unknot"},
+        {"catalog": "hopf_circle"},
+        {"catalog": "sheared_unknot", "params": {"c": 0.1, "resolution": 64}},
+    ],
+    ids=["unknot", "hopf_circle", "sheared_unknot"],
+)
+def test_margin_flag_outside_unit_interval_exit2(manifest_path, slice_src, margin):
+    # a margin of 1 or more makes the checks 1 + dh(R) > margin and
+    # dt > margin unverifiable and divides by 1 - margin in the profile:
+    # refused before anything is built
+    code, out, err = run_cli(["collar", manifest_path("margin", {"slice": slice_src}), "--margin", margin])
+    assert code == 2
+    assert out == ""
+    assert err == "manifest error: tolerance 'margin' must lie in (0, 1)\n"
 
 
 @pytest.mark.parametrize(
@@ -546,6 +572,59 @@ def test_mesh_file_interval_edge_extrapolates(interval_mesh_files, name, command
     assert err.count("\n") <= 1 and "Traceback" not in err
 
 
+# ambient dimension of every model a mesh file can name
+MODEL_DIMS = {"r3": 3, "r5": 5, "r7": 7, "s3": 4, "s5": 6}
+
+
+@pytest.fixture(scope="module")
+def model_mesh_files(tmp_path_factory):
+    """Mesh-file paths by (parameter dimension, ambient width), widths 2-8:
+    a 12-node circle and a 4x8 interval x circle strip, their node k/2-th
+    coordinate pair (cos, sin) of (k + 1) t + k s, scaled onto the unit
+    sphere."""
+    directory = tmp_path_factory.mktemp("model_meshes")
+    grids = {
+        1: [(t,) for t in 2 * np.pi * np.arange(12) / 12],
+        2: [(s, t) for s in np.linspace(0.0, 1.0, 4) for t in 2 * np.pi * np.arange(8) / 8],
+    }
+    paths = {}
+    for param_dim, nodes in grids.items():
+        for width in range(2, 9):
+            rows = []
+            for u in nodes:
+                s, t = (0.0, *u)[-2:]
+                angles = [(k + 1) * t + k * s for k in range(width // 2 + 1)]
+                p = np.array([f(a) for a in angles for f in (np.cos, np.sin)][:width])
+                rows.append((*u, *(p / np.linalg.norm(p))))
+            header = [f"u{j}" for j in range(param_dim)] + [f"p{j}" for j in range(width)]
+            path = directory / f"mesh_{param_dim}_{width}.csv"
+            path.write_text(",".join(header) + "\n" + "".join(",".join(f"{x:.17g}" for x in r) + "\n" for r in rows))
+            paths[param_dim, width] = path
+    return paths
+
+
+@pytest.mark.parametrize("command", [["check"], ["chords"], ["chords", "--force"], ["collar"]], ids=" ".join)
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("param_dim", [1, 2])
+@pytest.mark.parametrize("model", sorted(MODEL_DIMS))
+def test_mesh_files_end_with_exit_code_and_one_line(model_mesh_files, tmp_path, model, param_dim, offset, command):
+    # the crash-free contract on every model, with a mesh of the model's
+    # width and one column short or over: an exit code from 0 to 5 and at
+    # most one stderr line, whatever the verdict
+    slice_src = {
+        "mesh_file": str(model_mesh_files[param_dim, MODEL_DIMS[model] + offset]),
+        "param_dim": param_dim,
+        "periodic": [True] if param_dim == 1 else [False, True],
+    }
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"model": model, "slice": slice_src}))
+    code, _, err = run_cli([*command, str(path)])
+    assert code in range(6), err
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    if offset:
+        assert code == 2 and "does not match model" in err
+
+
 @st.composite
 def contract_inputs(draw):
     """A mesh-file edge case, or a catalog entry at 2-16 nodes per axis
@@ -590,3 +669,24 @@ def test_export_plot_ends_with_exit_code_and_one_line(interval_mesh_files, sourc
     code, _, err = run_cli(["export-plot", str(path), what, "-o", str(path.with_name(f"plot_{what}"))])
     assert code in range(6), err
     assert err.count("\n") <= 1 and "Traceback" not in err
+
+
+def test_commands_import_neither_scipy_nor_numpy_random():
+    # a peak-RSS guard: check, chords and collar on catalog manifests, in a
+    # fresh interpreter, import no scipy module and not numpy.random (the
+    # proximity and graph work uses the package's own grid index)
+    root = Path(__file__).resolve().parent.parent
+    manifests = [str(root / "manifests" / f"{name}.json") for name in ("sheared_unknot_long", "hopf_circle", "torus_r5")]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from reebkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main([command, path]) for path in sys.argv[1:] for command in ('check', 'chords', 'collar')]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, *manifests], capture_output=True, text=True, env=env, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 0, 0, 4]  # torus_r5 is NonExact
+    assert result["loaded"] == []

@@ -5,6 +5,7 @@ from reebkit import catalog_get, primitive
 from reebkit.chords import ChordRecord, SearchOptions, chords_projection
 from reebkit.collar import (
     Classification,
+    CollarOptions,
     Convention,
     FiberBumpField,
     Verdict,
@@ -13,6 +14,7 @@ from reebkit.collar import (
     check_deformation,
     chord_action,
     classify_chord,
+    collar_report,
     directional_dh_reeb,
     extend_h,
     feasibility_oracle_1d,
@@ -283,6 +285,17 @@ def test_extend_h_oracle_equivalence_under_scaling(sheared_entries, primitives):
         h_start = -scale * 0.5 * np.sin(3 * np.pi / 2)
         h_end = -scale * 0.5 * np.sin(np.pi / 2)
         assert res.ok == feasibility_oracle_1d(length, h_start, h_end, margin)
+
+
+@pytest.mark.parametrize("margin", [1.0, 1.5])
+@pytest.mark.parametrize("name", ["sheared_01_entry", "unknot_entry"])
+def test_collar_report_refuses_margin_of_one_or_more(request, name, margin):
+    # a constructed profile (sheared c = 0.1) would divide by 1 - margin, a
+    # trivial one (unknot) would pass a deformation check it cannot meet:
+    # both raise before any verdict
+    entry = request.getfixturevalue(name)
+    with pytest.raises(ValueError, match=r"margin must lie in \(0, 1\)"):
+        collar_report(entry.model, entry.slice, CollarOptions(margin=margin))
 
 
 def test_extend_h_success_implies_refined_check(sheared_01_entry, primitives):

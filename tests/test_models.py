@@ -264,6 +264,14 @@ def test_deformation_spec_rejects_bad_rho():
         DeformationSpec(h=None, rho=FlatProfile(0.2))
 
 
+@pytest.mark.parametrize("margin", [0.0, -0.1, 1.0, 1.5, float("nan")])
+def test_deformation_spec_rejects_margin_outside_unit_interval(margin):
+    # the checks test 1 + dh(R) > margin and dt > margin, and the profile
+    # slopes are scaled by 1 - margin: only 0 < margin < 1 is meaningful
+    with pytest.raises(ValueError, match=r"margin must lie in \(0, 1\)"):
+        DeformationSpec(h=None, rho=RhoProfile(0.2), margin=margin)
+
+
 def test_liouville_deformed_trivial():
     sym = SymplectizationModel(StandardRModel(2))
     spec = DeformationSpec.trivial()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reebkit import numerics
 from reebkit.errors import NonFinite, StepUnderflow
 from reebkit.numerics import (
-    NewtonOptions,
     integrate_fixed,
     integrate_flow,
     jacobian_fd,
@@ -103,13 +103,13 @@ def test_jacobian_exact_on_affine_maps(seed, log_step):
 
 
 def test_newton_scalar():
-    res = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0])
+    res = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0], 1e-10)
     assert res.converged
     assert abs(res.x[0] - 2.0) < 1e-10
 
 
 def test_newton_linear_system():
-    res = newton_solve(lambda v: np.array([v[0] + v[1] - 3.0, v[0] - v[1] - 1.0]), [0.0, 0.0])
+    res = newton_solve(lambda v: np.array([v[0] + v[1] - 3.0, v[0] - v[1] - 1.0]), [0.0, 0.0], 1e-10)
     assert res.converged
     assert np.allclose(res.x, [2.0, 1.0], atol=1e-10)
 
@@ -121,23 +121,22 @@ def test_newton_sheared_double_point_system():
         t1, t2 = w
         return np.array([np.cos(t1) - np.cos(t2), -np.sin(2 * t1) + np.sin(2 * t2)])
 
-    res = newton_solve(system, [1.5, 4.8])
+    res = newton_solve(system, [1.5, 4.8], 1e-10)
     assert res.converged
     assert np.allclose(res.x, [np.pi / 2, 3 * np.pi / 2], atol=1e-6)
 
 
 def test_newton_idempotent_at_root():
-    res = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0])
-    again = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), res.x)
+    res = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0], 1e-10)
+    again = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), res.x, 1e-10)
     assert again.converged
     assert again.iterations == 0
     assert np.array_equal(again.x, res.x)
 
 
-def test_newton_failure_report():
-    res = newton_solve(
-        lambda x: np.array([x[0] ** 2 + 1.0]), [0.5], NewtonOptions(max_iterations=15)
-    )
+def test_newton_failure_report(monkeypatch):
+    monkeypatch.setattr(numerics, "NEWTON_MAX_ITERATIONS", 15)
+    res = newton_solve(lambda x: np.array([x[0] ** 2 + 1.0]), [0.5], 1e-10)
     assert not res.converged
     assert res.failure in ("max_iterations", "singular_jacobian")
     assert res.iterations == 15

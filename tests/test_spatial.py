@@ -101,7 +101,7 @@ def test_ball_and_nearest_match_brute_force(dim, radius):
     rng = np.random.default_rng(dim)
     queries = np.concatenate([pts[::7], rng.uniform(-0.4, 0.4, size=(60, dim)), np.full((1, dim), 5.0)])
     queries[-6:-1] = np.round(queries[-6:-1] / CELL) * CELL
-    rows, hits = index.query_ball(queries, radius)  # the whole stack in one call
+    rows, hits, _ = index.query_ball(queries, radius)  # the whole stack in one call
     nearest, dist = index.nearest_within(queries, radius)
     assert np.array_equal(np.lexsort((hits, rows)), np.arange(len(rows)))  # ascending (row, index)
     misses = 0
@@ -132,13 +132,15 @@ def test_ball_query_matches_sum_and_lexsort_reference(dim, radius):
     planted = queries[:, None] + radius * np.array([1 - 1e-12, 1 + 1e-12])[:, None] * directions
     pts = np.concatenate([rng.uniform(-0.25, 0.25, size=(300, dim)), planted.reshape(-1, dim)])
     index = GridIndex(pts, cell_size=CELL)
-    rows, hits = index.query_ball(queries, radius)
+    rows, hits, d2 = index.query_ball(queries, radius)
     # the reference: np.sum distances over every (query, point) pair, in
     # the lexsort order of (row, index)
     r, h = np.divmod(np.arange(len(queries) * len(pts)), len(pts))
-    near = np.flatnonzero(np.sum((pts[h] - queries[r]) ** 2, axis=1) <= radius * radius)
+    ref_d2 = np.sum((pts[h] - queries[r]) ** 2, axis=1)
+    near = np.flatnonzero(ref_d2 <= radius * radius)
     near = near[np.lexsort((h[near], r[near]))]
     assert np.array_equal(rows, r[near]) and np.array_equal(hits, h[near])
+    assert np.array_equal(d2, ref_d2[near])  # bit for bit, in the same order
     inside = set(zip(rows.tolist(), hits.tolist()))
     for k in range(len(queries)):
         assert (k, 300 + 2 * k) in inside and (k, 301 + 2 * k) not in inside

@@ -10,7 +10,7 @@ tolerance."""
 import numpy as np
 import pytest
 
-from reebkit import catalog_get
+from reebkit import catalog_get, numerics
 from reebkit.chords import ChordRecord, SearchOptions, chords_projection, chords_shooting
 from reebkit.collar import (
     REPARAM_DRIFT_TOL,
@@ -25,7 +25,7 @@ from reebkit.collar import (
 )
 from reebkit.errors import NonFinite, ReparamDegenerate, ReparamUnresolved
 from reebkit.models import StandardRModel, _smoothstep
-from reebkit.numerics import NewtonOptions, NewtonResult, integrate_flow, jacobian_fd, newton_solve_stack
+from reebkit.numerics import NewtonResult, integrate_flow, jacobian_fd, newton_solve_stack
 from reebkit.slices import _NEAREST_BLOCK, ParamSlice, _edge_integrals, circle_factor, primitive
 
 # ---------------------------------------------------------------------------
@@ -33,16 +33,17 @@ from reebkit.slices import _NEAREST_BLOCK, ParamSlice, _edge_integrals, circle_f
 # ---------------------------------------------------------------------------
 
 
-def reference_newton(system, seed, opts):
-    """Damped Newton on one seed, as run once per seed before stacking."""
+def reference_newton(system, seed, residual_tol):
+    """Damped Newton on one seed, as run once per seed before stacking, with
+    the iteration count and damping the stack reads at call time."""
     x = np.atleast_1d(np.array(seed, dtype=float))
     fx = np.atleast_1d(np.asarray(system(x), dtype=float))
     res = float(np.linalg.norm(fx))
-    if res <= opts.residual_tol:
+    if res <= residual_tol:
         return NewtonResult(True, x, res, 0)
     singular_seen = False
-    for it in range(1, opts.max_iterations + 1):
-        jac = jacobian_fd(lambda v: np.atleast_1d(system(v)), x, opts.fd_step)
+    for it in range(1, numerics.NEWTON_MAX_ITERATIONS + 1):
+        jac = jacobian_fd(lambda v: np.atleast_1d(system(v)), x)
         try:
             delta = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError:
@@ -61,14 +62,14 @@ def reference_newton(system, seed, opts):
                     best_x, best_fx, best_res = x_try, f_try, r_try
                 if r_try < res:
                     break
-            scale *= opts.damping
+            scale *= numerics.NEWTON_DAMPING
         if best_x is None:
             return NewtonResult(False, x, res, it, failure="singular_jacobian")
         x, fx, res = best_x, best_fx, best_res
-        if res <= opts.residual_tol:
+        if res <= residual_tol:
             return NewtonResult(True, x, res, it)
     reason = "singular_jacobian" if singular_seen else "max_iterations"
-    return NewtonResult(False, x, res, opts.max_iterations, failure=reason)
+    return NewtonResult(False, x, res, numerics.NEWTON_MAX_ITERATIONS, failure=reason)
 
 
 def reference_fiber_root(model, h, states, time, seed):
@@ -190,10 +191,10 @@ def test_projection_stack_matches_seed_loop(stack_solves):
     entry = catalog_get("sheared_unknot", {"c": 0.1, "resolution": 4096})
     found = chords_projection(entry.model, entry.slice, SearchOptions())
     assert len(found) == 1
-    ((seeds, opts, result),) = stack_solves
+    ((seeds, residual_tol, result),) = stack_solves
     assert len(seeds) == 749
     system = projection_system(entry.slice)
-    assert_lanes_match(result, [reference_newton(system, s, opts) for s in seeds])
+    assert_lanes_match(result, [reference_newton(system, s, residual_tol) for s in seeds])
 
 
 def test_projection_stack_matches_seed_loop_r5_curve(stack_solves):
@@ -208,16 +209,16 @@ def test_projection_stack_matches_seed_loop_r5_curve(stack_solves):
     slc = ParamSlice([circle_factor()], immersion5, resolution=[128])
     found = chords_projection(StandardRModel(3), slc, SearchOptions())
     assert len(found) == 1
-    ((seeds, opts, result),) = stack_solves
+    ((seeds, residual_tol, result),) = stack_solves
     assert len(seeds) > 1
-    assert_lanes_match(result, [reference_newton(projection_system(slc), s, opts) for s in seeds])
+    assert_lanes_match(result, [reference_newton(projection_system(slc), s, residual_tol) for s in seeds])
 
 
 def test_shooting_stack_matches_seed_loop(stack_solves):
     entry = catalog_get("hopf_circle")
     model, slc = entry.model, entry.slice
     chords_shooting(model, slc, SearchOptions(max_time=2.0))
-    ((seeds, opts, result),) = stack_solves
+    ((seeds, residual_tol, result),) = stack_solves
     assert len(seeds) == 34
 
     def seed_system(seed):
@@ -232,7 +233,7 @@ def test_shooting_stack_matches_seed_loop(stack_solves):
 
         return system
 
-    assert_lanes_match(result, [reference_newton(seed_system(s), s, opts) for s in seeds])
+    assert_lanes_match(result, [reference_newton(seed_system(s), s, residual_tol) for s in seeds])
 
 
 def _mixed_lanes():
@@ -260,17 +261,17 @@ def _mixed_lanes():
     ]
 
 
-def test_mixed_newton_stack_matches_seed_loop():
+def test_mixed_newton_stack_matches_seed_loop(monkeypatch):
+    monkeypatch.setattr(numerics, "NEWTON_MAX_ITERATIONS", 15)
     lanes_spec = _mixed_lanes()
     fns = [fn for fn, _, _ in lanes_spec]
     seeds = np.array([seed for _, seed, _ in lanes_spec])
-    opts = NewtonOptions(max_iterations=15)
 
     def system(x, lanes):
         return np.stack([fns[lane](row) for lane, row in zip(lanes, x)])
 
-    result = newton_solve_stack(system, seeds, opts)
-    refs = [reference_newton(fn, seed, opts) for fn, seed, _ in lanes_spec]
+    result = newton_solve_stack(system, seeds, 1e-10)
+    refs = [reference_newton(fn, seed, 1e-10) for fn, seed, _ in lanes_spec]
     assert_lanes_match(result, refs)
     for ref, (_, _, (converged, iterations, failure)) in zip(refs, lanes_spec):
         assert ref.converged == converged
@@ -279,7 +280,7 @@ def test_mixed_newton_stack_matches_seed_loop():
 
 
 def test_newton_stack_without_lanes():
-    result = newton_solve_stack(lambda x, lanes: x, np.zeros((0, 2)))
+    result = newton_solve_stack(lambda x, lanes: x, np.zeros((0, 2)), 1e-10)
     assert result.x.shape == (0, 2)
     assert result.converged.shape == result.iterations.shape == (0,)
 
