@@ -505,12 +505,11 @@ def reeb_reparam_check(
         WrongModel: a constructed profile on a non-Euclidean model.
     """
     if not chords:
-        return {"max_endpoint_drift": 0.0, "pass": True, "rescaled_times": []}
+        return {"max_endpoint_drift": 0.0, "pass": True}
     starts = np.array([c.start_point for c in chords])
     lengths = np.array([c.length for c in chords])
     end_points = np.array([c.end_point for c in chords])
     if h is None:
-        rescaled_times = lengths
         endpoints = model.flow(starts, lengths)
     else:
         if not isinstance(model, StandardRModel):
@@ -527,11 +526,7 @@ def reeb_reparam_check(
         endpoints = _fiber_endpoints(model, h, states, rescaled_times, end_points[:, -1])
     drifts = _row_norms(endpoints - end_points)
     max_drift = max([0.0, *drifts.tolist()])
-    return {
-        "max_endpoint_drift": max_drift,
-        "pass": max_drift < REPARAM_DRIFT_TOL,
-        "rescaled_times": rescaled_times.tolist(),
-    }
+    return {"max_endpoint_drift": max_drift, "pass": max_drift < REPARAM_DRIFT_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +557,7 @@ class CollarReport:
 
 
 def _chord_entry(chord: ChordRecord, action, cls_direct, cls_feas) -> dict:
-    entry = {
+    return {
         "start_param": chord.start_param.tolist(),
         "end_param": chord.end_param.tolist(),
         "start_point": chord.start_point.tolist(),
@@ -576,7 +571,17 @@ def _chord_entry(chord: ChordRecord, action, cls_direct, cls_feas) -> dict:
         "class_feasibility": cls_feas.value if cls_feas else None,
         "conventions_disagree": bool(cls_direct and cls_feas and cls_direct != cls_feas),
     }
-    return entry
+
+
+def _conventions(active: Convention, classes: Sequence[tuple[Classification, Classification]]) -> dict:
+    """The report's ``conventions`` object over (direct, feasibility) class
+    pairs, one per chord."""
+    return {
+        "active": active.value,
+        "small_direct": sum(cd == Classification.SMALL for cd, _ in classes),
+        "small_feasibility": sum(cf == Classification.SMALL for _, cf in classes),
+        "disagreements": [k for k, (cd, cf) in enumerate(classes) if cd != cf],
+    }
 
 
 def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) -> CollarReport:
@@ -591,6 +596,8 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     when it runs, the reparametrized-flow check.
     """
     opts = opts or CollarOptions()
+    if not 0 < opts.margin < 1:
+        raise ValueError("margin must lie in (0, 1)")
     is_euclidean = isinstance(model, StandardRModel)
 
     closed = check_closed(model, slc, opts.tol_closed)
@@ -605,14 +612,9 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
         "membership": {"pass": membership_defect <= 1e-9, "max_defect": membership_defect},
         "embedding": {"pass": embedded},
     }
-    empty_conventions = {
-        "active": opts.convention.value,
-        "small_direct": 0,
-        "small_feasibility": 0,
-        "disagreements": [],
-    }
+    no_chords = _conventions(opts.convention, [])
     if not all(c["pass"] for c in checks.values()):
-        return CollarReport(checks, [], False, [], empty_conventions, {"constructed": False}, Verdict.NOT_A_SLICE)
+        return CollarReport(checks, [], False, [], no_chords, {"constructed": False}, Verdict.NOT_A_SLICE)
 
     # a 1-D slice needs the all-edge cochain anyway, and its one loop's
     # period is its sum, bit for bit; a 2-D slice needs it only when exact,
@@ -633,52 +635,46 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
             h_diag["cycle_defect"] = exc.period
     if prim is None:
         entries = [_chord_entry(c, None, None, None) for c in found]
-        return CollarReport(checks, period_values, False, entries, empty_conventions, h_diag, Verdict.NON_EXACT)
+        return CollarReport(checks, period_values, False, entries, no_chords, h_diag, Verdict.NON_EXACT)
     legendrian = prim.max_abs() <= 1e-6 and (
         float(np.max(np.abs(pullback_alpha(model, slc, slc.mesh.params)))) < LEGENDRIAN_TOL
     )
 
-    entries = []
-    small_direct = small_feas = 0
-    disagreements = []
-    active_small: list[int] = []
-    for k, (chord, action) in enumerate(zip(found, chord_action(prim, found).tolist())):
-        chord.action = action
-        cd = classify_chord(chord, action, Convention.DIRECT)
-        cf = classify_chord(chord, action, Convention.FEASIBILITY)
-        small_direct += cd == Classification.SMALL
-        small_feas += cf == Classification.SMALL
-        if cd != cf:
-            disagreements.append(k)
-        active = cd if opts.convention == Convention.DIRECT else cf
-        if active == Classification.SMALL:
-            active_small.append(k)
-        entries.append(_chord_entry(chord, action, cd, cf))
-
-    conventions = {
-        "active": opts.convention.value,
-        "small_direct": int(small_direct),
-        "small_feasibility": int(small_feas),
-        "disagreements": disagreements,
-    }
+    actions = chord_action(prim, found).tolist()
+    classes = [(classify_chord(c, a, Convention.DIRECT), classify_chord(c, a, Convention.FEASIBILITY))
+               for c, a in zip(found, actions)]
+    entries = [_chord_entry(c, a, cd, cf) for c, a, (cd, cf) in zip(found, actions, classes)]
+    conventions = _conventions(opts.convention, classes)
 
     # profile construction: trivial for Legendrian slices on any model,
     # fiber interpolation on Euclidean models, otherwise unavailable
     h_field = None  # also the trivial profile of a Legendrian slice
-    construction_ok = False
-    if legendrian:
-        construction_ok = True
-        h_diag = {"constructed": True, "trivial": True, "min_slope": 0.0, "max_h_plus_f": prim.max_abs()}
+    construction_ok = legendrian
+    if legendrian:  # h = 0: dh(R) = 0 > -1 + margin and the dt-component is 1 > margin
+        h_diag = {
+            "constructed": True,
+            "trivial": True,
+            "min_slope": 0.0,
+            "max_h_plus_f": prim.max_abs(),
+            "min_dh_reeb": 0.0,
+            "min_dt_liouville": 1.0,
+            "deformation_pass": True,
+        }
     elif is_euclidean:
         ext = extend_h(model, slc, prim, margin=opts.margin)
         if ext.ok:
-            h_field = ext.h
-            construction_ok = True
+            sym = SymplectizationModel(model, epsilon=0.2)
+            spec = DeformationSpec(h=ext.h, rho=RhoProfile(0.2), margin=opts.margin)
+            deform = check_deformation(sym, spec, grid_around_slice(slc, per_axis=7, z_axis=opts.grid_z_axis))
+            h_field, construction_ok = ext.h, deform.passed
             h_diag = {
                 "constructed": True,
                 "trivial": False,
                 "min_slope": ext.min_slope,
                 "max_h_plus_f": ext.max_h_plus_f,
+                "min_dh_reeb": deform.min_dh_reeb,
+                "min_dt_liouville": deform.min_dt_liouville,
+                "deformation_pass": deform.passed,
             }
         else:
             h_diag = {
@@ -688,29 +684,13 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     else:
         h_diag = {"constructed": False, "note": "profile construction unavailable for this model"}
 
-    if construction_ok:
-        sym = SymplectizationModel(model, epsilon=0.2)
-        spec = DeformationSpec(h=h_field, rho=RhoProfile(0.2), margin=opts.margin)
-        if is_euclidean:
-            grid = grid_around_slice(slc, per_axis=7, z_axis=opts.grid_z_axis)
-            deform = check_deformation(sym, spec, grid)
-            h_diag.update(
-                {
-                    "min_dh_reeb": deform.min_dh_reeb,
-                    "min_dt_liouville": deform.min_dt_liouville,
-                    "deformation_pass": deform.passed,
-                }
-            )
-            construction_ok = deform.passed
-        else:
-            h_diag.update({"min_dh_reeb": 0.0, "min_dt_liouville": 1.0, "deformation_pass": True})
-        if found and construction_ok:
-            reparam = reeb_reparam_check(model, slc, h_field, found)
-            h_diag["reparam_max_drift"] = reparam["max_endpoint_drift"]
-            h_diag["reparam_pass"] = reparam["pass"]
-            construction_ok = reparam["pass"]
+    if found and construction_ok:
+        reparam = reeb_reparam_check(model, slc, h_field, found)
+        h_diag["reparam_max_drift"] = reparam["max_endpoint_drift"]
+        h_diag["reparam_pass"] = reparam["pass"]
+        construction_ok = reparam["pass"]
 
-    if active_small:
+    if conventions[f"small_{opts.convention.value}"]:  # small chords under the active convention
         verdict, note = Verdict.SCHEME_OBSTRUCTED, SCHEME_OBSTRUCTED_NOTE
     elif construction_ok:
         verdict, note = Verdict.COLLARABLE, ""
@@ -722,4 +702,3 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
         verdict, note = Verdict.SCHEME_OBSTRUCTED, SCHEME_OBSTRUCTED_NOTE
 
     return CollarReport(checks, period_values, exact, entries, conventions, h_diag, verdict, note)
-

@@ -77,8 +77,8 @@ def chord_table(records: list[ChordRecord], param_dim: int, point_dim: int) -> s
             + [fmt(v) for v in rec.end_param]
             + [fmt(v) for v in rec.start_point]
             + [fmt(v) for v in rec.end_point]
-            # pure, start_component and end_component are constant: a slice is one connected grid
-            + [fmt(rec.length), "true", "0", "0", fmt(rec.action) if rec.action is not None else ""]
+            # constants: pure and both components (one connected grid), action (empty: collar has the primitive)
+            + [fmt(rec.length), "true", "0", "0", ""]
         )
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -75,9 +75,8 @@ class Mesh:
         if len(factors) != len(resolution):
             raise ValueError("one resolution per domain factor required")
         self.factors = tuple(factors)
-        self.resolution = tuple(int(r) for r in resolution)
         axes = []
-        for f, m in zip(self.factors, self.resolution):
+        for f, m in zip(self.factors, (int(r) for r in resolution)):
             if m < 2:
                 raise ValueError("need at least 2 nodes per factor")
             if f.periodic:
@@ -95,7 +94,7 @@ class Mesh:
         return len(self.factors)
 
     def spacing(self, axis: int) -> float:
-        f, m = self.factors[axis], self.resolution[axis]
+        f, m = self.factors[axis], self.shape[axis]
         return f.span / m if f.periodic else f.span / (m - 1)
 
     def max_spacing(self) -> float:

@@ -13,7 +13,7 @@ from reebkit.chords import (
     chords_shooting,
     dedup_chords,
 )
-from reebkit.errors import WrongModel
+from reebkit.errors import NewtonFailuresExceeded, WrongModel
 from reebkit.numerics import integrate_flow, newton_solve_stack
 from reebkit.report import chord_table
 from reebkit.spatial import GridIndex
@@ -96,6 +96,19 @@ def test_endpoint_membership(projection_chords, unknot_entry):
 def test_projection_requires_euclidean_model(hopf_entry):
     with pytest.raises(WrongModel):
         chords_projection(hopf_entry.model, hopf_entry.slice)
+
+
+def test_projection_failures_exceeded_on_a_square_system(unknot_entry, monkeypatch):
+    # in r3 a curve's projection system is square (two equations in two
+    # unknowns): a seed that stops above tolerance failed, and more than
+    # half failing means a bad mesh
+    def unconverged(system, stack, residual_tol):
+        result = newton_solve_stack(system, stack, residual_tol)
+        return replace(result, converged=np.zeros_like(result.converged))
+
+    monkeypatch.setattr(chords, "newton_solve_stack", unconverged)
+    with pytest.raises(NewtonFailuresExceeded, match="projection seeds failed"):
+        chords_projection(unknot_entry.model, unknot_entry.slice)
 
 
 def test_method_agreement(projection_chords, shooting_chords):

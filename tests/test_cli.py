@@ -625,6 +625,25 @@ def test_mesh_files_end_with_exit_code_and_one_line(model_mesh_files, tmp_path, 
         assert code == 2 and "does not match model" in err
 
 
+@pytest.mark.parametrize(
+    "command, exit_code", [(["chords"], 0), (["chords", "--force"], 0), (["collar"], 4)], ids=["chords", "force", "collar"]
+)
+@pytest.mark.parametrize("model", ["r5", "r7"])
+def test_chordless_curve_gets_an_empty_table(model_mesh_files, tmp_path, model, command, exit_code):
+    # a curve's projection system in r5 or r7 has more equations than
+    # unknowns, so a seed that stops above tolerance is the closest approach
+    # of two branches, not a failure: no chord, as in r3 (collar: NonExact)
+    slice_src = {"mesh_file": str(model_mesh_files[1, MODEL_DIMS[model]]), "param_dim": 1, "periodic": [True]}
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"model": model, "slice": slice_src}))
+    code, out, err = run_cli([*command, str(path)])
+    assert code == exit_code, err
+    if command[0] == "chords":
+        assert out.count("\n") == 1 and out.startswith("start_param_0,")  # the header only
+    else:
+        assert json.loads(out)["chords"] == []
+
+
 @st.composite
 def contract_inputs(draw):
     """A mesh-file edge case, or a catalog entry at 2-16 nodes per axis

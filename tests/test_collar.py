@@ -288,11 +288,11 @@ def test_extend_h_oracle_equivalence_under_scaling(sheared_entries, primitives):
 
 
 @pytest.mark.parametrize("margin", [1.0, 1.5])
-@pytest.mark.parametrize("name", ["sheared_01_entry", "unknot_entry"])
+@pytest.mark.parametrize("name", ["sheared_01_entry", "unknot_entry", "hopf_entry"])
 def test_collar_report_refuses_margin_of_one_or_more(request, name, margin):
     # a constructed profile (sheared c = 0.1) would divide by 1 - margin, a
-    # trivial one (unknot) would pass a deformation check it cannot meet:
-    # both raise before any verdict
+    # trivial one (unknot in r3, hopf_circle in s3) would pass a deformation
+    # check it cannot meet: all raise before any verdict
     entry = request.getfixturevalue(name)
     with pytest.raises(ValueError, match=r"margin must lie in \(0, 1\)"):
         collar_report(entry.model, entry.slice, CollarOptions(margin=margin))
@@ -501,7 +501,6 @@ def test_reparam_trivial(unknot_entry, projection_chords):
     out = reeb_reparam_check(unknot_entry.model, unknot_entry.slice, None, projection_chords["unknot"])
     assert out["pass"]
     assert out["max_endpoint_drift"] < 1e-8
-    assert out["rescaled_times"][0] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
 
 def test_reparam_bump_changes_time_not_endpoint(unknot_entry, projection_chords):
@@ -511,10 +510,12 @@ def test_reparam_bump_changes_time_not_endpoint(unknot_entry, projection_chords)
         ramp = _smoothstep((p[..., 2] + 0.9) / 1.5)  # asymmetric along the chord
         return 0.3 * planar * ramp
 
-    out = reeb_reparam_check(unknot_entry.model, unknot_entry.slice, h, projection_chords["unknot"])
+    (chord,) = projection_chords["unknot"]
+    out = reeb_reparam_check(unknot_entry.model, unknot_entry.slice, h, [chord])
     assert out["pass"]
     assert out["max_endpoint_drift"] < 1e-5
-    assert abs(out["rescaled_times"][0] - 4.0 / 3.0) > 1e-3  # flow time changed
+    # the rescaled time is the chord length plus h(end) - h(start)
+    assert abs(h(chord.end_point) - h(chord.start_point)) > 1e-3  # flow time changed
 
 
 def test_reparam_degenerate(unknot_entry, projection_chords):
@@ -599,12 +600,39 @@ def test_collar_verdict_consistency(collar_reports):
             assert rep.h_diagnostics["constructed"]
 
 
+@pytest.mark.parametrize("name", ["unknot_entry", "hopf_entry"])
+def test_legendrian_slice_skips_the_deformation_check(request, monkeypatch, name):
+    # the trivial profile h = 0 needs no symplectization, no spec and no
+    # grid check: its diagnostics are constants, in the report's key order
+    from reebkit import collar
+
+    def never(*args, **kwargs):
+        raise AssertionError("a Legendrian slice built deformation machinery")
+
+    for attr in ("check_deformation", "SymplectizationModel", "DeformationSpec"):
+        monkeypatch.setattr(collar, attr, never)
+    entry = request.getfixturevalue(name)
+    report = collar_report(entry.model, entry.slice)
+    assert report.verdict == Verdict.COLLARABLE
+    assert list(report.h_diagnostics.items()) == [
+        ("constructed", True),
+        ("trivial", True),
+        ("min_slope", 0.0),
+        ("max_h_plus_f", pytest.approx(0.0, abs=1e-15)),
+        ("min_dh_reeb", 0.0),
+        ("min_dt_liouville", 1.0),
+        ("deformation_pass", True),
+        ("reparam_max_drift", pytest.approx(0.0, abs=1e-14)),
+        ("reparam_pass", True),
+    ]
+
+
 def test_failed_reparam_check_blocks_collarable(unknot_entry, monkeypatch):
     from reebkit import collar
 
     opts = collar.CollarOptions(search=collar.SearchOptions(max_time=3.0))
     assert collar.collar_report(unknot_entry.model, unknot_entry.slice, opts).verdict == Verdict.COLLARABLE
-    failing = lambda *args, **kwargs: {"max_endpoint_drift": 1.0, "pass": False, "rescaled_times": []}
+    failing = lambda *args, **kwargs: {"max_endpoint_drift": 1.0, "pass": False}
     monkeypatch.setattr(collar, "reeb_reparam_check", failing)
     report = collar.collar_report(unknot_entry.model, unknot_entry.slice, opts)
     assert report.h_diagnostics["reparam_pass"] is False

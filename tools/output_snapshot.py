@@ -23,7 +23,10 @@ Inputs:
   coincide, so ``collar`` ends in ``NotASlice`` through the embedding
   check;
 * reproducers of mended faults: hopf_circle at 16 nodes with chords up
-  to time 20 (``collar`` once exited 1 with a point off S^3).
+  to time 20 (``collar`` once exited 1 with a point off S^3); the
+  chordless mesh-file curve (cos t, sin t, cos 2t, sin 2t, cos 3t),
+  normalized, in r5 at 12 nodes (``chords`` and ``collar`` once exited 1
+  with every projection seed failed).
 
 Two snapshots, one per checkout, are compared with ``diff -r A B``: no
 difference under ``out/*.out`` and ``out/*.code`` means no command
@@ -92,6 +95,8 @@ MESH_EXPORTS = (
 
 # (sin t, sin 2t / 2, 0) at 32 nodes, periodic: nodes t = 0 and pi coincide
 FIGURE_EIGHT = "mesh_figure_eight_r3"
+# (cos t, sin t, cos 2t, sin 2t, cos 3t) / norm at 12 nodes, periodic: no chord
+CHORDLESS_R5 = "mesh_chordless_curve_r5"
 
 
 def write_mesh(inputs: Path, name: str, model: str, params: np.ndarray, points: np.ndarray, periodic: list[bool]):
@@ -124,6 +129,9 @@ def write_mesh_exports(inputs: Path, src: Path):
     t = 2 * np.pi * np.arange(32) / 32
     figure_eight = np.stack([np.sin(t), np.sin(2 * t) / 2, 0 * t], axis=-1)
     write_mesh(inputs, FIGURE_EIGHT, "r3", t[:, None], figure_eight, [True])
+    t = 2 * np.pi * np.arange(12) / 12
+    curve = np.stack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t), np.cos(3 * t)], axis=-1)
+    write_mesh(inputs, CHORDLESS_R5, "r5", t[:, None], curve / np.linalg.norm(curve, axis=1)[:, None], [True])
 
 
 def run_commands(names: list[str], inputs: Path, out: Path, env: dict) -> list[str]:
@@ -168,7 +176,7 @@ def main(argv=None) -> int:
         (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
         names.append(name)
     write_mesh_exports(inputs, src)
-    names += [name for name, *_ in MESH_EXPORTS] + [FIGURE_EIGHT]
+    names += [name for name, *_ in MESH_EXPORTS] + [FIGURE_EIGHT, CHORDLESS_R5]
 
     env = dict(os.environ, PYTHONPATH=str(src))
     tracebacks = run_commands(names, inputs, out, env)
