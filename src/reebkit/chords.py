@@ -20,7 +20,7 @@ output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -31,9 +31,13 @@ from .numerics import _row_norms, newton_solve_stack
 from .slices import ParamSlice
 from .spatial import GridIndex
 
-MAX_MONITOR_STEPS = 100_000  # largest max_time / monitor_dt a shooting search runs
+MAX_MONITOR_STEPS = 100_000  # largest max_time / monitor step a shooting search runs
 PROJECTION_RESIDUAL_TOL = 1e-10  # Newton tolerance of the projection double-point system
 LANDING_RESIDUAL_TOL = 1e-9  # Newton tolerance of the shooting landing system
+# Launch-steps per block of ``_capture_events``, bounding its memory: a
+# block of states is 128 KB in four dimensions, so the capture scan does
+# not raise a sphere search's peak RSS.
+_CAPTURE_BLOCK = 2**12
 
 
 @dataclass
@@ -57,7 +61,9 @@ class ChordRecord:
 class SearchOptions:
     """Chord search settings.  ``None`` entries derive from mesh spacing:
     seed radius 3x projected spacing, exclusion radius 5x parameter
-    spacing, capture radius 2x ambient spacing."""
+    spacing, capture radius 2x ambient spacing.  ``monitor_dt`` bounds the
+    shooting monitor step, which is at most the capture radius over the
+    largest Reeb speed on the slice."""
 
     seed_radius: Optional[float] = None
     exclusion_radius: Optional[float] = None
@@ -69,6 +75,20 @@ class SearchOptions:
     cluster_radius: float = 1e-4
 
 
+def _circle_embedding(mesh, u: np.ndarray) -> np.ndarray:
+    """Parameters (N, param_dim) with each periodic axis of span P mapped
+    to the circle of circumference P: a chord is no longer than its arc,
+    so the images are at most ``mesh.param_distance`` apart."""
+    columns = []
+    for j, f in enumerate(mesh.factors):
+        if f.periodic:
+            radius = f.span / (2.0 * np.pi)
+            columns += [radius * np.cos(u[:, j] / radius), radius * np.sin(u[:, j] / radius)]
+        else:
+            columns.append(u[:, j])
+    return np.stack(columns, axis=1)
+
+
 def _ambient_spacing(points: np.ndarray, edges: np.ndarray) -> float:
     """Median length of the mesh edges (an (E, 2) index array) under ``points``."""
     return float(np.median(np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)))
@@ -77,12 +97,12 @@ def _ambient_spacing(points: np.ndarray, edges: np.ndarray) -> float:
 def _first_of_clusters(coord: np.ndarray, radius: float, close) -> np.ndarray:
     """Keep mask of a greedy clustering in priority order: an item is kept
     unless an earlier kept item is close to it.  Candidate pairs i < j come
-    from a grid index over ``coord`` (N,) at ``radius``; ``close(i, j)``
+    from a grid index over ``coord`` (N, k) at ``radius``; ``close(i, j)``
     masks those that are close and must imply |coord[i] - coord[j]| <= radius."""
     keep = np.ones(len(coord), dtype=bool)
     if not len(coord):
         return keep
-    index = GridIndex(coord[:, None], cell_size=radius)
+    index = GridIndex(coord, cell_size=radius)
     pairs = index.close_pairs(radius, keep=close)
     for i, j in pairs[np.argsort(pairs[:, 1], kind="stable")].tolist():
         keep[j] = keep[j] and not keep[i]  # dropped next to a kept earlier item
@@ -99,7 +119,7 @@ def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[C
     recs = sorted(raw, key=lambda r: (r.residual, r.sort_key()))
     keys = np.array([[*r.start_param, *r.end_param, r.length] for r in recs])
     keep = _first_of_clusters(
-        np.array([r.length for r in recs]),
+        np.array([[r.length] for r in recs]),
         cluster_radius,
         lambda i, j: np.max(np.abs(keys[i] - keys[j]), axis=1) <= cluster_radius,
     )
@@ -180,21 +200,25 @@ def _tangent_bases(p: np.ndarray) -> np.ndarray:
 
 
 def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius: float):
-    """Monitor Reeb trajectories from a subsample of nodes.
+    """Monitor Reeb trajectories from a subsample of nodes, one sample
+    every ``opts.monitor_dt``: a list of (launch node, time, captured node).
 
     Detection is armed only once a trajectory has left a 2x capture-radius
     ball around its start (suppressing trivial self-captures), and ends
     when the trajectory escapes the slice's bounding box by more than its
-    diameter.  Each dip below the capture radius yields one candidate at
-    the minimal-distance sample.
+    diameter.  A hit is an armed sample within the capture radius of a
+    node, and a dip is a run of consecutive hits of one launch.  Each dip
+    yields one candidate, at its first minimal-distance sample later than
+    ``min_length``, flushed at the sample after the dip or at the end.
 
-    All launches advance together; per step the escape, arming and box-gap
-    tests are masks, and the remaining candidates query the grid index in
-    one call.  Candidates are flushed in ascending launch order within a step,
-    so the event order matches a per-trajectory loop.
+    All launches advance together in blocks of at most ``_CAPTURE_BLOCK``
+    launch-steps.  Only the flow recurrence runs step by step; the box
+    gaps, the first escaped and armed steps and one grid-index query of
+    the armed samples near the box are array passes over a block, which
+    keep only the hits.  Events are ordered by (flush step, launch), the
+    order of a loop over steps and, within a step, over launches.
     """
-    mesh = slc.mesh
-    launches = np.arange(0, mesh.n_nodes, max(1, opts.launch_stride))
+    launches = np.arange(0, slc.mesh.n_nodes, max(1, opts.launch_stride))
     starts = slc.points[launches]
     states = starts.copy()
     idx = GridIndex(slc.points, cell_size=capture_radius)
@@ -204,51 +228,62 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
     diameter = float(np.linalg.norm(hi - lo))
     escape = diameter + 4.0 * capture_radius
 
-    n = len(launches)
-    armed = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-    inside = np.full(n, -1.0)  # best distance while within capture radius
-    best_t = np.zeros(n)
-    best_node = np.full(n, -1)  # -1: no candidate
-    events = []
-
-    def flush(mask):
-        ks = np.flatnonzero(mask & (best_node >= 0))
-        events.extend(zip(launches[ks].tolist(), best_t[ks].tolist(), best_node[ks].tolist()))
-        best_node[ks] = -1
-
+    never = np.iinfo(np.int64).max
+    escaped_at = np.full(len(launches), never)  # first step beyond the escape gap
+    armed_at = np.full(len(launches), never)  # first step beyond 2x the capture radius of the start
+    times = []  # summed step by step
+    hits = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]  # (step, launch, node, distance)
     t = 0.0
-    dt = opts.monitor_dt
-    while t < opts.max_time and np.any(alive):
-        states[alive] = model.flow(states[alive], dt)
-        t += dt
-        box_gap = np.linalg.norm(np.maximum(lo - states, 0) + np.maximum(states - hi, 0), axis=1)
-        escaped = alive & (box_gap > escape)
-        live = alive & ~escaped
-        arming = live & ~armed
-        armed[arming] = np.linalg.norm(states[arming] - starts[arming], axis=1) > 2.0 * capture_radius
-        far = live & ~arming & (box_gap > capture_radius)  # cannot be near any mesh point
-        ks = np.flatnonzero(live & ~arming & ~far)  # on most steps none: every trajectory is far
-        node, dist = idx.nearest_within(states[ks], capture_radius) if ks.size else (ks, np.empty(0))
-        missed = np.zeros(n, dtype=bool)
-        missed[ks[node < 0]] = True
-        if t > opts.min_length:
-            closer = (node >= 0) & ((inside[ks] < 0) | (dist < inside[ks]))
-            ks, node, dist = ks[closer], node[closer], dist[closer]
-            inside[ks], best_t[ks], best_node[ks] = dist, t, node
-        flush(escaped | far | missed)
-        inside[far | missed] = -1.0
-        alive &= ~escaped
-    flush(np.ones(n, dtype=bool))
-    return events
+    while t < opts.max_time and np.any(escaped_at == never):
+        live = np.flatnonzero(escaped_at == never)
+        first, state, block, width = len(times), states[live], [], max(1, _CAPTURE_BLOCK // len(live))
+        while t < opts.max_time and len(block) < width:
+            state = model.flow(state, opts.monitor_dt)
+            block.append(state)
+            t += opts.monitor_dt
+            times.append(t)
+        states[live] = state
+        block = np.stack(block)  # (steps, live launches, d)
+        box_gap = np.linalg.norm(np.maximum(lo - block, 0) + np.maximum(block - hi, 0), axis=-1)
+        left_start = np.linalg.norm(block - starts[live], axis=-1) > 2.0 * capture_radius
+        for at, passed in ((escaped_at, box_gap > escape), (armed_at, left_start)):
+            reached = (at[live] == never) & passed.any(axis=0)
+            at[live[reached]] = first + passed[:, reached].argmax(axis=0)
+        step = np.arange(first, len(times))[:, None]
+        # armed samples before the escape; beyond the capture radius of the box none is near a node
+        rows, cols = np.nonzero((step > armed_at[live]) & (step < escaped_at[live]) & (box_gap <= capture_radius))
+        node, dist = idx.nearest_within(block[rows, cols], capture_radius)
+        near = node >= 0
+        hits.append((rows[near] + first, live[cols[near]], node[near], dist[near]))
+
+    step, launch, node, dist = map(np.concatenate, zip(*hits))
+    order = np.argsort(launch, kind="stable")  # (launch, step) order
+    step, launch, node, dist = step[order], launch[order], node[order], dist[order]
+    head, tail = np.ones(len(step), dtype=bool), np.ones(len(step), dtype=bool)
+    # a new launch, or a step without a hit, ends a dip
+    head[1:] = tail[:-1] = (launch[1:] != launch[:-1]) | (step[1:] != step[:-1] + 1)
+    dip = np.cumsum(head) - 1
+    flush_at = step[tail] + 1  # the step after each dip
+    times = np.array(times)
+    late = np.flatnonzero(times[step] > opts.min_length)
+    best = late[np.lexsort((dist[late], dip[late]))]  # stable: the earliest sample on a tie
+    best = best[np.flatnonzero(np.diff(dip[best], prepend=-1))]
+    best = best[np.lexsort((launch[best], flush_at[dip[best]]))]
+    return list(zip(launches[launch[best]].tolist(), times[step[best]].tolist(), node[best].tolist()))
 
 
 def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
     """Reeb chords by flow shooting, for any built-in model.
 
     Trajectories and the landing system use the model's closed-form flow
-    ``model.flow``.  Capture events are pre-clustered into candidate
-    chords, refined together in one stacked Newton solve; the landing system
+    ``model.flow``.  Trajectories are sampled every ``monitor_dt``, or
+    every capture radius / max |R| on the slice when that is shorter: a
+    sample moves at most the capture radius, so a trajectory passing within
+    half the capture radius of a node has a sample in its capture ball.
+    Capture events are pre-clustered into candidate
+    chords, with candidate pairs keyed on the capture time and the start
+    parameters (periodic axes embedded as circles), and refined together
+    in one stacked Newton solve; the landing system
     G(u, T, v) = flow_T(i(u)) - i(v) is squared up on spheres by
     projecting the residual onto the tangent space at the seed's end
     point.  Every returned chord satisfies the
@@ -257,25 +292,34 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     method.
 
     Raises:
-        SearchTooLong: max_time / monitor_dt exceeds ``MAX_MONITOR_STEPS``;
-            checked before any trajectory is monitored.
+        SearchTooLong: max_time over the monitor step exceeds
+            ``MAX_MONITOR_STEPS``; checked before any trajectory is monitored.
         NewtonFailuresExceeded: more than half the candidates fail.
     """
     opts = opts or SearchOptions()
-    steps = opts.max_time / opts.monitor_dt
-    if steps > MAX_MONITOR_STEPS:
-        raise SearchTooLong(f"{steps:.3g} monitor steps (max_time / monitor_dt) exceed the bound of {MAX_MONITOR_STEPS}")
     mesh = slc.mesh
     capture_radius = opts.capture_radius or 2.0 * _ambient_spacing(slc.points, mesh.edges())
+    # a sample moves at most the capture radius per step
+    dt = min(opts.monitor_dt, capture_radius / float(np.max(_row_norms(model.reeb(slc.points)))))
+    steps = opts.max_time / dt
+    if steps > MAX_MONITOR_STEPS:
+        raise SearchTooLong(
+            f"{steps:.3g} monitor steps (max_time / monitor step {dt:.3g}) exceed the bound of {MAX_MONITOR_STEPS}"
+        )
     # pre-cluster events: neighbors launching into the same chord
-    events = np.array(_capture_events(model, slc, opts, capture_radius), dtype=float).reshape(-1, 3)
+    events = _capture_events(model, slc, replace(opts, monitor_dt=dt), capture_radius)
+    events = np.array(events, dtype=float).reshape(-1, 3)
     start, t = mesh.params[events[:, 0].astype(int)], events[:, 1]
 
     def close(i, j):
         near = mesh.param_distance(start[j], start[i]) < 6.0 * mesh.max_spacing()
         return near & (np.abs(t[j] - t[i]) < 8.0 * capture_radius)
 
-    keep = _first_of_clusters(t, 8.0 * capture_radius, close)
+    # both tests are below 1 in these units, so a close pair is within sqrt(2) < 1.5
+    key = np.concatenate(
+        [t[:, None] / (8.0 * capture_radius), _circle_embedding(mesh, start) / (6.0 * mesh.max_spacing())], axis=1
+    )
+    keep = _first_of_clusters(key, 1.5, close)
     node_v = events[keep, 2].astype(int)
     seeds = np.concatenate([start[keep], t[keep, None], mesh.params[node_v]], axis=1)
 

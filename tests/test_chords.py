@@ -13,7 +13,7 @@ from reebkit.chords import (
     chords_shooting,
     dedup_chords,
 )
-from reebkit.errors import NewtonFailuresExceeded, WrongModel
+from reebkit.errors import NewtonFailuresExceeded, SearchTooLong, WrongModel
 from reebkit.numerics import integrate_flow, newton_solve_stack
 from reebkit.report import chord_table
 from reebkit.spatial import GridIndex
@@ -143,6 +143,40 @@ def test_hopf_antipodal_structure(shooting_chords):
             assert gap == pytest.approx(np.pi, abs=1e-5)
 
 
+def test_hopf_fine_mesh_finds_antipodal_chords():
+    # at 1024 nodes the capture radius (0.0123) is below the default
+    # monitor step's displacement 2 * 0.02: the derived step keeps samples
+    # from stepping over every capture ball
+    entry = catalog_get("hopf_circle", {"resolution": 1024})
+    found = chords_shooting(entry.model, entry.slice, SearchOptions(max_time=2.0))
+    assert found
+    for chord in found:
+        k = chord.length / (np.pi / 2)
+        assert abs(k - round(k)) < 1e-6
+        assert np.linalg.norm(chord.end_point + chord.start_point) < 1e-6
+
+
+@pytest.mark.parametrize("resolution, step", [(256, 0.02), (1024, 2 * np.pi / 1024)], ids=["n256", "n1024"])
+def test_monitor_step_from_capture_radius(monkeypatch, resolution, step):
+    # the step is the smaller of monitor_dt and capture radius / max |R|:
+    # twice the edge length 2 sin(pi / n), over |R| = 2 on the hopf circle
+    entry = catalog_get("hopf_circle", {"resolution": resolution})
+    steps = []
+
+    def record(model, slc, opts, capture_radius):
+        steps.append(opts.monitor_dt)
+        return []
+
+    monkeypatch.setattr(chords, "_capture_events", record)
+    chords_shooting(entry.model, entry.slice, SearchOptions(max_time=2.0))
+    assert steps == [pytest.approx(step, rel=1e-4)]
+    # 1000 / 0.02 = 50,000 steps pass the bound; 1000 / (2 pi / 1024) = 163,000 do not
+    if resolution == 1024:
+        with pytest.raises(SearchTooLong, match="1.63e[+]05 monitor steps"):
+            chords_shooting(entry.model, entry.slice, SearchOptions(max_time=1000.0))
+        assert len(steps) == 1
+
+
 def test_search_determinism(unknot_entry):
     a = chords_projection(unknot_entry.model, unknot_entry.slice)
     b = chords_projection(unknot_entry.model, unknot_entry.slice)
@@ -216,17 +250,23 @@ SHOOTING_CASES = [
     ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=4)),
     ("unknot_entry", SearchOptions(max_time=3.0)),
     ("torus_entry", SearchOptions(max_time=3.0, launch_stride=128)),
+    ("unknot_entry", SearchOptions(max_time=6.0, launch_stride=8)),  # every launch escapes
 ]
 
 
 @pytest.mark.parametrize("entry_name, opts", SHOOTING_CASES)
-def test_capture_events_match_loop(entry_name, opts, request):
+def test_capture_events_match_loop(entry_name, opts, request, monkeypatch):
     entry = request.getfixturevalue(entry_name)
     slc = entry.slice
     capture_radius = 2.0 * _ambient_spacing(slc.points, slc.mesh.edges())
     events = _capture_events(entry.model, slc, opts, capture_radius)
     assert bool(events) == (entry.expected.chord_count != 0)
-    assert events == capture_events_loop(entry.model, slc, opts, capture_radius)
+    want = capture_events_loop(entry.model, slc, opts, capture_radius)
+    assert events == want
+    # blocks of one and of a few steps: dips, arming and escapes straddle block edges
+    for block in (1, 300):
+        monkeypatch.setattr(chords, "_CAPTURE_BLOCK", block)
+        assert _capture_events(entry.model, slc, opts, capture_radius) == want
 
 
 def test_capture_skips_reentry_before_min_length():

@@ -26,7 +26,9 @@ Inputs:
   to time 20 (``collar`` once exited 1 with a point off S^3); the
   chordless mesh-file curve (cos t, sin t, cos 2t, sin 2t, cos 3t),
   normalized, in r5 at 12 nodes (``chords`` and ``collar`` once exited 1
-  with every projection seed failed).
+  with every projection seed failed); hopf_circle at 1024 nodes (its
+  monitor samples once stepped over every capture ball, so ``chords``
+  printed an empty table and ``collar`` said Collarable with 0 chords).
 
 Two snapshots, one per checkout, are compared with ``diff -r A B``: no
 difference under ``out/*.out`` and ``out/*.code`` means no command
@@ -75,6 +77,7 @@ WORKLOADS = {
 
 REPRODUCERS = {
     "repro_hopf_r16_t20": {"model": "s3", "slice": {"catalog": "hopf_circle", "params": {"resolution": 16, "max_time": 20}}},
+    "repro_hopf_r1024": {"model": "s3", "slice": {"catalog": "hopf_circle", "params": {"resolution": 1024}}},
 }
 
 # variant name -> environment settings that select other BLAS or SIMD kernels
