@@ -24,8 +24,8 @@ from .catalog import catalog_get
 from .chords import SearchOptions
 from .collar import CollarOptions, Convention
 from .errors import ManifestError, ReebkitError
-from .models import MODEL_BUILDERS, make_model
-from .slices import DEFAULT_CLOSED_TOL, DEFAULT_TRANSVERSE_TOL, load_mesh_slice
+from .models import MODEL_BUILDERS, StandardSphereModel, make_model
+from .slices import DEFAULT_CLOSED_TOL, DEFAULT_TRANSVERSE_TOL, load_mesh_slice, radial_projection
 
 _SEARCH_KEYS = {"seed_radius", "exclusion_radius", "max_time", "min_length", "capture_radius", "launch_stride", "monitor_dt", "cluster_radius"}
 _TOL_KEYS = {"closed", "transverse", "margin"}
@@ -136,7 +136,9 @@ def load_manifest(path) -> Manifest:
 
 
 def resolve(manifest: Manifest):
-    """Instantiate (model, slice, expected-or-None) from a manifest."""
+    """Instantiate (model, slice, expected-or-None) from a manifest.  On a
+    sphere model a mesh file's slice is the radial projection of its
+    interpolant, so it lies on the sphere between the nodes too."""
     if manifest.catalog is not None:
         try:
             entry = catalog_get(manifest.catalog, manifest.catalog_params)
@@ -156,6 +158,8 @@ def resolve(manifest: Manifest):
         raise ManifestError(
             f"mesh ambient dimension {slc.points.shape[1]} does not match model {model.name}"
         )
+    if isinstance(model, StandardSphereModel):
+        slc = radial_projection(slc)
     return model, slc, None
 
 

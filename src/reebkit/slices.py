@@ -10,6 +10,7 @@ on a 1-D slice the two are one stack, which both may share).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -284,31 +285,146 @@ class CheckResult:
     value: float  # max residual for closedness, min singular value for transversality
 
 
+def _on_manifold(model, pts: np.ndarray) -> np.ndarray:
+    """``pts`` (..., ambient_dim), once every point is within 1e-6 of the
+    model manifold; raises OffManifold otherwise."""
+    if not np.all(model.on_manifold(pts, tol=1e-6)):
+        raise OffManifold("immersion image leaves the model manifold")
+    return pts
+
+
 def pullback_alpha(model, slc: ParamSlice, u) -> np.ndarray:
     """Components of the pulled-back contact form at parameter point(s) u.
 
     Component k is alpha(immersion(u), d(immersion)/du_k); shape (..., param_dim).
     """
     u = np.asarray(u, dtype=float)
-    pts = slc.immerse(u)
-    if not np.all(model.on_manifold(pts, tol=1e-6)):
-        raise OffManifold("immersion image leaves the model manifold")
+    pts = _on_manifold(model, slc.immerse(u))
     jac = slc.jacobian_at(u)
     comps = [model.alpha(pts, jac[..., k]) for k in range(slc.param_dim)]
     return np.stack(comps, axis=-1)
 
 
 def check_closed(model, slc: ParamSlice, tol: float = DEFAULT_CLOSED_TOL) -> CheckResult:
-    """Max antisymmetrized derivative of the pullback over mesh nodes.
+    """Largest |d(i*alpha)(d_a, d_b)| over the parameter pairs a < b and
+    the mesh nodes.
 
+    The pullback commutes with d, so that is d_alpha(J_a, J_b) on the
+    Jacobian columns J_a, J_b at each node: one Jacobian evaluation, and
+    the model's closed-form d_alpha.  On the sphere the columns are
+    tangent, so the extension of alpha off the sphere does not enter.
+    The nodes must lie on the model manifold, as for ``pullback_alpha``.
     One-dimensional domains pass vacuously with residual 0 (there are no
     2-forms on curves).
     """
     if slc.param_dim == 1:
         return CheckResult(True, 0.0)
-    jac = jacobian_fd(lambda u: pullback_alpha(model, slc, u), slc.mesh.params)
-    residual = float(np.max(np.abs(jac - np.swapaxes(jac, -1, -2))))
+    pts = _on_manifold(model, slc.points)
+    jac = slc.jacobian_at(slc.mesh.params)
+    pairs = itertools.combinations(range(slc.param_dim), 2)
+    residual = max(float(np.max(np.abs(model.d_alpha(pts, jac[..., a], jac[..., b])))) for a, b in pairs)
     return CheckResult(residual <= tol, residual)
+
+
+def _min_singular_value(cols: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each (d, k) matrix M of a stack, d >= k,
+    given coordinate-major as ``cols`` (d, k, N): ``cols[r, i]`` holds
+    entry (r, i) of every matrix.
+
+    For k <= 3 it is the square root of the smallest eigenvalue of the
+    k x k Gram matrix G = M^T M, summed coordinate by coordinate in a fixed
+    order, with no LAPACK call (``_smaller_eigenvalue``,
+    ``_smallest_eigenvalue``).  The entries of G carry a rounding error of
+    about eps * sigma_max^2, so sigma one of about eps * sigma_max^2 /
+    sigma_min; M = 0 gives 0.  Wider stacks (k >= 4, a slice of three or
+    more parameters) go through a batched SVD.
+    """
+    k = cols.shape[1]
+    if k >= 4:
+        return np.linalg.svd(np.moveaxis(cols, -1, 0), compute_uv=False)[:, -1]
+    g = [[None] * k for _ in range(k)]
+    for i, j in itertools.combinations_with_replacement(range(k), 2):
+        acc = cols[0, i] * cols[0, j]
+        for row in cols[1:]:
+            acc += row[i] * row[j]
+        g[i][j] = g[j][i] = acc
+    if k == 2:
+        return np.sqrt(_smaller_eigenvalue(g[0][0], g[0][1], g[1][1]))
+    return np.sqrt(_smallest_eigenvalue(g))
+
+
+def _smaller_eigenvalue(a, b, c) -> np.ndarray:
+    """Smaller eigenvalue of the positive semidefinite 2 x 2 matrices
+    [[a, b], [b, c]]: det / lambda_max, with lambda_max = (a + c) / 2 +
+    hypot((a - c) / 2, b), clamped at 0; 0 where lambda_max is 0."""
+    det = a * c - b * b
+    lam_max = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    return np.maximum(np.divide(det, lam_max, out=np.zeros_like(det), where=lam_max > 0), 0.0)
+
+
+def _smallest_eigenvalue(g) -> np.ndarray:
+    """Smallest eigenvalue of the positive semidefinite 3 x 3 matrices G
+    given as nested lists of entry arrays, ``g[i][j]``.
+
+    The trigonometric formula (q + 2 p cos(phi + 2 pi k / 3)) is accurate
+    for the eigenvalue farther from the other two, but loses half the
+    digits of both members of a close pair, such as a symmetric slice gives
+    (two Jacobian columns of equal length).  So where the two largest are
+    the closer pair (r = cos 3 phi <= 0), the smallest comes from the
+    formula; elsewhere the largest does, and ``_deflated_smallest`` takes
+    the smallest from the plane orthogonal to its eigenvector.
+    """
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = g
+    q = (g11 + g22 + g33) / 3.0
+    b11, b22, b33 = g11 - q, g22 - q, g33 - q
+    p = np.sqrt((b11 * b11 + b22 * b22 + b33 * b33 + 2.0 * (g12 * g12 + g13 * g13 + g23 * g23)) / 6.0)
+    det_b = b11 * (b22 * b33 - g23 * g23) - g12 * (g12 * b33 - g23 * g13) + g13 * (g12 * g23 - b22 * g13)
+    r = np.clip(np.divide(det_b, 2.0 * p**3, out=np.zeros_like(p), where=p > 0), -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    out = np.maximum(q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), 0.0)
+    top = np.flatnonzero(r > 0)
+    if top.size:
+        lam_max = q[top] + 2.0 * p[top] * np.cos(phi[top])
+        out[top] = _deflated_smallest([[x[top] for x in row] for row in g], lam_max)
+    return out
+
+
+def _deflated_smallest(g, lam_max) -> np.ndarray:
+    """Smallest eigenvalue of positive semidefinite 3 x 3 matrices G
+    (``g[i][j]``) with a simple largest eigenvalue ``lam_max``:
+    ``_smaller_eigenvalue`` of the 2 x 2 block of G on the plane orthogonal
+    to its eigenvector v, i.e. det G / (lambda_max lambda_mid).  v is the
+    column of the adjugate of G - lambda_max I (about c v v^T) of largest
+    diagonal entry, the one of largest |v_i|."""
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = g
+    a11, a22, a33 = g11 - lam_max, g22 - lam_max, g33 - lam_max
+    d1, d2, d3 = a22 * a33 - g23 * g23, a11 * a33 - g13 * g13, a11 * a22 - g12 * g12
+    e12, e13, e23 = g13 * g23 - g12 * a33, g12 * g23 - g13 * a22, g12 * g13 - a11 * g23
+    first = (np.abs(d1) >= np.abs(d2)) & (np.abs(d1) >= np.abs(d3))
+    second = ~first & (np.abs(d2) >= np.abs(d3))
+    v = [np.where(first, x, np.where(second, y, z)) for x, y, z in ((d1, e12, e13), (e12, d2, e23), (e13, e23, d3))]
+    norm = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    scale = np.where(v[0] < 0, -1.0, 1.0) / np.where(norm > 0, norm, 1.0)  # unit, v_1 >= 0
+    v1, v2, v3 = (x * scale for x in v)
+    v1 = np.where(norm > 0, v1, 1.0)  # a zero adjugate: any unit v
+    # e, f: the other two columns of the Householder reflection taking the
+    # first unit vector to v, an orthonormal basis of the plane
+    h = 1.0 / (1.0 + v1)
+    e = (-v2, 1.0 - v2 * v2 * h, -v2 * v3 * h)
+    f = (-v3, -v2 * v3 * h, 1.0 - v3 * v3 * h)
+
+    def times_g(x):
+        return (
+            g11 * x[0] + g12 * x[1] + g13 * x[2],
+            g12 * x[0] + g22 * x[1] + g23 * x[2],
+            g13 * x[0] + g23 * x[1] + g33 * x[2],
+        )
+
+    def dot(x, y):
+        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+    ge = times_g(e)
+    return _smaller_eigenvalue(dot(e, ge), dot(f, ge), dot(f, times_g(f)))
 
 
 def check_transverse(model, slc: ParamSlice, tol: float = DEFAULT_TRANSVERSE_TOL) -> CheckResult:
@@ -316,12 +432,13 @@ def check_transverse(model, slc: ParamSlice, tol: float = DEFAULT_TRANSVERSE_TOL
 
     The kernel of d_alpha is spanned by the Reeb vector, so tangency to it
     (or a rank drop of the Jacobian) shows up as a vanishing singular value.
+    One Jacobian evaluation at the nodes; ``_min_singular_value`` reads the
+    singular value from the Gram matrix of [J | R].
     """
-    jac = slc.jacobian_at(slc.mesh.params)
-    reeb = model.reeb(slc.points)
-    mat = np.concatenate([jac, reeb[..., None]], axis=-1)
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    min_sigma = float(np.min(sigma[:, -1]))
+    cols = np.empty((slc.ambient_dim, slc.param_dim + 1, slc.mesh.n_nodes))
+    cols[:, :-1] = np.moveaxis(slc.jacobian_at(slc.mesh.params), 0, -1)
+    cols[:, -1] = model.reeb(slc.points).T
+    min_sigma = float(np.min(_min_singular_value(cols)))
     return CheckResult(min_sigma > tol, min_sigma)
 
 
@@ -540,3 +657,33 @@ def load_mesh_slice(path, param_dim: int, periodic: Sequence[bool]) -> ParamSlic
         jacobian = None
 
     return ParamSlice(factors, immersion, jacobian=jacobian, resolution=shape)
+
+
+def radial_projection(slc: ParamSlice) -> ParamSlice:
+    """The slice x / |x| on the unit sphere, on the same mesh as ``slc``.
+
+    A mesh-file interpolant leaves the sphere between its nodes; this is
+    the slice a sphere model reads from such a file.  With an analytic
+    Jacobian J of x, the projection's is (I - p p^T) J / |x| at p = x / |x|;
+    without one, derivatives are central differences of the projection.
+    A point at the origin is left where it is, off the sphere.
+    """
+
+    def project(x):
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        r[r == 0.0] = 1.0
+        return x / r, r
+
+    def immersion(u):
+        return project(slc.immerse(u))[0]
+
+    jacobian = None
+    if slc.analytic_jacobian is not None:
+
+        def jacobian(u):
+            p, r = project(slc.immerse(u))
+            jac = slc.jacobian_at(u)
+            radial = np.sum(p[..., :, None] * jac, axis=-2, keepdims=True)  # p^T J, (..., 1, param_dim)
+            return (jac - p[..., :, None] * radial) / r[..., None]
+
+    return ParamSlice(slc.factors, immersion, jacobian, resolution=slc.mesh.shape)

@@ -167,6 +167,33 @@ def collar_reports(
     return out
 
 
+@pytest.fixture(scope="session")
+def model_mesh_files(tmp_path_factory):
+    """Mesh-file paths by (parameter dimension, ambient width), widths 2-8:
+    a 12-node circle and a 4x8 interval x circle strip, their node k/2-th
+    coordinate pair (cos, sin) of (k + 1) t + k s, scaled onto the unit
+    sphere."""
+    directory = tmp_path_factory.mktemp("model_meshes")
+    grids = {
+        1: [(t,) for t in 2 * np.pi * np.arange(12) / 12],
+        2: [(s, t) for s in np.linspace(0.0, 1.0, 4) for t in 2 * np.pi * np.arange(8) / 8],
+    }
+    paths = {}
+    for param_dim, nodes in grids.items():
+        for width in range(2, 9):
+            rows = []
+            for u in nodes:
+                s, t = (0.0, *u)[-2:]
+                angles = [(k + 1) * t + k * s for k in range(width // 2 + 1)]
+                p = np.array([f(a) for a in angles for f in (np.cos, np.sin)][:width])
+                rows.append((*u, *(p / np.linalg.norm(p))))
+            header = [f"u{j}" for j in range(param_dim)] + [f"p{j}" for j in range(width)]
+            path = directory / f"mesh_{param_dim}_{width}.csv"
+            path.write_text(",".join(header) + "\n" + "".join(",".join(f"{x:.17g}" for x in r) + "\n" for r in rows))
+            paths[param_dim, width] = path
+    return paths
+
+
 @pytest.fixture()
 def stack_solves(monkeypatch):
     """Records (seeds, residual tolerance, result) of every stacked solve a

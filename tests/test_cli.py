@@ -576,33 +576,6 @@ def test_mesh_file_interval_edge_extrapolates(interval_mesh_files, name, command
 MODEL_DIMS = {"r3": 3, "r5": 5, "r7": 7, "s3": 4, "s5": 6}
 
 
-@pytest.fixture(scope="module")
-def model_mesh_files(tmp_path_factory):
-    """Mesh-file paths by (parameter dimension, ambient width), widths 2-8:
-    a 12-node circle and a 4x8 interval x circle strip, their node k/2-th
-    coordinate pair (cos, sin) of (k + 1) t + k s, scaled onto the unit
-    sphere."""
-    directory = tmp_path_factory.mktemp("model_meshes")
-    grids = {
-        1: [(t,) for t in 2 * np.pi * np.arange(12) / 12],
-        2: [(s, t) for s in np.linspace(0.0, 1.0, 4) for t in 2 * np.pi * np.arange(8) / 8],
-    }
-    paths = {}
-    for param_dim, nodes in grids.items():
-        for width in range(2, 9):
-            rows = []
-            for u in nodes:
-                s, t = (0.0, *u)[-2:]
-                angles = [(k + 1) * t + k * s for k in range(width // 2 + 1)]
-                p = np.array([f(a) for a in angles for f in (np.cos, np.sin)][:width])
-                rows.append((*u, *(p / np.linalg.norm(p))))
-            header = [f"u{j}" for j in range(param_dim)] + [f"p{j}" for j in range(width)]
-            path = directory / f"mesh_{param_dim}_{width}.csv"
-            path.write_text(",".join(header) + "\n" + "".join(",".join(f"{x:.17g}" for x in r) + "\n" for r in rows))
-            paths[param_dim, width] = path
-    return paths
-
-
 @pytest.mark.parametrize("command", [["check"], ["chords"], ["chords", "--force"], ["collar"]], ids=" ".join)
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("param_dim", [1, 2])
@@ -642,6 +615,76 @@ def test_chordless_curve_gets_an_empty_table(model_mesh_files, tmp_path, model, 
         assert out.count("\n") == 1 and out.startswith("start_param_0,")  # the header only
     else:
         assert json.loads(out)["chords"] == []
+
+
+@pytest.mark.parametrize("param_dim", [1, 2])
+@pytest.mark.parametrize("model", sorted(MODEL_DIMS))
+def test_commands_agree_on_slice_status(model_mesh_files, tmp_path, model, param_dim):
+    # check, chords and collar read a mesh file as the same slice, on the
+    # sphere models too, whose interpolant is projected onto the sphere:
+    # the 12-node curve passes both slice checks under all three commands
+    # (collar: NonExact), the strip fails them under all three (NotASlice)
+    slice_src = {
+        "mesh_file": str(model_mesh_files[param_dim, MODEL_DIMS[model]]),
+        "param_dim": param_dim,
+        "periodic": [True] if param_dim == 1 else [False, True],
+    }
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"model": model, "slice": slice_src}))
+    (check, _, check_err), (chords, _, chords_err), (collar, _, collar_err) = (
+        run_cli([command, str(path)]) for command in ("check", "chords", "collar")
+    )
+    assert check_err == collar_err == ""
+    if param_dim == 1:
+        assert (check, chords, collar) == (0, 0, 4), chords_err
+    else:
+        assert (check, chords, collar) == (1, 1, 5)
+        assert chords_err == "slice checks failed; rerun with --force to search anyway\n"
+
+
+def test_rotated_hopf_circle_mesh_file_keeps_its_chords(manifest_path, tmp_path):
+    # a U(2) matrix keeps the contact form and commutes with the Reeb flow
+    # z -> e^{2it} z, so the great circle it moves, read from an s3 mesh
+    # file, has the catalog entry's chords (the same count, lengths that are
+    # multiples of pi/2, the same ends up to the wrap) and its verdict
+    from reebkit import catalog_get
+
+    entry = catalog_get("hopf_circle")
+    a = np.exp(0.7j) * np.array([[np.cos(0.4), -np.sin(0.4) * np.exp(-1.1j)], [np.sin(0.4) * np.exp(1.1j), np.cos(0.4)]])
+    assert np.allclose(a.conj().T @ a, np.eye(2))
+    z = (entry.slice.points[:, 0::2] + 1j * entry.slice.points[:, 1::2]) @ a.T
+    mesh_path = tmp_path / "hopf_rotated.csv"
+    with open(mesh_path, "w") as fh:
+        fh.write("t,x1,y1,x2,y2\n")
+        for u, w in zip(entry.slice.mesh.params[:, 0], z):
+            fh.write(",".join(f"{v:.17g}" for v in [u, w[0].real, w[0].imag, w[1].real, w[1].imag]) + "\n")
+    rotated = manifest_path(
+        "hopf_rotated",
+        {
+            "model": "s3",
+            "slice": {"mesh_file": str(mesh_path), "param_dim": 1, "periodic": [True]},
+            "search": {"max_time": entry.expected.search_max_time},
+        },
+    )
+    catalog = manifest_path("hopf", {"slice": {"catalog": "hopf_circle"}})
+
+    def chords(path):
+        code, out, err = run_cli(["chords", path])
+        assert code == 0, err
+        header, *rows = out.splitlines()
+        fields = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        return np.array([[float(f[key]) for key in ("start_param_0", "end_param_0", "length")] for f in fields])
+
+    want, got = chords(catalog), chords(rotated)
+    assert len(got) == len(want) > 0
+    quarter = got[:, 2] / (np.pi / 2)
+    assert np.allclose(quarter, np.round(quarter), rtol=0, atol=1e-6) and np.all(np.round(quarter) >= 1)
+    for start, end, _ in got:
+        gap = lambda x, y: np.abs((x - y + np.pi) % (2 * np.pi) - np.pi)
+        assert np.any((gap(want[:, 0], start) < 1e-6) & (gap(want[:, 1], end) < 1e-6)), (start, end)
+    (code_want, out_want, _), (code_got, out_got, err) = run_cli(["collar", catalog]), run_cli(["collar", rotated])
+    assert code_got == code_want == 0, err
+    assert json.loads(out_got)["verdict"] == json.loads(out_want)["verdict"] == "Collarable"
 
 
 @st.composite

@@ -28,7 +28,12 @@ Inputs:
   normalized, in r5 at 12 nodes (``chords`` and ``collar`` once exited 1
   with every projection seed failed); hopf_circle at 1024 nodes (its
   monitor samples once stepped over every capture ball, so ``chords``
-  printed an empty table and ``collar`` said Collarable with 0 chords).
+  printed an empty table and ``collar`` said Collarable with 0 chords);
+  two sphere mesh files, the 12-node curve (cos t, sin t, cos 2t, sin 2t)
+  / sqrt 2 in s3 and the Clifford torus (cos u, sin u, cos v, sin v) /
+  sqrt 2 in s3 at 24x24 nodes (``check``, ``chords`` and ``collar`` once
+  disagreed about both, since their interpolants left the sphere between
+  the nodes).
 
 Two snapshots, one per checkout, are compared with ``diff -r A B``: no
 difference under ``out/*.out`` and ``out/*.code`` means no command
@@ -100,6 +105,11 @@ MESH_EXPORTS = (
 FIGURE_EIGHT = "mesh_figure_eight_r3"
 # (cos t, sin t, cos 2t, sin 2t, cos 3t) / norm at 12 nodes, periodic: no chord
 CHORDLESS_R5 = "mesh_chordless_curve_r5"
+# (cos t, sin t, cos 2t, sin 2t) / sqrt 2 at 12 nodes in s3, periodic: a slice
+CURVE_S3 = "mesh_curve_s3"
+# (cos u, sin u, cos v, sin v) / sqrt 2 at 24 x 24 nodes in s3: the Hopf
+# fibers lie in it, so it is not transverse to the Reeb field
+CLIFFORD_S3 = "mesh_clifford_torus_s3"
 
 
 def write_mesh(inputs: Path, name: str, model: str, params: np.ndarray, points: np.ndarray, periodic: list[bool]):
@@ -135,6 +145,11 @@ def write_mesh_exports(inputs: Path, src: Path):
     t = 2 * np.pi * np.arange(12) / 12
     curve = np.stack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t), np.cos(3 * t)], axis=-1)
     write_mesh(inputs, CHORDLESS_R5, "r5", t[:, None], curve / np.linalg.norm(curve, axis=1)[:, None], [True])
+    write_mesh(inputs, CURVE_S3, "s3", t[:, None], curve[:, :4] / np.sqrt(2), [True])
+    t = 2 * np.pi * np.arange(24) / 24
+    u = np.stack([g.ravel() for g in np.meshgrid(t, t, indexing="ij")], axis=-1)
+    torus = np.stack([np.cos(u[:, 0]), np.sin(u[:, 0]), np.cos(u[:, 1]), np.sin(u[:, 1])], axis=-1) / np.sqrt(2)
+    write_mesh(inputs, CLIFFORD_S3, "s3", u, torus, [True, True])
 
 
 def run_commands(names: list[str], inputs: Path, out: Path, env: dict) -> list[str]:
@@ -179,7 +194,7 @@ def main(argv=None) -> int:
         (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
         names.append(name)
     write_mesh_exports(inputs, src)
-    names += [name for name, *_ in MESH_EXPORTS] + [FIGURE_EIGHT, CHORDLESS_R5]
+    names += [name for name, *_ in MESH_EXPORTS] + [FIGURE_EIGHT, CHORDLESS_R5, CURVE_S3, CLIFFORD_S3]
 
     env = dict(os.environ, PYTHONPATH=str(src))
     tracebacks = run_commands(names, inputs, out, env)

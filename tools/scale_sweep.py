@@ -1,6 +1,6 @@
 """Time reebkit's commands as the input grows, on two scale sweeps.
 
-    python3 tools/scale_sweep.py OUT.json [--src SRC]
+    python3 tools/scale_sweep.py OUT.json [--src SRC] [--against PARENT_SRC]
 
 The sweeps:
 
@@ -28,6 +28,16 @@ versions, CPU count and model, thread settings, commit) is the one of
 commit names the timed tree; ``src_uncommitted_changes`` records whether
 SRC differs from that commit (None outside a git checkout).  Both bench
 modules are imported as they are.
+
+``--against PARENT_SRC`` compares two trees: every sweep point is measured
+on PARENT_SRC and on SRC back to back, each side in a fresh child
+interpreter that runs the warm-up and timed rounds above, and the side
+that goes first alternates from point to point.  Two sweeps run minutes
+apart disagree on their normalization as the machine drifts, so only
+measurements made side by side are compared.  Each point then holds both
+sides and the change/parent ratio of each command's raw and normalized
+medians, and each sweep the slopes of both sides; the environment is
+stamped once per tree.
 """
 
 from __future__ import annotations
@@ -66,6 +76,17 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     for command in ("check", "chords", "collar"):
         main([command, sys.argv[2]])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
+# measures one input on the tree argv[2] (scale_sweep imported from argv[1])
+# and prints the result of ``measure`` as JSON
+MEASURE_CHILD = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import scale_sweep
+print(json.dumps(scale_sweep.measure_tree(Path(sys.argv[2]), Path(sys.argv[3]))))
 """
 
 
@@ -132,6 +153,34 @@ def measure(cli, speed, src: Path, manifest: Path) -> dict:
     }
 
 
+def measure_tree(src: Path, manifest: Path) -> dict:
+    """``measure`` of one input on the tree ``src``, in this interpreter."""
+    cli = load_cli(src)
+    sys.path.insert(0, str(ROOT / "bench"))
+    import speed
+
+    return measure(cli, speed, src, manifest)
+
+
+def measure_in_child(src: Path, manifest: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURE_CHILD, str(ROOT / "tools"), str(src), str(manifest)],
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"scale_sweep: measuring {manifest.name} on {src} failed")
+    return json.loads(proc.stdout)
+
+
+def ratios(parent: dict, change: dict) -> dict:
+    """change / parent of each command's raw and normalized medians."""
+    return {
+        kind: {c: change[kind][c]["median"] / parent[kind][c]["median"] for c in COMMANDS}
+        for kind in ("raw_s", "normalized_s")
+    }
+
+
 def slopes(points: list[dict]) -> list[dict]:
     """Log-log slope of each command's normalized median between
     consecutive sizes."""
@@ -146,41 +195,83 @@ def slopes(points: list[dict]) -> list[dict]:
     return out
 
 
+def sweep_inputs(tmp: Path):
+    """(sweep name, its entry in the result without points, [(size, nodes,
+    manifest)]) for each sweep, writing the manifests under ``tmp``."""
+    for name, (model, entry, params, sizes, axes) in SWEEPS.items():
+        inputs = []
+        for size in sizes:
+            manifest = tmp / f"{name}_{size}.json"
+            slice_params = {**params, "resolution": size}
+            manifest.write_text(json.dumps({"model": model, "slice": {"catalog": entry, "params": slice_params}}))
+            inputs.append((size, size**axes, manifest))
+        yield name, {"model": model, "catalog": entry, "params": params}, inputs
+
+
+def medians(measured: dict) -> str:
+    return " ".join(f"{c} {measured['normalized_s'][c]['median']:.4f}" for c in COMMANDS)
+
+
+def sweep_one(src: Path, tmp: Path) -> dict:
+    sweeps = {}
+    for name, head, inputs in sweep_inputs(tmp):
+        points = []
+        for size, nodes, manifest in inputs:
+            point = {"resolution": size, "nodes": nodes, **measure_tree(src, manifest)}
+            points.append(point)
+            print(f"{name:22s} {size:5d}  {medians(point)}  rss {point['peak_rss_mb']:.1f} MB", flush=True)
+        sweeps[name] = {**head, "points": points, "slopes": slopes(points)}
+    return sweeps
+
+
+def sweep_against(src: Path, parent: Path, tmp: Path) -> dict:
+    trees = {"parent": parent, "change": src}
+    sweeps, k = {}, 0
+    for name, head, inputs in sweep_inputs(tmp):
+        points = []
+        for size, nodes, manifest in inputs:
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            k += 1
+            point = {"resolution": size, "nodes": nodes, "order": list(order)}
+            for side in order:
+                point[side] = measure_in_child(trees[side], manifest)
+            point["change_over_parent"] = ratios(point["parent"], point["change"])
+            points.append(point)
+            normalized = point["change_over_parent"]["normalized_s"]
+            print(f"{name:22s} {size:5d}  parent {medians(point['parent'])}  change {medians(point['change'])}  "
+                  + " ".join(f"{c} {normalized[c]:.3f}" for c in COMMANDS), flush=True)
+        side_slopes = {side: slopes([{"nodes": p["nodes"], **p[side]} for p in points]) for side in trees}
+        sweeps[name] = {**head, "points": points, "slopes": side_slopes}
+    return sweeps
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="JSON file to write")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="reebkit source tree to run")
+    parser.add_argument("--against", type=Path, help="parent source tree, measured side by side with SRC")
     args = parser.parse_args(argv)
     src = args.src.resolve()
-    cli = load_cli(src)
     sys.path.insert(0, str(ROOT / "bench"))
     import envstamp
-    import speed
 
-    result = {
-        "schema": "scale-sweep/1",
-        "environment": envstamp.stamp(src.parent, None),
-        "src_uncommitted_changes": uncommitted_changes(src.parent),
-        "runs": RUNS,
-        "sweeps": {},
-    }
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (model, entry, params, sizes, axes) in SWEEPS.items():
-            points = []
-            for size in sizes:
-                manifest = Path(tmp) / f"{name}_{size}.json"
-                slice_params = {**params, "resolution": size}
-                manifest.write_text(json.dumps({"model": model, "slice": {"catalog": entry, "params": slice_params}}))
-                point = {"resolution": size, "nodes": size**axes, **measure(cli, speed, src, manifest)}
-                points.append(point)
-                medians = " ".join(f"{c} {point['normalized_s'][c]['median']:.4f}" for c in COMMANDS)
-                print(f"{name:22s} {size:5d}  {medians}  rss {point['peak_rss_mb']:.1f} MB", flush=True)
-            result["sweeps"][name] = {
-                "model": model,
-                "catalog": entry,
-                "params": params,
-                "points": points,
-                "slopes": slopes(points),
+        if args.against is None:
+            result = {
+                "schema": "scale-sweep/1",
+                "environment": envstamp.stamp(src.parent, None),
+                "src_uncommitted_changes": uncommitted_changes(src.parent),
+                "runs": RUNS,
+                "sweeps": sweep_one(src, Path(tmp)),
+            }
+        else:
+            trees = {"parent": args.against.resolve(), "change": src}
+            result = {
+                "schema": "scale-sweep-pair/1",
+                "environment": {side: envstamp.stamp(tree.parent, None) for side, tree in trees.items()},
+                "src_uncommitted_changes": {side: uncommitted_changes(tree.parent) for side, tree in trees.items()},
+                "runs": RUNS,
+                "sweeps": sweep_against(src, trees["parent"], Path(tmp)),
             }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
