@@ -25,7 +25,13 @@ from .chords import SearchOptions
 from .collar import CollarOptions, Convention
 from .errors import ManifestError, ReebkitError
 from .models import MODEL_BUILDERS, StandardSphereModel, make_model
-from .slices import DEFAULT_CLOSED_TOL, DEFAULT_TRANSVERSE_TOL, load_mesh_slice, radial_projection
+from .slices import (
+    DEFAULT_CLOSED_TOL,
+    DEFAULT_TRANSVERSE_TOL,
+    load_mesh_slice,
+    radial_projection,
+    require_on_manifold,
+)
 
 _SEARCH_KEYS = {"seed_radius", "exclusion_radius", "max_time", "min_length", "capture_radius", "launch_stride", "monitor_dt", "cluster_radius"}
 _TOL_KEYS = {"closed", "transverse", "margin"}
@@ -137,7 +143,8 @@ def load_manifest(path) -> Manifest:
 
 def resolve(manifest: Manifest):
     """Instantiate (model, slice, expected-or-None) from a manifest.  On a
-    sphere model a mesh file's slice is the radial projection of its
+    sphere model a mesh file's nodes must lie on the sphere (OffManifold
+    otherwise), and its slice is the radial projection of the
     interpolant, so it lies on the sphere between the nodes too."""
     if manifest.catalog is not None:
         try:
@@ -159,6 +166,7 @@ def resolve(manifest: Manifest):
             f"mesh ambient dimension {slc.points.shape[1]} does not match model {model.name}"
         )
     if isinstance(model, StandardSphereModel):
+        require_on_manifold(model, slc.points)
         slc = radial_projection(slc)
     return model, slc, None
 

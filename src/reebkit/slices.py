@@ -285,7 +285,7 @@ class CheckResult:
     value: float  # max residual for closedness, min singular value for transversality
 
 
-def _on_manifold(model, pts: np.ndarray) -> np.ndarray:
+def require_on_manifold(model, pts: np.ndarray) -> np.ndarray:
     """``pts`` (..., ambient_dim), once every point is within 1e-6 of the
     model manifold; raises OffManifold otherwise."""
     if not np.all(model.on_manifold(pts, tol=1e-6)):
@@ -299,7 +299,7 @@ def pullback_alpha(model, slc: ParamSlice, u) -> np.ndarray:
     Component k is alpha(immersion(u), d(immersion)/du_k); shape (..., param_dim).
     """
     u = np.asarray(u, dtype=float)
-    pts = _on_manifold(model, slc.immerse(u))
+    pts = require_on_manifold(model, slc.immerse(u))
     jac = slc.jacobian_at(u)
     comps = [model.alpha(pts, jac[..., k]) for k in range(slc.param_dim)]
     return np.stack(comps, axis=-1)
@@ -319,7 +319,7 @@ def check_closed(model, slc: ParamSlice, tol: float = DEFAULT_CLOSED_TOL) -> Che
     """
     if slc.param_dim == 1:
         return CheckResult(True, 0.0)
-    pts = _on_manifold(model, slc.points)
+    pts = require_on_manifold(model, slc.points)
     jac = slc.jacobian_at(slc.mesh.params)
     pairs = itertools.combinations(range(slc.param_dim), 2)
     residual = max(float(np.max(np.abs(model.d_alpha(pts, jac[..., a], jac[..., b])))) for a, b in pairs)

@@ -3,11 +3,16 @@ oracles only: closedness as the antisymmetrized finite-difference
 Jacobian of the pullback (a second derivative by nested differences),
 transversality as the batched SVD of [Jacobian | Reeb]."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
 import reebkit.slices
 from reebkit.catalog import catalog_get, catalog_list
+from reebkit.cli import main
 from reebkit.errors import OffManifold
 from reebkit.manifest import parse_manifest, resolve
 from reebkit.models import MODEL_BUILDERS, StandardRModel
@@ -199,24 +204,48 @@ def test_closed_check_makes_no_pullback(monkeypatch, torus_entry, warped_entry):
     assert check_closed(warped_entry.model, warped_entry.slice).value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_off_sphere_mesh_raises_off_manifold(tmp_path):
-    # a Clifford torus with its nodes at radius 1.01, read without the
-    # radial projection: the closedness check and the pullback refuse it
-    t = 2 * np.pi * np.arange(8) / 8
-    params = grid(t, t)
-    u, v = params.T
-    write_mesh(tmp_path / "mesh.csv", params, 1.01 * np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)], axis=-1) / np.sqrt(2))
-    slc = load_mesh_slice(tmp_path / "mesh.csv", 2, [True, True])
+def off_sphere_mesh(path, param_dim: int):
+    """Write an s3 mesh file whose nodes leave the sphere: a Clifford torus
+    at radius 1.01, or a 12-node curve at radii between 0.9 and 1.1."""
+    if param_dim == 2:
+        t = 2 * np.pi * np.arange(8) / 8
+        params = grid(t, t)
+        u, v = params.T
+        points = 1.01 * np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)], axis=-1) / np.sqrt(2)
+    else:
+        params = 2 * np.pi * np.arange(12)[:, None] / 12
+        t = params[:, 0]
+        radii = np.random.default_rng(0).uniform(0.9, 1.1, (12, 1))
+        points = radii * np.stack([np.cos(t), np.sin(t), np.sin(2 * t), np.cos(2 * t)], axis=-1) / np.sqrt(2)
+    write_mesh(path, params, points)
+
+
+@pytest.mark.parametrize("param_dim", [1, 2])
+def test_off_sphere_mesh_raises_off_manifold(tmp_path, param_dim):
+    # read directly, the closedness check and the pullback refuse the file;
+    # read through a manifest, resolve refuses it before any projection, so
+    # every command exits 1 with the same message
+    path = tmp_path / "mesh.csv"
+    off_sphere_mesh(path, param_dim)
+    periodic = [True] * param_dim
     model = MODEL_BUILDERS["s3"]()
-    message = "^immersion image leaves the model manifold$"
-    with pytest.raises(OffManifold, match=message):
-        check_closed(model, slc)
-    with pytest.raises(OffManifold, match=message):
+    slc = load_mesh_slice(path, param_dim, periodic)
+    message = "immersion image leaves the model manifold"
+    if param_dim == 2:
+        with pytest.raises(OffManifold, match=f"^{message}$"):
+            check_closed(model, slc)
+    with pytest.raises(OffManifold, match=f"^{message}$"):
         pullback_alpha(model, slc, slc.mesh.params)
-    # read through a manifest, the same file lies on the sphere
-    model, projected = resolve_mesh(tmp_path / "mesh.csv", "s3", 2, [True, True])
-    assert np.max(np.abs(np.linalg.norm(projected.points, axis=1) - 1.0)) < 1e-15
-    assert check_closed(model, projected).passed
+    with pytest.raises(OffManifold, match=f"^{message}$"):
+        resolve_mesh(path, "s3", param_dim, periodic)
+    manifest = tmp_path / "m.json"
+    slice_src = {"mesh_file": str(path), "param_dim": param_dim, "periodic": periodic}
+    manifest.write_text(json.dumps({"model": "s3", "slice": slice_src}))
+    for command in ("check", "chords", "collar"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(manifest)])
+        assert (code, err.getvalue()) == (1, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("model", ["s3", "s5"])

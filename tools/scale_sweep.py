@@ -79,14 +79,14 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 """
 
 
-# measures one input on the tree argv[2] (scale_sweep imported from argv[1])
-# and prints the result of ``measure`` as JSON
+# measures the input argv[3] on the tree argv[2] (scale_sweep imported from
+# argv[1]) and prints the result of ``measure`` as JSON
 MEASURE_CHILD = """
 import json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import scale_sweep
-print(json.dumps(scale_sweep.measure_tree(Path(sys.argv[2]), Path(sys.argv[3]))))
+print(json.dumps(scale_sweep.in_process(Path(sys.argv[2]))(Path(sys.argv[3]))))
 """
 
 
@@ -153,24 +153,31 @@ def measure(cli, speed, src: Path, manifest: Path) -> dict:
     }
 
 
-def measure_tree(src: Path, manifest: Path) -> dict:
-    """``measure`` of one input on the tree ``src``, in this interpreter."""
+def in_process(src: Path):
+    """``measure`` of an input on the tree ``src``, in this interpreter,
+    which imports the CLI and the speed probe once."""
     cli = load_cli(src)
     sys.path.insert(0, str(ROOT / "bench"))
     import speed
 
-    return measure(cli, speed, src, manifest)
+    return lambda manifest: measure(cli, speed, src, manifest)
 
 
-def measure_in_child(src: Path, manifest: Path) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", MEASURE_CHILD, str(ROOT / "tools"), str(src), str(manifest)],
-        capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"scale_sweep: measuring {manifest.name} on {src} failed")
-    return json.loads(proc.stdout)
+def in_child(src: Path):
+    """``measure`` of an input on the tree ``src``, in a fresh child
+    interpreter per input, so two trees can be measured in one sweep."""
+
+    def run(manifest: Path) -> dict:
+        proc = subprocess.run(
+            [sys.executable, "-c", MEASURE_CHILD, str(ROOT / "tools"), str(src), str(manifest)],
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            raise SystemExit(f"scale_sweep: measuring {manifest.name} on {src} failed")
+        return json.loads(proc.stdout)
+
+    return run
 
 
 def ratios(parent: dict, change: dict) -> dict:
@@ -212,36 +219,33 @@ def medians(measured: dict) -> str:
     return " ".join(f"{c} {measured['normalized_s'][c]['median']:.4f}" for c in COMMANDS)
 
 
-def sweep_one(src: Path, tmp: Path) -> dict:
-    sweeps = {}
-    for name, head, inputs in sweep_inputs(tmp):
-        points = []
-        for size, nodes, manifest in inputs:
-            point = {"resolution": size, "nodes": nodes, **measure_tree(src, manifest)}
-            points.append(point)
-            print(f"{name:22s} {size:5d}  {medians(point)}  rss {point['peak_rss_mb']:.1f} MB", flush=True)
-        sweeps[name] = {**head, "points": points, "slopes": slopes(points)}
-    return sweeps
-
-
-def sweep_against(src: Path, parent: Path, tmp: Path) -> dict:
-    trees = {"parent": parent, "change": src}
+def sweep(trees: dict, tmp: Path) -> dict:
+    """Every sweep point measured on each tree of ``trees`` ({side: its
+    measure function}).  One tree's measurements go into the point itself;
+    with two (parent and change) the side that goes first alternates from
+    point to point, and each point holds both sides and their ratios."""
     sweeps, k = {}, 0
     for name, head, inputs in sweep_inputs(tmp):
         points = []
         for size, nodes, manifest in inputs:
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            order = list(trees) if k % 2 == 0 else list(reversed(trees))
             k += 1
-            point = {"resolution": size, "nodes": nodes, "order": list(order)}
-            for side in order:
-                point[side] = measure_in_child(trees[side], manifest)
-            point["change_over_parent"] = ratios(point["parent"], point["change"])
+            measured = {side: trees[side](manifest) for side in order}
+            point = {"resolution": size, "nodes": nodes}
+            if len(trees) == 1:
+                point.update(measured[order[0]])
+            else:
+                point.update(order=order, **measured)
+                point["change_over_parent"] = ratios(measured["parent"], measured["change"])
             points.append(point)
-            normalized = point["change_over_parent"]["normalized_s"]
-            print(f"{name:22s} {size:5d}  parent {medians(point['parent'])}  change {medians(point['change'])}  "
-                  + " ".join(f"{c} {normalized[c]:.3f}" for c in COMMANDS), flush=True)
-        side_slopes = {side: slopes([{"nodes": p["nodes"], **p[side]} for p in points]) for side in trees}
-        sweeps[name] = {**head, "points": points, "slopes": side_slopes}
+            print(f"{name:22s} {size:5d}  "
+                  + "  ".join(f"{side} {medians(m)} rss {m['peak_rss_mb']:.1f} MB" for side, m in measured.items()),
+                  flush=True)
+        if len(trees) == 1:
+            sweep_slopes = slopes(points)
+        else:
+            sweep_slopes = {side: slopes([{"nodes": p["nodes"], **p[side]} for p in points]) for side in trees}
+        sweeps[name] = {**head, "points": points, "slopes": sweep_slopes}
     return sweeps
 
 
@@ -262,7 +266,7 @@ def main(argv=None) -> int:
                 "environment": envstamp.stamp(src.parent, None),
                 "src_uncommitted_changes": uncommitted_changes(src.parent),
                 "runs": RUNS,
-                "sweeps": sweep_one(src, Path(tmp)),
+                "sweeps": sweep({"src": in_process(src)}, Path(tmp)),
             }
         else:
             trees = {"parent": args.against.resolve(), "change": src}
@@ -271,7 +275,7 @@ def main(argv=None) -> int:
                 "environment": {side: envstamp.stamp(tree.parent, None) for side, tree in trees.items()},
                 "src_uncommitted_changes": {side: uncommitted_changes(tree.parent) for side, tree in trees.items()},
                 "runs": RUNS,
-                "sweeps": sweep_against(src, trees["parent"], Path(tmp)),
+                "sweeps": sweep({side: in_child(tree) for side, tree in trees.items()}, Path(tmp)),
             }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
