@@ -6,10 +6,10 @@ Two complementary strategies:
   pair of slice points with equal (x, y)-projection and distinct height,
   found by Newton refinement of projection double points seeded from
   close mesh pairs.
-* ``chords_shooting`` (any model): follow the closed-form Reeb flow
-  ``model.flow`` from mesh nodes, detect re-entries into a neighborhood of
-  the slice with a grid index, and refine (start, time, end) with Newton
-  on the landing system.
+* ``chords_shooting`` (any model): find where the Reeb orbits of mesh
+  nodes pass within the capture radius of other nodes, from the orbits'
+  closest approaches in closed form and a grid index, and refine
+  (start, time, end) with Newton on the landing system.
 
 Chord orientation convention: the start point is the flow source, i.e.
 the Reeb flow reaches the end point in positive time (in Euclidean models
@@ -20,7 +20,7 @@ output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,13 +31,13 @@ from .numerics import _row_norms, newton_solve_stack
 from .slices import ParamSlice
 from .spatial import GridIndex
 
-MAX_MONITOR_STEPS = 100_000  # largest max_time / monitor step a shooting search runs
 PROJECTION_RESIDUAL_TOL = 1e-10  # Newton tolerance of the projection double-point system
 LANDING_RESIDUAL_TOL = 1e-9  # Newton tolerance of the shooting landing system
-# Launch-steps per block of ``_capture_events``, bounding its memory: a
-# block of states is 128 KB in four dimensions, so the capture scan does
-# not raise a sphere search's peak RSS.
-_CAPTURE_BLOCK = 2**12
+# Largest count of passes (launch, node and return) a shooting search
+# expands, and of candidate pairs in one capture query: 50x the passes of
+# any shipped or tested input (hopf_circle at 4096 nodes: 10,240); at the
+# bound the capture scan takes about 85 MB.
+MAX_CAPTURE_PASSES = 2**19
 
 
 @dataclass
@@ -61,9 +61,7 @@ class ChordRecord:
 class SearchOptions:
     """Chord search settings.  ``None`` entries derive from mesh spacing:
     seed radius 3x projected spacing, exclusion radius 5x parameter
-    spacing, capture radius 2x ambient spacing.  ``monitor_dt`` bounds the
-    shooting monitor step, which is at most the capture radius over the
-    largest Reeb speed on the slice."""
+    spacing, capture radius 2x ambient spacing."""
 
     seed_radius: Optional[float] = None
     exclusion_radius: Optional[float] = None
@@ -71,7 +69,6 @@ class SearchOptions:
     max_time: float = 6.0
     capture_radius: Optional[float] = None
     launch_stride: int = 2
-    monitor_dt: float = 0.02
     cluster_radius: float = 1e-4
 
 
@@ -114,13 +111,13 @@ def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[C
 
     Within a cluster the record with the smallest refinement residual
     wins.  Output is canonically sorted.  Candidate pairs come from a grid
-    index over the lengths, so comparisons stay local.
+    index over the triples at radius x width, so comparisons stay local.
     """
     recs = sorted(raw, key=lambda r: (r.residual, r.sort_key()))
     keys = np.array([[*r.start_param, *r.end_param, r.length] for r in recs])
     keep = _first_of_clusters(
-        np.array([[r.length] for r in recs]),
-        cluster_radius,
+        keys,
+        cluster_radius * keys.shape[-1],
         lambda i, j: np.max(np.abs(keys[i] - keys[j]), axis=1) <= cluster_radius,
     )
     return sorted((r for r, k in zip(recs, keep) if k), key=ChordRecord.sort_key)
@@ -200,114 +197,109 @@ def _tangent_bases(p: np.ndarray) -> np.ndarray:
 
 
 def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius: float):
-    """Monitor Reeb trajectories from a subsample of nodes, one sample
-    every ``opts.monitor_dt``: a list of (launch node, time, captured node).
+    """Where the Reeb orbits of a subsample of nodes pass within the
+    capture radius r of a node, in closed form: a list of (launch node,
+    time, captured node), ordered by (time, launch).
 
-    Detection is armed only once a trajectory has left a 2x capture-radius
-    ball around its start (suppressing trivial self-captures), and ends
-    when the trajectory escapes the slice's bounding box by more than its
-    diameter.  A hit is an armed sample within the capture radius of a
-    node, and a dip is a run of consecutive hits of one launch.  Each dip
-    yields one candidate, at its first minimal-distance sample later than
-    ``min_length``, flushed at the sample after the dip or at the end.
-
-    All launches advance together in blocks of at most ``_CAPTURE_BLOCK``
-    launch-steps.  Only the flow recurrence runs step by step; the box
-    gaps, the first escaped and armed steps and one grid-index query of
-    the armed samples near the box are array passes over a block, which
-    keep only the hits.  Events are ordered by (flush step, launch), the
-    order of a loop over steps and, within a step, over launches.
+    The orbit of p comes closest to a node q at distance d and time t0.
+    On Euclidean models it is the vertical line over p's shadow (the point
+    without z): d is the shadow distance, t0 = z_q - z_p.  On the unit
+    sphere it is the Hopf circle e^{2it} p: with c = sum_j p_j conj(q_j),
+    d^2 = 2 - 2|c| at t0 = (-arg c mod 2 pi) / 2 and every pi after.  A
+    grid index over the shadows, or over the real coordinates of p p^*
+    (off-diagonal terms scaled by sqrt 2: |P - Q|^2 = 2 - 2|c|^2), finds
+    the pairs with d <= r.  A launch is armed once its orbit leaves the 2r
+    ball around its start (t > 2r, or t > arcsin r); a pass up to
+    ``max_time`` is within r for |t - t0| <= sqrt(r^2 - d^2), or
+    (1/2) arccos((1 - r^2/2) / |c|).  A launch's overlapping windows form
+    a run, giving one event at its nearest node later than ``min_length``
+    (the earliest, then the lowest node on a tie).  More than
+    ``MAX_CAPTURE_PASSES`` passes raise SearchTooLong before expansion.
     """
     launches = np.arange(0, slc.mesh.n_nodes, max(1, opts.launch_stride))
-    starts = slc.points[launches]
-    states = starts.copy()
-    idx = GridIndex(slc.points, cell_size=capture_radius)
+    r = capture_radius
+    if isinstance(model, StandardSphereModel):
+        if r >= 1:  # no orbit leaves the 2r ball around its start
+            return []
+        z = slc.points[:, 0::2] + 1j * slc.points[:, 1::2]
+        j, k = np.triu_indices(z.shape[1], 1)
+        cross = np.sqrt(2) * z[:, j] * np.conj(z[:, k])
+        key = np.concatenate([np.abs(z) ** 2, cross.real, cross.imag], axis=1)
+        rho = r * np.sqrt(2 - r * r / 2)  # 2 - 2 (1 - r^2/2)^2, without the cancellation at small r
 
-    lo = slc.points.min(axis=0)
-    hi = slc.points.max(axis=0)
-    diameter = float(np.linalg.norm(hi - lo))
-    escape = diameter + 4.0 * capture_radius
+        def approach(p, q, d2):  # (first armed pass, half window, passes)
+            c = np.sum(z[p] * np.conj(z[q]), axis=1)
+            t0 = (-np.angle(c) % (2 * np.pi)) / 2
+            t0 += np.pi * (t0 <= np.arcsin(r))
+            half = 0.5 * np.arccos(np.minimum((1 - r * r / 2) / np.abs(c), 1))
+            return t0, half, np.maximum(np.floor((opts.max_time - t0) / np.pi) + 1, 0)
+    else:
+        key, rho = slc.points[:, :-1], r
 
-    never = np.iinfo(np.int64).max
-    escaped_at = np.full(len(launches), never)  # first step beyond the escape gap
-    armed_at = np.full(len(launches), never)  # first step beyond 2x the capture radius of the start
-    times = []  # summed step by step
-    hits = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]  # (step, launch, node, distance)
-    t = 0.0
-    while t < opts.max_time and np.any(escaped_at == never):
-        live = np.flatnonzero(escaped_at == never)
-        first, state, block, width = len(times), states[live], [], max(1, _CAPTURE_BLOCK // len(live))
-        while t < opts.max_time and len(block) < width:
-            state = model.flow(state, opts.monitor_dt)
-            block.append(state)
-            t += opts.monitor_dt
-            times.append(t)
-        states[live] = state
-        block = np.stack(block)  # (steps, live launches, d)
-        box_gap = np.linalg.norm(np.maximum(lo - block, 0) + np.maximum(block - hi, 0), axis=-1)
-        left_start = np.linalg.norm(block - starts[live], axis=-1) > 2.0 * capture_radius
-        for at, passed in ((escaped_at, box_gap > escape), (armed_at, left_start)):
-            reached = (at[live] == never) & passed.any(axis=0)
-            at[live[reached]] = first + passed[:, reached].argmax(axis=0)
-        step = np.arange(first, len(times))[:, None]
-        # armed samples before the escape; beyond the capture radius of the box none is near a node
-        rows, cols = np.nonzero((step > armed_at[live]) & (step < escaped_at[live]) & (box_gap <= capture_radius))
-        node, dist = idx.nearest_within(block[rows, cols], capture_radius)
-        near = node >= 0
-        hits.append((rows[near] + first, live[cols[near]], node[near], dist[near]))
-
-    step, launch, node, dist = map(np.concatenate, zip(*hits))
-    order = np.argsort(launch, kind="stable")  # (launch, step) order
-    step, launch, node, dist = step[order], launch[order], node[order], dist[order]
-    head, tail = np.ones(len(step), dtype=bool), np.ones(len(step), dtype=bool)
-    # a new launch, or a step without a hit, ends a dip
-    head[1:] = tail[:-1] = (launch[1:] != launch[:-1]) | (step[1:] != step[:-1] + 1)
-    dip = np.cumsum(head) - 1
-    flush_at = step[tail] + 1  # the step after each dip
-    times = np.array(times)
-    late = np.flatnonzero(times[step] > opts.min_length)
-    best = late[np.lexsort((dist[late], dip[late]))]  # stable: the earliest sample on a tie
-    best = best[np.flatnonzero(np.diff(dip[best], prepend=-1))]
-    best = best[np.lexsort((launch[best], flush_at[dip[best]]))]
-    return list(zip(launches[launch[best]].tolist(), times[step[best]].tolist(), node[best].tolist()))
+        def approach(p, q, d2):
+            t0 = slc.points[q, -1] - slc.points[p, -1]
+            return t0, np.sqrt(r * r - d2), ((t0 > 2 * r) & (t0 <= opts.max_time)).astype(float)
+    # launches in blocks of at most MAX_CAPTURE_PASSES candidate pairs and
+    # cell probes (3^9 per launch on S^5), so memory stays bounded whatever
+    # the capture radius; only pairs that pass are kept
+    index, found, total = GridIndex(key, cell_size=rho), [], 0.0
+    step = max(1, MAX_CAPTURE_PASSES // max(len(key), 3 ** key.shape[1]))
+    for lo in range(0, len(launches), step):
+        rows, node, d2 = index.query_ball(key[launches[lo : lo + step]], rho)
+        t0, half, passes = approach(launches[lo + rows], node, d2)
+        total += float(np.sum(passes))
+        if total > MAX_CAPTURE_PASSES:
+            raise SearchTooLong(f"capture passes up to max_time {opts.max_time:.3g} exceed the bound of {MAX_CAPTURE_PASSES}")
+        kept = passes > 0
+        found.append((lo + rows[kept], node[kept], d2[kept], t0[kept], half[kept], passes[kept]))
+    rows, node, d2, t0, half, passes = map(np.concatenate, zip(*found))
+    passes = passes.astype(np.int64)
+    pair = np.repeat(np.arange(len(passes)), passes)
+    repeat = np.arange(len(pair)) - np.repeat(np.cumsum(passes) - passes, passes)
+    t = t0[pair] + np.pi * repeat  # a Euclidean pair passes once, repeat 0
+    n = len(t)
+    # exact ranks of the window ends, offset by launch: one running maximum
+    # of the ends spans every launch, and a window that begins beyond the
+    # ends before it in its launch begins a run
+    _, rank = np.unique(np.concatenate([t - half[pair], t + half[pair]]), return_inverse=True)
+    begin, end = rows[pair] * 2 * n + rank[:n], rows[pair] * 2 * n + rank[n:]
+    order = np.argsort(begin, kind="stable")
+    head = np.ones(n, dtype=bool)
+    head[1:] = begin[order[1:]] > np.maximum.accumulate(end[order])[:-1]
+    run = np.cumsum(head) - 1
+    launch, node, d2, t = rows[pair][order], node[pair][order], d2[pair][order], t[order]
+    # the nearest node by d2, which grows with d on both models
+    late = np.flatnonzero(t > opts.min_length)
+    best = late[np.lexsort((node[late], t[late], d2[late], run[late]))]
+    best = best[np.flatnonzero(np.diff(run[best], prepend=-1))]
+    best = best[np.lexsort((launch[best], t[best]))]
+    return list(zip(launches[launch[best]].tolist(), t[best].tolist(), node[best].tolist()))
 
 
 def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
     """Reeb chords by flow shooting, for any built-in model.
 
-    Trajectories and the landing system use the model's closed-form flow
-    ``model.flow``.  Trajectories are sampled every ``monitor_dt``, or
-    every capture radius / max |R| on the slice when that is shorter: a
-    sample moves at most the capture radius, so a trajectory passing within
-    half the capture radius of a node has a sample in its capture ball.
-    Capture events are pre-clustered into candidate
-    chords, with candidate pairs keyed on the capture time and the start
-    parameters (periodic axes embedded as circles), and refined together
-    in one stacked Newton solve; the landing system
-    G(u, T, v) = flow_T(i(u)) - i(v) is squared up on spheres by
-    projecting the residual onto the tangent space at the seed's end
-    point.  Every returned chord satisfies the
-    flow-landing invariant; chords shorter than twice the capture radius
-    are below the arming distance and are only found by the projection
-    method.
+    Capture events (``_capture_events``, in closed form) are
+    pre-clustered into candidate chords, with candidate pairs keyed on the
+    capture time and the start parameters (periodic axes embedded as
+    circles), and refined together in one stacked Newton solve on the
+    landing system G(u, T, v) = flow_T(i(u)) - i(v) with the closed-form
+    ``model.flow``, squared up on spheres by projecting the residual onto
+    the tangent space at the seed's end point.  Every returned chord
+    satisfies the flow-landing invariant; chords shorter than twice the
+    capture radius are below the arming distance and are only found by
+    the projection method.
 
     Raises:
-        SearchTooLong: max_time over the monitor step exceeds
-            ``MAX_MONITOR_STEPS``; checked before any trajectory is monitored.
+        SearchTooLong: the capture passes up to ``max_time`` exceed
+            ``MAX_CAPTURE_PASSES``.
         NewtonFailuresExceeded: more than half the candidates fail.
     """
     opts = opts or SearchOptions()
     mesh = slc.mesh
     capture_radius = opts.capture_radius or 2.0 * _ambient_spacing(slc.points, mesh.edges())
-    # a sample moves at most the capture radius per step
-    dt = min(opts.monitor_dt, capture_radius / float(np.max(_row_norms(model.reeb(slc.points)))))
-    steps = opts.max_time / dt
-    if steps > MAX_MONITOR_STEPS:
-        raise SearchTooLong(
-            f"{steps:.3g} monitor steps (max_time / monitor step {dt:.3g}) exceed the bound of {MAX_MONITOR_STEPS}"
-        )
     # pre-cluster events: neighbors launching into the same chord
-    events = _capture_events(model, slc, replace(opts, monitor_dt=dt), capture_radius)
+    events = _capture_events(model, slc, opts, capture_radius)
     events = np.array(events, dtype=float).reshape(-1, 3)
     start, t = mesh.params[events[:, 0].astype(int)], events[:, 1]
 

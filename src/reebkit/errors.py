@@ -46,7 +46,7 @@ class NewtonFailuresExceeded(ReebkitError):
 
 
 class SearchTooLong(ReebkitError):
-    """A shooting search would monitor more flow steps than the bound."""
+    """A shooting search would expand more capture passes than the bound."""
 
 
 class ReparamDegenerate(ReebkitError):

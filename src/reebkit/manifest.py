@@ -33,7 +33,7 @@ from .slices import (
     require_on_manifold,
 )
 
-_SEARCH_KEYS = {"seed_radius", "exclusion_radius", "max_time", "min_length", "capture_radius", "launch_stride", "monitor_dt", "cluster_radius"}
+_SEARCH_KEYS = {"seed_radius", "exclusion_radius", "max_time", "min_length", "capture_radius", "launch_stride", "cluster_radius"}
 _TOL_KEYS = {"closed", "transverse", "margin"}
 
 

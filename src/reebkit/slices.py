@@ -10,6 +10,7 @@ on a 1-D slice the two are one stack, which both may share).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -229,6 +230,11 @@ class ParamSlice:
             return np.asarray(self.analytic_jacobian(u), dtype=float)
         return jacobian_fd(self.immerse, u)
 
+    @functools.cached_property
+    def node_jacobian(self) -> np.ndarray:
+        """The Jacobian (N, ambient_dim, param_dim) at the nodes, shared by the slice checks."""
+        return self.jacobian_at(self.mesh.params)
+
     def nearest_node(self, u):
         """Index of the nearest mesh node to each parameter point of u
         (..., param_dim), shortest way around periodic factors, the lowest
@@ -310,8 +316,8 @@ def check_closed(model, slc: ParamSlice, tol: float = DEFAULT_CLOSED_TOL) -> Che
     the mesh nodes.
 
     The pullback commutes with d, so that is d_alpha(J_a, J_b) on the
-    Jacobian columns J_a, J_b at each node: one Jacobian evaluation, and
-    the model's closed-form d_alpha.  On the sphere the columns are
+    Jacobian columns J_a, J_b at each node: the slice's ``node_jacobian``,
+    shared with ``check_transverse``, and the model's closed-form d_alpha.  On the sphere the columns are
     tangent, so the extension of alpha off the sphere does not enter.
     The nodes must lie on the model manifold, as for ``pullback_alpha``.
     One-dimensional domains pass vacuously with residual 0 (there are no
@@ -320,7 +326,7 @@ def check_closed(model, slc: ParamSlice, tol: float = DEFAULT_CLOSED_TOL) -> Che
     if slc.param_dim == 1:
         return CheckResult(True, 0.0)
     pts = require_on_manifold(model, slc.points)
-    jac = slc.jacobian_at(slc.mesh.params)
+    jac = slc.node_jacobian
     pairs = itertools.combinations(range(slc.param_dim), 2)
     residual = max(float(np.max(np.abs(model.d_alpha(pts, jac[..., a], jac[..., b])))) for a, b in pairs)
     return CheckResult(residual <= tol, residual)
@@ -432,11 +438,12 @@ def check_transverse(model, slc: ParamSlice, tol: float = DEFAULT_TRANSVERSE_TOL
 
     The kernel of d_alpha is spanned by the Reeb vector, so tangency to it
     (or a rank drop of the Jacobian) shows up as a vanishing singular value.
-    One Jacobian evaluation at the nodes; ``_min_singular_value`` reads the
-    singular value from the Gram matrix of [J | R].
+    The Jacobian at the nodes is the slice's ``node_jacobian``, shared
+    with ``check_closed``; ``_min_singular_value`` reads the singular
+    value from the Gram matrix of [J | R].
     """
     cols = np.empty((slc.ambient_dim, slc.param_dim + 1, slc.mesh.n_nodes))
-    cols[:, :-1] = np.moveaxis(slc.jacobian_at(slc.mesh.params), 0, -1)
+    cols[:, :-1] = np.moveaxis(slc.node_jacobian, 0, -1)
     cols[:, -1] = model.reeb(slc.points).T
     min_sigma = float(np.min(_min_singular_value(cols)))
     return CheckResult(min_sigma > tol, min_sigma)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from reebkit.chords import (
     dedup_chords,
 )
 from reebkit.errors import NewtonFailuresExceeded, SearchTooLong, WrongModel
+from reebkit.models import StandardSphereModel, make_model
 from reebkit.numerics import integrate_flow, newton_solve_stack
 from reebkit.report import chord_table
+from reebkit.slices import ParamSlice, circle_factor, interval_factor
 from reebkit.spatial import GridIndex
 
 TWO_PI = 2 * np.pi
@@ -144,9 +147,9 @@ def test_hopf_antipodal_structure(shooting_chords):
 
 
 def test_hopf_fine_mesh_finds_antipodal_chords():
-    # at 1024 nodes the capture radius (0.0123) is below the default
-    # monitor step's displacement 2 * 0.02: the derived step keeps samples
-    # from stepping over every capture ball
+    # at 1024 nodes the capture radius (0.0123) is below 2 * 0.02, the
+    # displacement of one step of the former sampled scan, which once
+    # stepped over every capture ball here
     entry = catalog_get("hopf_circle", {"resolution": 1024})
     found = chords_shooting(entry.model, entry.slice, SearchOptions(max_time=2.0))
     assert found
@@ -154,27 +157,6 @@ def test_hopf_fine_mesh_finds_antipodal_chords():
         k = chord.length / (np.pi / 2)
         assert abs(k - round(k)) < 1e-6
         assert np.linalg.norm(chord.end_point + chord.start_point) < 1e-6
-
-
-@pytest.mark.parametrize("resolution, step", [(256, 0.02), (1024, 2 * np.pi / 1024)], ids=["n256", "n1024"])
-def test_monitor_step_from_capture_radius(monkeypatch, resolution, step):
-    # the step is the smaller of monitor_dt and capture radius / max |R|:
-    # twice the edge length 2 sin(pi / n), over |R| = 2 on the hopf circle
-    entry = catalog_get("hopf_circle", {"resolution": resolution})
-    steps = []
-
-    def record(model, slc, opts, capture_radius):
-        steps.append(opts.monitor_dt)
-        return []
-
-    monkeypatch.setattr(chords, "_capture_events", record)
-    chords_shooting(entry.model, entry.slice, SearchOptions(max_time=2.0))
-    assert steps == [pytest.approx(step, rel=1e-4)]
-    # 1000 / 0.02 = 50,000 steps pass the bound; 1000 / (2 pi / 1024) = 163,000 do not
-    if resolution == 1024:
-        with pytest.raises(SearchTooLong, match="1.63e[+]05 monitor steps"):
-            chords_shooting(entry.model, entry.slice, SearchOptions(max_time=1000.0))
-        assert len(steps) == 1
 
 
 def test_search_determinism(unknot_entry):
@@ -187,61 +169,88 @@ def test_search_determinism(unknot_entry):
         assert x.length == y.length
 
 
-def capture_events_loop(model, slc, opts, capture_radius):
-    """Reference for ``_capture_events``: one trajectory at a time."""
-    mesh = slc.mesh
-    launches = list(range(0, mesh.n_nodes, max(1, opts.launch_stride)))
-    states = slc.points[launches].copy()
-    idx = GridIndex(slc.points, cell_size=capture_radius)
-    lo = slc.points.min(axis=0)
-    hi = slc.points.max(axis=0)
-    escape = float(np.linalg.norm(hi - lo)) + 4.0 * capture_radius
-    n = len(launches)
-    armed = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-    inside = np.full(n, -1.0)
-    best = [None] * n
+def capture_events_reference(model, slc, opts, capture_radius):
+    """Reference for ``_capture_events``: the closed-form closest approach
+    of every (launch, node) pair, one launch at a time, with no grid index;
+    the windows of a launch are merged into runs by a loop."""
+    r, points = capture_radius, slc.points
+    sphere = isinstance(model, StandardSphereModel)
+    if sphere:
+        z = points[:, 0::2] + 1j * points[:, 1::2]
+        pairs = [(j, k) for j in range(z.shape[1]) for k in range(j + 1, z.shape[1])]
+        cross = [np.sqrt(2) * z[:, j] * np.conj(z[:, k]) for j, k in pairs]
+        key = np.stack([np.abs(z[:, j]) ** 2 for j in range(z.shape[1])] + [c.real for c in cross] + [c.imag for c in cross], axis=1)
+        radius, armed = r * np.sqrt(2 - r * r / 2), np.arcsin(r)
+    else:
+        key, radius, armed = points[:, :-1], r, 2.0 * r
     events = []
+    for launch in range(0, slc.mesh.n_nodes, max(1, opts.launch_stride)):
+        d2 = np.zeros(len(points))
+        for x in key.T:
+            d2 += (x - x[launch]) ** 2
+        near = np.flatnonzero(d2 <= radius * radius)
+        if sphere:
+            c = np.sum(z[launch] * np.conj(z[near]), axis=1)
+            half = 0.5 * np.arccos(np.minimum((1 - r * r / 2) / np.abs(c), 1))
+            first = (-np.angle(c) % (2 * np.pi)) / 2
+            first = np.where(first <= armed, first + np.pi, first)
+            times = [first[i] + np.pi * np.arange(int(opts.max_time / np.pi) + 1) for i in range(len(near))]
+        else:
+            half = np.sqrt(r * r - d2[near])
+            times = [[points[q, -1] - points[launch, -1]] for q in near]
+        windows = sorted(
+            (t - h, t + h, d2[q], t, q)
+            for q, h, ts in zip(near, half, times)
+            for t in ts
+            if armed < t <= opts.max_time
+        )
+        runs, reach = [], -np.inf
+        for window in windows:
+            if window[0] > reach:
+                runs.append([])
+            runs[-1].append(window)
+            reach = max(reach, window[1])
+        for run in runs:
+            late = [(d, t, q) for _, _, d, t, q in run if t > opts.min_length]
+            if late:
+                _, t, q = min(late)
+                events.append((launch, t, q))
+    return sorted(events, key=lambda e: (e[1], e[0]))
 
-    def flush(i):
-        if best[i] is not None:
-            events.append(best[i])
-            best[i] = None
 
-    t = 0.0
-    while t < opts.max_time and np.any(alive):
-        states[alive] = model.flow(states[alive], opts.monitor_dt)
-        t += opts.monitor_dt
-        for k in range(n):
-            if not alive[k]:
-                continue
-            p = states[k]
-            box_gap = np.linalg.norm(np.maximum(lo - p, 0) + np.maximum(p - hi, 0))
-            if box_gap > escape:
-                flush(k)
-                alive[k] = False
-                continue
-            if not armed[k]:
-                if np.linalg.norm(p - slc.points[launches[k]]) > 2.0 * capture_radius:
-                    armed[k] = True
-                continue
-            if box_gap > capture_radius:
-                flush(k)
-                inside[k] = -1.0
-                continue
-            (node,), (dist,) = idx.nearest_within(p[None], capture_radius)
-            if node < 0:
-                flush(k)
-                inside[k] = -1.0
-                continue
-            if t <= opts.min_length:
-                continue
-            if inside[k] < 0 or dist < inside[k]:
-                inside[k] = dist
-                best[k] = (launches[k], t, node)
-    for k in range(n):
-        flush(k)
-    return events
+@pytest.fixture(scope="module")
+def s3_curve_entry():
+    """The curve (cos t, sin t, cos 2t, sin 2t) / sqrt 2 on S^3 at 48 nodes:
+    its orbits close up at pi, where the passes of neighbouring nodes spread
+    in time."""
+
+    def immersion(w):
+        t = w[..., 0]
+        return np.stack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)], axis=-1) / np.sqrt(2)
+
+    slc = ParamSlice([circle_factor(TWO_PI)], immersion, resolution=[48])
+    return SimpleNamespace(model=StandardSphereModel(2), slice=slc, expected=None)
+
+
+@pytest.fixture(scope="module")
+def s5_entry():
+    """The band (cos u cos v, 0, sin u cos v, 0, sin v, 0), u a circle and
+    v in [-1, 1], of the real 2-sphere in S^5 at 24 x 24 nodes: its orbits
+    reach the antipodes at pi / 2."""
+
+    def immersion(w):
+        u, v = w[..., 0], w[..., 1]
+        zero = np.zeros_like(u)
+        return np.stack([np.cos(u) * np.cos(v), zero, np.sin(u) * np.cos(v), zero, np.sin(v), zero], axis=-1)
+
+    slc = ParamSlice([circle_factor(TWO_PI), interval_factor(-1.0, 1.0)], immersion, resolution=[24, 24])
+    return SimpleNamespace(model=StandardSphereModel(3), slice=slc, expected=None)
+
+
+@pytest.fixture(scope="module")
+def exact_torus_entry(exact_torus):
+    model, slc, _ = exact_torus(24)
+    return SimpleNamespace(model=model, slice=slc, expected=None)
 
 
 SHOOTING_CASES = [
@@ -250,34 +259,124 @@ SHOOTING_CASES = [
     ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=4)),
     ("unknot_entry", SearchOptions(max_time=3.0)),
     ("torus_entry", SearchOptions(max_time=3.0, launch_stride=128)),
-    ("unknot_entry", SearchOptions(max_time=6.0, launch_stride=8)),  # every launch escapes
+    ("unknot_entry", SearchOptions(max_time=6.0, launch_stride=8)),  # beyond the slice's height
+]
+# more passes of each orbit (a Hopf circle returns every pi), S^5, and r5
+CAPTURE_CASES = SHOOTING_CASES + [
+    ("hopf_entry", SearchOptions(max_time=10.0, launch_stride=3)),
+    ("s3_curve_entry", SearchOptions(max_time=7.0, launch_stride=1)),
+    ("s5_entry", SearchOptions(max_time=4.0, launch_stride=1)),
+    ("exact_torus_entry", SearchOptions(max_time=3.0, launch_stride=1)),
 ]
 
 
-@pytest.mark.parametrize("entry_name, opts", SHOOTING_CASES)
-def test_capture_events_match_loop(entry_name, opts, request, monkeypatch):
+@pytest.mark.parametrize("entry_name, opts", CAPTURE_CASES)
+def test_capture_events_match_loop(entry_name, opts, request):
     entry = request.getfixturevalue(entry_name)
     slc = entry.slice
     capture_radius = 2.0 * _ambient_spacing(slc.points, slc.mesh.edges())
     events = _capture_events(entry.model, slc, opts, capture_radius)
-    assert bool(events) == (entry.expected.chord_count != 0)
-    want = capture_events_loop(entry.model, slc, opts, capture_radius)
-    assert events == want
-    # blocks of one and of a few steps: dips, arming and escapes straddle block edges
-    for block in (1, 300):
-        monkeypatch.setattr(chords, "_CAPTURE_BLOCK", block)
-        assert _capture_events(entry.model, slc, opts, capture_radius) == want
+    if entry.expected is None:
+        assert events
+    else:
+        assert bool(events) == (entry.expected.chord_count != 0)
+    assert events == capture_events_reference(entry.model, slc, opts, capture_radius)
+
+
+def _node_slice(*points):
+    """A slice whose nodes are ``points``, one per node of an interval."""
+    table = np.array(points)
+    return ParamSlice(
+        [interval_factor(0.0, 1.0)],
+        lambda u: table[np.rint(u[..., 0] * (len(table) - 1)).astype(int)],
+        resolution=[len(table)],
+    )
+
+
+@pytest.mark.parametrize("name", ["s3", "s5", "r3", "r5"])
+def test_closest_approach_matches_sampled_flow(name):
+    # the orbit of p, sampled every 1e-4, comes closest to q at (d, t): the
+    # closed form captures q from p at t, within a capture radius just
+    # above d and not just below it
+    model = make_model(name)
+    sphere = isinstance(model, StandardSphereModel)
+    rng = np.random.default_rng(22)
+    ts = np.arange(0.0, np.pi, 1e-4)
+    opts = SearchOptions(max_time=3.1, launch_stride=1)
+    for _ in range(10):
+        p = rng.normal(size=model.ambient_dim)
+        p = p / np.linalg.norm(p) if sphere else p
+        q = model.flow(p, rng.uniform(1.0, 2.0)) + 0.05 * rng.normal(size=model.ambient_dim)
+        q = q / np.linalg.norm(q) if sphere else q
+        dist = np.linalg.norm(model.flow(p, ts) - q, axis=1)
+        d, t = dist.min(), ts[dist.argmin()]
+        slc = _node_slice(p, q)
+        above = [e for e in _capture_events(model, slc, opts, d * (1 + 1e-3)) if e[::2] == (0, 1)]
+        assert len(above) == 1 and abs(above[0][1] - t) <= 1e-4
+        assert [e for e in _capture_events(model, slc, opts, d * (1 - 1e-3)) if e[::2] == (0, 1)] == []
+        # the pass's window: q's sampled window within r = 1.5 d ends at
+        # b, and a node on the orbit is within r for |s| <= w of its
+        # time; a node on the orbit at b + w + gap is a run of its own
+        # beyond the window, and joins q's run inside it
+        r = 1.5 * d
+        b = ts[dist <= r].max()
+        w = ts[(ts < 1.0) & (np.linalg.norm(model.flow(p, ts) - p, axis=1) <= r)].max()  # before p's return at pi
+        for gap, runs in ((1e-3, 2), (-1e-3, 1)):
+            slc = _node_slice(p, q, model.flow(p, b + w + gap))
+            assert len([e for e in _capture_events(model, slc, opts, r) if e[0] == 0]) == runs
 
 
 def test_capture_skips_reentry_before_min_length():
-    # the chord of sheared_unknot at c = -0.6 is 2/15 long: its launch is
-    # armed after two monitor steps and re-enters the capture radius at
-    # t = 0.14, which is a chord only while min_length stays below it
+    # the chord of sheared_unknot at c = -0.6 runs from node 192 (t = 3 pi / 2)
+    # up to node 64 (t = pi / 2), 4/3 + 2c = 2/15 long: the closed form
+    # captures it at that time, which is a chord only while min_length
+    # stays below it
     entry = catalog_get("sheared_unknot", {"c": -0.6})
     short = SearchOptions(max_time=1.0, min_length=1e-4)
     events = _capture_events(entry.model, entry.slice, short, 0.01)
-    assert [(u, round(t, 9)) for u, t, _ in events] == [(192, 0.14)]
+    assert events == [(192, pytest.approx(2 / 15, abs=1e-15), 64)]
     assert _capture_events(entry.model, entry.slice, replace(short, min_length=0.2), 0.01) == []
+
+
+def test_capture_passes_are_bounded(hopf_entry):
+    # a pair of nodes passes every pi: a count beyond every integer type
+    # is refused before any pass is expanded
+    opts = SearchOptions(max_time=1e300)
+    with pytest.raises(SearchTooLong, match=f"exceed the bound of {chords.MAX_CAPTURE_PASSES}"):
+        _capture_events(hopf_entry.model, hopf_entry.slice, opts, 0.05)
+
+
+@pytest.mark.parametrize("entry_name, opts, capture_radius", [
+    ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=1), None),
+    ("unknot_entry", SearchOptions(max_time=3.0), None),
+    ("unknot_entry", SearchOptions(max_time=3.0), 10.0),  # every (launch, node) pair is a candidate
+])
+def test_capture_queries_are_blocked(entry_name, opts, capture_radius, request, monkeypatch):
+    # the launches are queried in blocks of at most MAX_CAPTURE_PASSES
+    # candidate pairs, whatever the capture radius, and the blocks do not
+    # change the events
+    entry = request.getfixturevalue(entry_name)
+    slc = entry.slice
+    capture_radius = capture_radius or 2.0 * _ambient_spacing(slc.points, slc.mesh.edges())
+    want = _capture_events(entry.model, slc, opts, capture_radius)
+    candidates = []
+    query_ball = GridIndex.query_ball
+
+    def recording(index, points, radius):
+        candidates.append(len(points) * len(index.points))
+        return query_ball(index, points, radius)
+
+    monkeypatch.setattr(GridIndex, "query_ball", recording)
+    monkeypatch.setattr(chords, "MAX_CAPTURE_PASSES", 2**12)
+    assert _capture_events(entry.model, slc, opts, capture_radius) == want
+    assert len(candidates) > 1 and max(candidates) <= 2**12
+
+
+@pytest.mark.parametrize("capture_radius", [1.0, 1.5, 3.0])
+def test_sphere_orbit_is_never_armed_beyond_unit_capture_radius(hopf_entry, capture_radius):
+    # an orbit of the unit sphere stays within 2 of its start, so it never
+    # leaves a ball of twice a capture radius of 1 or more
+    assert _capture_events(hopf_entry.model, hopf_entry.slice, SearchOptions(max_time=10.0), capture_radius) == []
 
 
 def precluster_loop(mesh, events, capture_radius):

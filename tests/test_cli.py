@@ -502,28 +502,30 @@ def test_actions_use_one_quadrature_per_collar(manifest_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["chords", "collar"])
 @pytest.mark.parametrize(
-    "search, flags",
-    [({"monitor_dt": 1e-7}, []), ({"max_time": 1e9}, []), ({}, ["--max-time", "1e9"])],
-    ids=["monitor_dt", "max_time", "max_time_flag"],
+    "search, flags", [({"max_time": 1e9}, []), ({}, ["--max-time", "1e9"])], ids=["max_time", "max_time_flag"]
 )
-def test_shooting_monitor_is_bounded(manifest_path, monkeypatch, command, search, flags):
-    # more than MAX_MONITOR_STEPS monitor steps is refused before any
-    # trajectory is monitored: a search failure, not an endless run
+def test_shooting_monitor_is_bounded(manifest_path, command, search, flags):
+    # every pair of nodes passes every pi up to max_time: more than
+    # MAX_CAPTURE_PASSES passes is refused before they are expanded, a
+    # search failure, not an endless run
     import reebkit.chords
 
-    def never(*args, **kwargs):
-        raise AssertionError("the search monitored trajectories")
-
-    monkeypatch.setattr(reebkit.chords, "_capture_events", never)
     path = manifest_path("hopf", {"slice": {"catalog": "hopf_circle"}, "search": search})
     start = time.perf_counter()
     code, out, err = run_cli([command, path, *flags])
     assert time.perf_counter() - start < 10.0
     assert code == 1
     assert out == ""
-    assert err.count("\n") == 1 and "exceed the bound of 100000" in err
+    assert err.count("\n") == 1 and f"exceed the bound of {reebkit.chords.MAX_CAPTURE_PASSES}" in err
     assert err.startswith("chord search failed: ")  # the same line under both commands
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "chords", "collar"])
+def test_monitor_dt_is_an_unknown_search_key(manifest_path, command):
+    # the capture search samples no trajectory, so it takes no step
+    path = manifest_path("hopf", {"slice": {"catalog": "hopf_circle"}, "search": {"monitor_dt": 0.02}})
+    assert run_cli([command, path]) == (2, "", "manifest error: unknown search key 'monitor_dt'\n")
 
 
 @pytest.fixture(scope="module")
@@ -615,6 +617,28 @@ def test_chordless_curve_gets_an_empty_table(model_mesh_files, tmp_path, model, 
         assert out.count("\n") == 1 and out.startswith("start_param_0,")  # the header only
     else:
         assert json.loads(out)["chords"] == []
+
+
+@pytest.mark.parametrize("command", ["check", "chords", "collar"])
+@pytest.mark.parametrize("entry", ["torus_r5", "warped_torus"])
+def test_commands_evaluate_the_node_jacobian_once(manifest_path, monkeypatch, command, entry):
+    # check_closed and check_transverse share the slice's node_jacobian
+    # (on a curve check_closed needs no Jacobian)
+    from reebkit.slices import ParamSlice
+
+    at_nodes = []
+    jacobian_at = ParamSlice.jacobian_at
+
+    def counted(self, u):
+        if np.shape(u) == self.mesh.params.shape and np.array_equal(u, self.mesh.params):
+            at_nodes.append(command)
+        return jacobian_at(self, u)
+
+    monkeypatch.setattr(ParamSlice, "jacobian_at", counted)
+    path = manifest_path(entry, {"slice": {"catalog": entry, "params": {"resolution": 12}}})
+    code, _, err = run_cli([command, path])
+    assert code in (0, 1, 3, 4, 5) and "Traceback" not in err
+    assert at_nodes == [command]
 
 
 @pytest.mark.parametrize("param_dim", [1, 2])

@@ -26,8 +26,8 @@ Inputs:
   to time 20 (``collar`` once exited 1 with a point off S^3); the
   chordless mesh-file curve (cos t, sin t, cos 2t, sin 2t, cos 3t),
   normalized, in r5 at 12 nodes (``chords`` and ``collar`` once exited 1
-  with every projection seed failed); hopf_circle at 1024 nodes (its
-  monitor samples once stepped over every capture ball, so ``chords``
+  with every projection seed failed); hopf_circle at 1024 nodes (the
+  former sampled capture scan stepped over every capture ball, so ``chords``
   printed an empty table and ``collar`` said Collarable with 0 chords);
   two sphere mesh files, the 12-node curve (cos t, sin t, cos 2t, sin 2t)
   / sqrt 2 in s3 and the Clifford torus (cos u, sin u, cos v, sin v) /

@@ -1,4 +1,4 @@
-"""Time reebkit's commands as the input grows, on two scale sweeps.
+"""Time reebkit's commands as the input grows, on four scale sweeps.
 
     python3 tools/scale_sweep.py OUT.json [--src SRC] [--against PARENT_SRC]
 
@@ -7,13 +7,17 @@ The sweeps:
 * sheared_unknot (r3) at 256, 1024 and 4096 nodes, with c = 0.1
   (``collar`` ends Collarable) and with c = -0.5 (SchemeObstructed);
 * torus_r5 (r5) at 48, 96 and 192 nodes per axis (``collar`` ends
-  NonExact).
+  NonExact);
+* hopf_circle (s3) at 256, 1024 and 4096 nodes (shooting chord search,
+  ``collar`` ends Collarable).
 
 For each input the script writes a manifest to a temporary directory and
 runs ``check``, ``chords`` and ``collar`` on it in-process through
 ``reebkit.cli.main``, with SRC (default: the ``src`` directory next to
 this script) first on the import path and the printed reports discarded:
-one untimed warm-up round, then ``RUNS`` timed rounds.
+one untimed warm-up round, then timed rounds until there are at least
+``RUNS`` of them and they total at least ``MIN_SECONDS``, so a point of a
+few milliseconds gets enough rounds for its median to resolve a change.
 Per command it records the exit code and, for every run, the raw wall
 seconds and the normalized seconds of ``bench/speed.py`` (the wall time
 rescaled to a reference machine speed sampled while the run lasts, as
@@ -57,13 +61,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("check", "chords", "collar")
-RUNS = 5  # timed rounds per input
+RUNS = 5  # fewest timed rounds per input
+MIN_SECONDS = 2.0  # fewest seconds of timed rounds per input
 
 # name -> (model, catalog entry, fixed params, sizes, nodes per size)
 SWEEPS = {
     "sheared_unknot_c0.1": ("r3", "sheared_unknot", {"c": 0.1}, (256, 1024, 4096), 1),
     "sheared_unknot_c-0.5": ("r3", "sheared_unknot", {"c": -0.5}, (256, 1024, 4096), 1),
     "torus_r5": ("r5", "torus_r5", {}, (48, 96, 192), 2),
+    "hopf_circle": ("s3", "hopf_circle", {}, (256, 1024, 4096), 1),
 }
 
 # runs the three commands once on argv[2] with argv[1] first on the path,
@@ -139,12 +145,15 @@ def uncommitted_changes(tree: Path) -> bool | None:
 def measure(cli, speed, src: Path, manifest: Path) -> dict:
     codes = {command: code for command, (code, _, _) in run_round(cli, manifest).items()}  # warm-up
     intervals: dict[str, list[tuple[float, float]]] = {command: [] for command in COMMANDS}
+    rounds, timed = 0, 0.0
     with speed.SpeedProbe() as probe:
-        for _ in range(RUNS):
+        while rounds < RUNS or timed < MIN_SECONDS:
             for command, (code, t0, t1) in run_round(cli, manifest).items():
                 if code != codes[command]:
                     raise SystemExit(f"scale_sweep: {command} on {manifest.name} exited {codes[command]}, then {code}")
                 intervals[command].append((t0, t1))
+                timed += t1 - t0
+            rounds += 1
     return {
         "exit_codes": codes,
         "raw_s": {command: spread([t1 - t0 for t0, t1 in iv]) for command, iv in intervals.items()},
@@ -266,6 +275,7 @@ def main(argv=None) -> int:
                 "environment": envstamp.stamp(src.parent, None),
                 "src_uncommitted_changes": uncommitted_changes(src.parent),
                 "runs": RUNS,
+                "min_seconds": MIN_SECONDS,
                 "sweeps": sweep({"src": in_process(src)}, Path(tmp)),
             }
         else:
@@ -275,6 +285,7 @@ def main(argv=None) -> int:
                 "environment": {side: envstamp.stamp(tree.parent, None) for side, tree in trees.items()},
                 "src_uncommitted_changes": {side: uncommitted_changes(tree.parent) for side, tree in trees.items()},
                 "runs": RUNS,
+                "min_seconds": MIN_SECONDS,
                 "sweeps": sweep({side: in_child(tree) for side, tree in trees.items()}, Path(tmp)),
             }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
