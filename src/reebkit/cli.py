@@ -4,7 +4,7 @@ Commands: ``check``, ``chords``, ``collar``, ``export-plot``,
 ``catalog list``, ``catalog show``.  All commands take a manifest path;
 flags override manifest fields.  Exit codes: 0 success/Collarable,
 1 failed checks or search failure, 2 manifest/IO error, 3
-SchemeObstructed, 4 NonExact, 5 NotASlice.
+SchemeObstructed, 4 NonExact, 5 NotASlice, 6 NoSmallChords.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ _VERDICT_EXIT = {
     Verdict.SCHEME_OBSTRUCTED: 3,
     Verdict.NON_EXACT: 4,
     Verdict.NOT_A_SLICE: 5,
+    Verdict.NO_SMALL_CHORDS: 6,
 }
 
 

@@ -82,10 +82,14 @@ class Verdict(enum.Enum):
     SCHEME_OBSTRUCTED = "SchemeObstructed"
     NON_EXACT = "NonExact"
     NOT_A_SLICE = "NotASlice"
+    NO_SMALL_CHORDS = "NoSmallChords"
 
 
 SCHEME_OBSTRUCTED_NOTE = (
     "this deformation scheme is infeasible; non-collarability is NOT concluded"
+)
+NO_SMALL_CHORDS_NOTE = (
+    "no small chords, but no profile construction on this model; collarability is NOT concluded"
 )
 
 
@@ -410,8 +414,6 @@ def check_deformation(sym: SymplectizationModel, spec: DeformationSpec, grid: np
     to finite-difference noise because the dt-component equals
     1 + dh(Reeb) at t = 1.
     """
-    if spec.h is None:
-        return DeformationCheck(0.0, 1.0, True, True, True)
     min_dh = float(np.min(directional_dh_reeb(sym.base, spec.h, grid)))
     min_dt = float(np.min(liouville_deformed(sym, spec, 1.0, grid)[..., 0]))
     pass_dh = min_dh > -1.0 + spec.margin
@@ -481,49 +483,43 @@ def _fiber_endpoints(model, h, states: np.ndarray, times: np.ndarray, seeds: np.
 
 
 def reeb_reparam_check(
-    model, slc: ParamSlice, h: Optional[Callable[[np.ndarray], np.ndarray]], chords: Sequence[ChordRecord]
+    model, slc: ParamSlice, h: Callable[[np.ndarray], np.ndarray], chords: Sequence[ChordRecord]
 ) -> dict:
     """Verify that rescaling the Reeb field by 1/(1 + dh(R)) changes chord
-    flow times but not endpoints.
+    flow times but not endpoints, for a constructed profile ``h``.
 
-    With ``h`` None (the trivial profile) 1 + dh(R) is 1, so the rescaled
-    field is the Reeb field, each rescaled time is the chord length, and
-    the endpoints are one call of the closed-form flow ``model.flow``.
     A constructed profile lives on a Euclidean model, where R = dz: each
     chord's fiber is sampled from ``model.flow``, the rescaled flow time
     is obtained by Simpson quadrature of 1 + dh(R) along the chord over
     ``REPARAM_SAMPLES`` intervals, and the rescaled flow's endpoint solves
     z + h = (z_0 + h_0) + time along the start's fiber
     (``_fiber_endpoints``); all chords are sampled, differentiated and
-    solved together.  Either way the endpoint must land back on the
-    recorded end point within ``REPARAM_DRIFT_TOL``.
+    solved together.  The endpoint must land back on the recorded end
+    point within ``REPARAM_DRIFT_TOL``.
 
     Raises:
         ReparamDegenerate: 1 + dh(R) drops to zero on some chord.
         NonFinite: the profile is not finite on a chord's fiber.
         ReparamUnresolved: a rescaled endpoint could not be located.
-        WrongModel: a constructed profile on a non-Euclidean model.
+        WrongModel: the model is not Euclidean.
     """
+    if not isinstance(model, StandardRModel):
+        raise WrongModel("a constructed profile's rescaled flow needs a Euclidean model")
     if not chords:
         return {"max_endpoint_drift": 0.0, "pass": True}
     starts = np.array([c.start_point for c in chords])
     lengths = np.array([c.length for c in chords])
     end_points = np.array([c.end_point for c in chords])
-    if h is None:
-        endpoints = model.flow(starts, lengths)
-    else:
-        if not isinstance(model, StandardRModel):
-            raise WrongModel("a constructed profile's rescaled flow needs a Euclidean model")
-        n = REPARAM_SAMPLES
-        dt = lengths / n
-        # one more sample past the end brackets an endpoint that overshoots
-        states = model.flow(starts[:, None, :], dt[:, None] * np.arange(n + 2))
-        vals = 1.0 + directional_dh_reeb(model, h, states[:, :-1])
-        low = np.min(vals, axis=1)
-        if np.any(low <= REPARAM_MIN_RATE):
-            raise ReparamDegenerate(f"1 + dh(Reeb) reached {float(np.min(low)):.3e} on a chord")
-        rescaled_times = dt / 3.0 * (vals[:, None, :] @ _simpson_weights(n)[:, None])[:, 0, 0]
-        endpoints = _fiber_endpoints(model, h, states, rescaled_times, end_points[:, -1])
+    n = REPARAM_SAMPLES
+    dt = lengths / n
+    # one more sample past the end brackets an endpoint that overshoots
+    states = model.flow(starts[:, None, :], dt[:, None] * np.arange(n + 2))
+    vals = 1.0 + directional_dh_reeb(model, h, states[:, :-1])
+    low = np.min(vals, axis=1)
+    if np.any(low <= REPARAM_MIN_RATE):
+        raise ReparamDegenerate(f"1 + dh(Reeb) reached {float(np.min(low)):.3e} on a chord")
+    rescaled_times = dt / 3.0 * (vals[:, None, :] @ _simpson_weights(n)[:, None])[:, 0, 0]
+    endpoints = _fiber_endpoints(model, h, states, rescaled_times, end_points[:, -1])
     drifts = _row_norms(endpoints - end_points)
     max_drift = max([0.0, *drifts.tolist()])
     return {"max_endpoint_drift": max_drift, "pass": max_drift < REPARAM_DRIFT_TOL}
@@ -563,9 +559,6 @@ def _chord_entry(chord: ChordRecord, action, cls_direct, cls_feas) -> dict:
         "start_point": chord.start_point.tolist(),
         "end_point": chord.end_point.tolist(),
         "length": chord.length,
-        "pure": True,  # schema fields: a slice is one connected grid
-        "start_component": 0,
-        "end_component": 0,
         "action": action,
         "class_direct": cls_direct.value if cls_direct else None,
         "class_feasibility": cls_feas.value if cls_feas else None,
@@ -592,8 +585,11 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     ``SchemeObstructed`` means small chords exist under the active
     convention (non-collarability is NOT concluded — the criterion is
     one-directional); ``Collarable`` requires no small chords plus a
-    successful profile construction that passes the deformation check and,
-    when it runs, the reparametrized-flow check.
+    successful profile construction: the trivial one of a Legendrian
+    slice, or a constructed one that passes the deformation check and,
+    when there are chords, the reparametrized-flow check.
+    ``NoSmallChords`` means no small chords on a model without a profile
+    construction (collarability is NOT concluded).
     """
     opts = opts or CollarOptions()
     if not 0 < opts.margin < 1:
@@ -648,7 +644,6 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
 
     # profile construction: trivial for Legendrian slices on any model,
     # fiber interpolation on Euclidean models, otherwise unavailable
-    h_field = None  # also the trivial profile of a Legendrian slice
     construction_ok = legendrian
     if legendrian:  # h = 0: dh(R) = 0 > -1 + margin and the dt-component is 1 > margin
         h_diag = {
@@ -660,13 +655,15 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
             "min_dt_liouville": 1.0,
             "deformation_pass": True,
         }
+        if found:  # the rescaled flow is the Reeb flow, whose landings the chord search checked
+            h_diag.update(reparam_max_drift=None, reparam_pass=None)
     elif is_euclidean:
         ext = extend_h(model, slc, prim, margin=opts.margin)
         if ext.ok:
             sym = SymplectizationModel(model, epsilon=0.2)
             spec = DeformationSpec(h=ext.h, rho=RhoProfile(0.2), margin=opts.margin)
             deform = check_deformation(sym, spec, grid_around_slice(slc, per_axis=7, z_axis=opts.grid_z_axis))
-            h_field, construction_ok = ext.h, deform.passed
+            construction_ok = deform.passed
             h_diag = {
                 "constructed": True,
                 "trivial": False,
@@ -676,6 +673,10 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
                 "min_dt_liouville": deform.min_dt_liouville,
                 "deformation_pass": deform.passed,
             }
+            if found and construction_ok:
+                reparam = reeb_reparam_check(model, slc, ext.h, found)
+                h_diag["reparam_max_drift"] = reparam["max_endpoint_drift"]
+                h_diag["reparam_pass"] = construction_ok = reparam["pass"]
         else:
             h_diag = {
                 "constructed": False,
@@ -684,20 +685,12 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     else:
         h_diag = {"constructed": False, "note": "profile construction unavailable for this model"}
 
-    if found and construction_ok:
-        reparam = reeb_reparam_check(model, slc, h_field, found)
-        h_diag["reparam_max_drift"] = reparam["max_endpoint_drift"]
-        h_diag["reparam_pass"] = reparam["pass"]
-        construction_ok = reparam["pass"]
-
     if conventions[f"small_{opts.convention.value}"]:  # small chords under the active convention
         verdict, note = Verdict.SCHEME_OBSTRUCTED, SCHEME_OBSTRUCTED_NOTE
     elif construction_ok:
         verdict, note = Verdict.COLLARABLE, ""
-    elif not is_euclidean and not legendrian:
-        # no construction available for this model; classification carries
-        verdict = Verdict.COLLARABLE
-        note = "chord-level verdict; no profile construction on this model"
+    elif not is_euclidean:  # nothing was constructed on this model
+        verdict, note = Verdict.NO_SMALL_CHORDS, NO_SMALL_CHORDS_NOTE
     else:
         verdict, note = Verdict.SCHEME_OBSTRUCTED, SCHEME_OBSTRUCTED_NOTE
 

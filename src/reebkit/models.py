@@ -22,7 +22,7 @@ All evaluators broadcast over leading axes: points and vectors have shape
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -216,13 +216,13 @@ class DeformationSpec:
     """Deformation data: ambient profile h, time profile rho, margin in
     (0, 1) for the strict transversality inequality dh(Reeb) > -1.
 
-    ``h`` maps points of shape (..., ambient_dim) to values of shape (...);
-    ``None`` is the trivial profile h = 0.  The time profile must ramp
+    ``h`` maps points of shape (..., ambient_dim) to values of shape (...).
+    The time profile must ramp
     from 0 below 1 - rho.epsilon to 1 at t = 1, nondecreasing, with zero
     slope at t = 1; this is validated on a sample grid at construction.
     """
 
-    h: Optional[Callable[[np.ndarray], np.ndarray]]
+    h: Callable[[np.ndarray], np.ndarray]
     rho: RhoProfile
     margin: float = 0.05
 
@@ -238,10 +238,6 @@ class DeformationSpec:
         ts = np.linspace(1.0 - self.rho.epsilon, 1.0, 64)
         if np.any(np.diff(self.rho(ts)) < -1e-12):
             raise ValueError("rho must be nondecreasing")
-
-    @staticmethod
-    def trivial() -> "DeformationSpec":
-        return DeformationSpec(h=None, rho=RhoProfile())
 
 
 class SymplectizationModel:
@@ -298,8 +294,6 @@ def hamiltonian_field(sym: SymplectizationModel, spec: DeformationSpec, t: float
     """
     base = sym.base
     p = np.asarray(points, dtype=float)
-    if spec.h is None:
-        return np.zeros(p.shape[:-1] + (1 + base.ambient_dim,))
     if not isinstance(base, StandardRModel):
         raise UnsupportedModel(
             f"Hamiltonian field not implemented for model {base.name!r}"

@@ -15,7 +15,7 @@ import numpy as np
 from .chords import ChordRecord
 from .collar import CollarReport
 
-REPORT_SCHEMA = "collar-report/1"
+REPORT_SCHEMA = "collar-report/2"
 
 
 def round_sig(x: float, digits: int = 9) -> float:
@@ -68,7 +68,7 @@ def chord_table(records: list[ChordRecord], param_dim: int, point_dim: int) -> s
         + [f"end_param_{j}" for j in range(param_dim)]
         + [f"start_point_{j}" for j in range(point_dim)]
         + [f"end_point_{j}" for j in range(point_dim)]
-        + ["length", "pure", "start_component", "end_component", "action"]
+        + ["length"]
     )
     lines = [",".join(header)]
     for rec in records:
@@ -77,8 +77,7 @@ def chord_table(records: list[ChordRecord], param_dim: int, point_dim: int) -> s
             + [fmt(v) for v in rec.end_param]
             + [fmt(v) for v in rec.start_point]
             + [fmt(v) for v in rec.end_point]
-            # constants: pure and both components (one connected grid), action (empty: collar has the primitive)
-            + [fmt(rec.length), "true", "0", "0", ""]
+            + [fmt(rec.length)]
         )
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

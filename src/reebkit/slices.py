@@ -26,7 +26,6 @@ DEFAULT_TRANSVERSE_TOL = 1e-4
 PERIOD_ZERO_TOL = 1e-8
 CYCLE_TOL = 1e-6  # largest edge defect of a primitive, f(b) - f(a) against the edge integral
 COINCIDENT_TOL = 1e-9  # ambient distance, relative to the coordinate scale, of coincident nodes
-_NEAREST_BLOCK = 32  # queries per block of the nearest-node scan, bounding its (block, N) distances
 
 
 @dataclass(frozen=True)
@@ -239,16 +238,27 @@ class ParamSlice:
         """Index of the nearest mesh node to each parameter point of u
         (..., param_dim), shortest way around periodic factors, the lowest
         index on a tie: an array of shape (...), an int for one point.
-        Queries are scanned in blocks of ``_NEAREST_BLOCK``."""
+
+        The squared distance is a sum over the axes, and along each axis
+        the nearest grid index is the floor index of (u - lo) / spacing or
+        the next one.  So only the 4^d nodes whose indices lie within -1
+        ... +2 of the floor indices (wrapped on a circle, clipped on an
+        interval) are compared, in ascending order, which keeps the lowest
+        index on a tie."""
         w = self.mesh.wrap(u)
         flat = w.reshape(-1, self.param_dim)
-        node = np.empty(len(flat), dtype=int)
-        for lo in range(0, len(flat), _NEAREST_BLOCK):
-            d = self.mesh.params - flat[lo : lo + _NEAREST_BLOCK, None, :]
-            for j, f in enumerate(self.factors):
-                if f.periodic:
-                    d[..., j] = (d[..., j] + 0.5 * f.span) % f.span - 0.5 * f.span
-            node[lo : lo + _NEAREST_BLOCK] = np.argmin(np.sum(d * d, axis=-1), axis=-1)
+        candidates = np.zeros((len(flat), 1), dtype=int)
+        for j, (f, m) in enumerate(zip(self.factors, self.mesh.shape)):
+            k = np.floor((flat[:, j] - f.lo) / self.mesh.spacing(j)).astype(int)[:, None] + np.arange(-1, 3)
+            k = np.mod(k, m) if f.periodic else np.clip(k, 0, m - 1)
+            candidates = (candidates[:, :, None] * m + k[:, None, :]).reshape(len(flat), 4 * candidates.shape[1])
+        candidates.sort(axis=1)
+        d = self.mesh.params[candidates] - flat[:, None, :]
+        for j, f in enumerate(self.factors):
+            if f.periodic:
+                d[..., j] = (d[..., j] + 0.5 * f.span) % f.span - 0.5 * f.span
+        lanes = np.arange(len(flat))
+        node = candidates[lanes, np.argmin(np.sum(d * d, axis=-1), axis=-1)]
         return int(node[0]) if w.ndim == 1 else node.reshape(w.shape[:-1])
 
     def coincident_point_pairs(self) -> np.ndarray:

@@ -242,10 +242,14 @@ def test_criterion_08_reparametrization(unknot_entry, sheared_entries, sheared_0
         out = reeb_reparam_check(entry.model, entry.slice, res.h, chords)
         assert out["pass"], key
         worst = max(worst, out["max_endpoint_drift"])
-    # sphere entry with the trivial admissible field
-    out = reeb_reparam_check(hopf_entry.model, hopf_entry.slice, None, shooting_chords["hopf_circle"])
-    assert out["pass"]
-    worst = max(worst, out["max_endpoint_drift"])
+    # sphere entry with the trivial admissible field: the rescaled flow is
+    # the Reeb flow, so each chord's start must flow onto its end
+    chords = shooting_chords["hopf_circle"]
+    assert chords
+    for chord in chords:
+        landing = float(np.linalg.norm(hopf_entry.model.flow(chord.start_point, chord.length) - chord.end_point))
+        assert landing <= 1e-6
+        worst = max(worst, landing)
     assert worst < 1e-5
     _report(8, f"reparametrized-flow endpoint drift {worst:.2e} < 1e-5")
 

@@ -482,15 +482,25 @@ def test_dedup_matches_greedy_all_pairs():
     assert [id(x) for x in out] == [id(x) for x in sorted(kept, key=ChordRecord.sort_key)]
 
 
-def test_found_chords_are_pure(projection_chords, shooting_chords):
-    # a slice is one connected grid: the chord table prints every chord as
-    # pure, from component 0 to component 0
-    for chords, dims in ((projection_chords["unknot"], (1, 3)), (shooting_chords["hopf_circle"], (1, 4))):
-        assert chords
-        header, *rows = chord_table(chords, *dims).splitlines()
-        assert header.split(",")[-4:] == ["pure", "start_component", "end_component", "action"]
+def test_chord_table_header(projection_chords, shooting_chords):
+    # parameters, then points, then the length: one column per number
+    for chords, dims, header in (
+        (projection_chords["unknot"], (1, 3),
+         "start_param_0,end_param_0,start_point_0,start_point_1,start_point_2,"
+         "end_point_0,end_point_1,end_point_2,length"),
+        (shooting_chords["hopf_circle"], (1, 4),
+         "start_param_0,end_param_0,start_point_0,start_point_1,start_point_2,start_point_3,"
+         "end_point_0,end_point_1,end_point_2,end_point_3,length"),
+        (projection_chords["torus_r5"], (2, 5),
+         "start_param_0,start_param_1,end_param_0,end_param_1,"
+         + ",".join(f"start_point_{j}" for j in range(5)) + ","
+         + ",".join(f"end_point_{j}" for j in range(5)) + ",length"),
+    ):
+        first, *rows = chord_table(chords, *dims).splitlines()
+        assert first == header
         assert len(rows) == len(chords)
-        assert all(row.split(",")[-4:-1] == ["true", "0", "0"] for row in rows)
+        assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+        assert [float(row.split(",")[-1]) for row in rows] == [float(f"{c.length:.9g}") for c in chords]
 
 
 def test_sort_key_ignores_length_noise(shooting_chords):

@@ -148,6 +148,31 @@ def test_collar_exit_codes(manifest_path):
         assert code == expected, data
 
 
+def test_collar_without_a_construction_concludes_nothing(manifest_path, tmp_path):
+    # an exact closed curve in S^3 that is not Legendrian, with no small
+    # chords: no profile can be built on the sphere, so nothing beyond the
+    # chord classification was verified and collar exits 6, not 0
+    t = 2 * np.pi * np.arange(128) / 128
+    points = np.stack([np.cos(0.3 * np.sin(t)), np.sin(0.3 * np.sin(t)), 0.3 * np.cos(t), 0 * t], axis=-1)
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    mesh_path = tmp_path / "curve_s3.csv"
+    with open(mesh_path, "w") as fh:
+        fh.write("t,x1,y1,x2,y2\n")
+        for u, p in zip(t, points):
+            fh.write(",".join(f"{v:.17g}" for v in [u, *p]) + "\n")
+    path = manifest_path("curve_s3", {"model": "s3", "slice": {"mesh_file": str(mesh_path), "param_dim": 1, "periodic": [True]}})
+    for command in ("check", "chords"):
+        code, _, err = run_cli([command, path])
+        assert code == 0, err
+    code, out, err = run_cli(["collar", path])
+    assert code == 6, err
+    doc = json.loads(out)
+    assert doc["verdict"] == "NoSmallChords"
+    assert "collarability is NOT concluded" in doc["note"]
+    assert doc["exact"] and doc["h_diagnostics"] == {"constructed": False, "note": "profile construction unavailable for this model"}
+    assert doc["conventions"]["small_direct"] == 0
+
+
 def test_collar_convention_flag(manifest_path):
     path = manifest_path("sheared", {"slice": {"catalog": "sheared_unknot", "params": {"c": -0.5}}})
     code, out, _ = run_cli(["collar", path, "--convention", "feasibility"])
@@ -163,11 +188,13 @@ def test_collar_report_schema(manifest_path):
     doc = json.loads(out)
     for key in ("schema", "input", "checks", "periods", "exact", "chords", "conventions", "h_diagnostics", "verdict"):
         assert key in doc
-    assert doc["schema"] == "collar-report/1"
+    assert doc["schema"] == "collar-report/2"
     assert doc["verdict"] == "Collarable"
     chord = doc["chords"][0]
-    for key in ("start_param", "end_param", "start_point", "end_point", "length", "pure", "action"):
-        assert key in chord
+    assert list(chord) == [
+        "start_param", "end_param", "start_point", "end_point", "length", "action",
+        "class_direct", "class_feasibility", "conventions_disagree",
+    ]
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
@@ -584,7 +611,7 @@ MODEL_DIMS = {"r3": 3, "r5": 5, "r7": 7, "s3": 4, "s5": 6}
 @pytest.mark.parametrize("model", sorted(MODEL_DIMS))
 def test_mesh_files_end_with_exit_code_and_one_line(model_mesh_files, tmp_path, model, param_dim, offset, command):
     # the crash-free contract on every model, with a mesh of the model's
-    # width and one column short or over: an exit code from 0 to 5 and at
+    # width and one column short or over: an exit code from 0 to 6 and at
     # most one stderr line, whatever the verdict
     slice_src = {
         "mesh_file": str(model_mesh_files[param_dim, MODEL_DIMS[model] + offset]),
@@ -594,7 +621,7 @@ def test_mesh_files_end_with_exit_code_and_one_line(model_mesh_files, tmp_path, 
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps({"model": model, "slice": slice_src}))
     code, _, err = run_cli([*command, str(path)])
-    assert code in range(6), err
+    assert code in range(7), err
     assert err.count("\n") <= 1 and "Traceback" not in err
     if offset:
         assert code == 2 and "does not match model" in err
@@ -742,7 +769,7 @@ def test_commands_end_with_exit_code_and_one_line(interval_mesh_files, source, c
     # the crash-free contract: every command ends with a documented exit
     # code and at most one line on stderr, never a traceback
     code, _, err = run_cli([*command, str(_contract_manifest(interval_mesh_files, source))])
-    assert code in range(6), err
+    assert code in range(7), err
     assert err.count("\n") <= 1 and "Traceback" not in err
 
 
@@ -753,7 +780,7 @@ def test_export_plot_ends_with_exit_code_and_one_line(interval_mesh_files, sourc
     # temporary directory
     path = _contract_manifest(interval_mesh_files, source)
     code, _, err = run_cli(["export-plot", str(path), what, "-o", str(path.with_name(f"plot_{what}"))])
-    assert code in range(6), err
+    assert code in range(7), err
     assert err.count("\n") <= 1 and "Traceback" not in err
 
 

@@ -21,7 +21,7 @@ from reebkit.collar import (
     grid_around_slice,
     reeb_reparam_check,
 )
-from reebkit.errors import MissingPrimitive, ReparamDegenerate
+from reebkit.errors import MissingPrimitive, ReparamDegenerate, WrongModel
 from reebkit.models import DeformationSpec, RhoProfile, StandardRModel, SymplectizationModel, liouville_deformed
 from reebkit.slices import load_mesh_slice
 
@@ -465,14 +465,6 @@ def test_directional_dh_reeb_calls_h_once(sheared_01_entry):
         assert np.allclose(dh, -0.5, atol=1e-8)
 
 
-def test_check_deformation_trivial(unknot_entry):
-    sym = SymplectizationModel(unknot_entry.model)
-    chk = check_deformation(sym, DeformationSpec.trivial(), grid_around_slice(unknot_entry.slice))
-    assert chk.min_dh_reeb == 0.0
-    assert chk.min_dt_liouville == 1.0
-    assert chk.passed
-
-
 def test_check_deformation_linear_profile(unknot_entry):
     delta = 0.2
     sym = SymplectizationModel(unknot_entry.model)
@@ -497,10 +489,12 @@ def test_check_deformation_steep_profile_fails_both(unknot_entry):
 # ---------------------------------------------------------------------------
 
 
-def test_reparam_trivial(unknot_entry, projection_chords):
-    out = reeb_reparam_check(unknot_entry.model, unknot_entry.slice, None, projection_chords["unknot"])
-    assert out["pass"]
-    assert out["max_endpoint_drift"] < 1e-8
+@pytest.mark.parametrize("chords", [[], "hopf_circle"])
+def test_reparam_refuses_a_non_euclidean_model(hopf_entry, shooting_chords, chords):
+    # a constructed profile exists only on a Euclidean model
+    chords = shooting_chords[chords] if chords else chords
+    with pytest.raises(WrongModel, match="needs a Euclidean model"):
+        reeb_reparam_check(hopf_entry.model, hopf_entry.slice, lambda p: np.zeros(p.shape[:-1]), chords)
 
 
 def test_reparam_bump_changes_time_not_endpoint(unknot_entry, projection_chords):
@@ -602,17 +596,29 @@ def test_collar_verdict_consistency(collar_reports):
 
 @pytest.mark.parametrize("name", ["unknot_entry", "hopf_entry"])
 def test_legendrian_slice_skips_the_deformation_check(request, monkeypatch, name):
-    # the trivial profile h = 0 needs no symplectization, no spec and no
-    # grid check: its diagnostics are constants, in the report's key order
+    # the trivial profile h = 0 needs no symplectization, no spec, no grid
+    # check and no reparam check: its rescaled flow is the Reeb flow, whose
+    # landings the chord search already checked, so once the chords are
+    # found the model's flow is not called again.  Its diagnostics are
+    # constants, in the report's key order, with the reparam check null
     from reebkit import collar
 
     def never(*args, **kwargs):
         raise AssertionError("a Legendrian slice built deformation machinery")
 
-    for attr in ("check_deformation", "SymplectizationModel", "DeformationSpec"):
+    for attr in ("check_deformation", "SymplectizationModel", "DeformationSpec", "reeb_reparam_check"):
         monkeypatch.setattr(collar, attr, never)
     entry = request.getfixturevalue(name)
+    search = collar.find_chords
+
+    def chords_then_no_flow(model, slc, opts):
+        found = search(model, slc, opts)
+        monkeypatch.setattr(model, "flow", never)
+        return found
+
+    monkeypatch.setattr(collar, "find_chords", chords_then_no_flow)
     report = collar_report(entry.model, entry.slice)
+    assert report.chords
     assert report.verdict == Verdict.COLLARABLE
     assert list(report.h_diagnostics.items()) == [
         ("constructed", True),
@@ -622,19 +628,21 @@ def test_legendrian_slice_skips_the_deformation_check(request, monkeypatch, name
         ("min_dh_reeb", 0.0),
         ("min_dt_liouville", 1.0),
         ("deformation_pass", True),
-        ("reparam_max_drift", pytest.approx(0.0, abs=1e-14)),
-        ("reparam_pass", True),
+        ("reparam_max_drift", None),
+        ("reparam_pass", None),
     ]
 
 
-def test_failed_reparam_check_blocks_collarable(unknot_entry, monkeypatch):
+def test_failed_reparam_check_blocks_collarable(sheared_01_entry, monkeypatch):
+    # the reparam check runs on a constructed profile only
     from reebkit import collar
 
     opts = collar.CollarOptions(search=collar.SearchOptions(max_time=3.0))
-    assert collar.collar_report(unknot_entry.model, unknot_entry.slice, opts).verdict == Verdict.COLLARABLE
+    report = collar.collar_report(sheared_01_entry.model, sheared_01_entry.slice, opts)
+    assert report.verdict == Verdict.COLLARABLE and not report.h_diagnostics["trivial"]
     failing = lambda *args, **kwargs: {"max_endpoint_drift": 1.0, "pass": False}
     monkeypatch.setattr(collar, "reeb_reparam_check", failing)
-    report = collar.collar_report(unknot_entry.model, unknot_entry.slice, opts)
+    report = collar.collar_report(sheared_01_entry.model, sheared_01_entry.slice, opts)
     assert report.h_diagnostics["reparam_pass"] is False
     assert report.verdict != Verdict.COLLARABLE
 

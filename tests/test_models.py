@@ -255,13 +255,17 @@ def test_hamiltonian_field_contraction_identity(n):
         assert abs(sym.omega(t, p, X, w) - dH) < 1e-7
 
 
+def _zero_profile(p):
+    return np.zeros(np.shape(p)[:-1])
+
+
 def test_deformation_spec_rejects_bad_rho():
     class FlatProfile(RhoProfile):
         def __call__(self, t):
             return np.zeros_like(np.asarray(t, dtype=float))
 
     with pytest.raises(ValueError):
-        DeformationSpec(h=None, rho=FlatProfile(0.2))
+        DeformationSpec(h=_zero_profile, rho=FlatProfile(0.2))
 
 
 @pytest.mark.parametrize("margin", [0.0, -0.1, 1.0, 1.5, float("nan")])
@@ -269,15 +273,7 @@ def test_deformation_spec_rejects_margin_outside_unit_interval(margin):
     # the checks test 1 + dh(R) > margin and dt > margin, and the profile
     # slopes are scaled by 1 - margin: only 0 < margin < 1 is meaningful
     with pytest.raises(ValueError, match=r"margin must lie in \(0, 1\)"):
-        DeformationSpec(h=None, rho=RhoProfile(0.2), margin=margin)
-
-
-def test_liouville_deformed_trivial():
-    sym = SymplectizationModel(StandardRModel(2))
-    spec = DeformationSpec.trivial()
-    v = liouville_deformed(sym, spec, 0.93, np.array([0.1, 0.2, 0.3]))
-    assert v[0] == pytest.approx(0.93, abs=1e-15)
-    assert np.allclose(v[1:], 0.0)
+        DeformationSpec(h=_zero_profile, rho=RhoProfile(0.2), margin=margin)
 
 
 def test_liouville_deformed_linear_height_profile():

@@ -26,7 +26,7 @@ from reebkit.collar import (
 from reebkit.errors import NonFinite, ReparamDegenerate, ReparamUnresolved
 from reebkit.models import StandardRModel, _smoothstep
 from reebkit.numerics import NewtonResult, integrate_flow, jacobian_fd, newton_solve_stack
-from reebkit.slices import _NEAREST_BLOCK, ParamSlice, _edge_integrals, circle_factor, primitive
+from reebkit.slices import ParamSlice, _edge_integrals, circle_factor, interval_factor, primitive
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -102,8 +102,7 @@ def reference_fiber_root(model, h, states, time, seed):
 
 def reference_reparam(model, h, chords, samples=256):
     """(rescaled times, endpoints (C, d), max endpoint drift) of the
-    per-chord loop: for the trivial profile (h None) the closed-form flow
-    for the chord's length; for a constructed one the Simpson time and the
+    per-chord loop for a constructed profile h: the Simpson time and the
     fiber root of z + h = (z_0 + h_0) + time, on samples that run from the
     chord's start to one step past its end."""
     times, ends = [], []
@@ -112,10 +111,6 @@ def reference_reparam(model, h, chords, samples=256):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     for chord in chords:
-        if h is None:
-            times.append(chord.length)
-            ends.append(model.flow(chord.start_point, chord.length))
-            continue
         dt = chord.length / n
         states = model.flow(chord.start_point, dt * np.arange(n + 2))
         vals = 1.0 + directional_dh_reeb(model, h, states[:-1])
@@ -328,14 +323,6 @@ def test_reparam_root_matches_integrated_rescaled_field():
     assert 1e-9 < drift < REPARAM_DRIFT_TOL  # the Simpson error shows, well inside the tolerance
 
 
-def test_reparam_stack_matches_chord_loop_hopf(shooting_chords, hopf_entry):
-    chords = shooting_chords["hopf_circle"]
-    assert len(chords) > 1
-    out = reeb_reparam_check(hopf_entry.model, hopf_entry.slice, None, chords)
-    _, _, drift = reference_reparam(hopf_entry.model, None, chords)
-    assert out["max_endpoint_drift"] == drift
-
-
 def _forbid_integration(monkeypatch):
     import reebkit.numerics
 
@@ -347,15 +334,15 @@ def _forbid_integration(monkeypatch):
 
 @pytest.mark.parametrize("name", ["hopf_circle", "unknot"])
 def test_trivial_profile_never_integrates(monkeypatch, name):
-    # a Legendrian slice's trivial profile rescales nothing: its check is
-    # the closed-form flow, and the collar verdict needs no integration
+    # a Legendrian slice's trivial profile rescales nothing: there is no
+    # reparam check to run, and the collar verdict needs no integration
     _forbid_integration(monkeypatch)
     entry = catalog_get(name)
     report = collar_report(entry.model, entry.slice)
     assert report.verdict == Verdict.COLLARABLE
     assert report.h_diagnostics["trivial"]
-    assert report.h_diagnostics["reparam_pass"]
-    assert report.h_diagnostics["reparam_max_drift"] < 1e-12
+    assert report.h_diagnostics["reparam_pass"] is None
+    assert report.h_diagnostics["reparam_max_drift"] is None
 
 
 @pytest.mark.parametrize("c, verdict", [(0.1, Verdict.COLLARABLE), (-0.5, Verdict.SCHEME_OBSTRUCTED)])
@@ -492,7 +479,7 @@ def test_value_at_stack_matches_point_loop(exact_torus):
     model, slc, _ = exact_torus(24)
     prim = primitive(model, slc)
     u = _torus_queries(slc)
-    assert len(u) >= 200 and len(u) > _NEAREST_BLOCK
+    assert len(u) >= 200
     dists = [reference_node_distances(slc, q) for q in u]
     ties = sum(int(np.sum(d == d.min())) > 1 for d in dists)
     assert ties >= 24  # the lowest-index rule decides these
@@ -516,6 +503,46 @@ def test_value_at_stack_matches_point_loop(exact_torus):
     actions = chord_action(prim, chords)
     assert np.array_equal(actions, values[::2] - values[1::2])
     assert np.max(np.abs(actions - reference_actions(prim, chords))) <= 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(loop)))
+
+
+def _grid_slice(factors, resolution):
+    return ParamSlice(factors, lambda u: np.concatenate([u, np.sum(u, axis=-1, keepdims=True)], axis=-1),
+                      resolution=resolution)
+
+
+@pytest.mark.parametrize(
+    "slc",
+    [
+        pytest.param(lambda: catalog_get("hopf_circle", {"resolution": 4096}).slice, id="hopf_circle_4096"),
+        pytest.param(lambda: catalog_get("sheared_unknot", {"resolution": 4096}).slice, id="sheared_unknot_4096"),
+        pytest.param(lambda: catalog_get("torus_r5", {"resolution": 24}).slice, id="torus_r5_24"),
+        pytest.param(lambda: catalog_get("unknot", {"resolution": 7}).slice, id="unknot_7"),
+        pytest.param(lambda: _grid_slice([interval_factor(0.0, 1.0)], [129]), id="interval_129"),
+        pytest.param(lambda: _grid_slice([interval_factor(-1.0, 2.0), circle_factor()], [17, 30]), id="interval_circle"),
+        pytest.param(lambda: _grid_slice([interval_factor(0.0, 1.0), circle_factor(1.0), circle_factor(3.0)], [5, 3, 2]),
+                     id="interval_circle_circle"),
+    ],
+)
+def test_nearest_node_matches_scan(slc):
+    # the 4^d grid candidates against the scan over every node: random
+    # points over three spans of the domain, the nodes and the midpoints
+    # between neighbours along each axis and all axes, each also shifted by
+    # +-1e-17, and the domain's corners
+    slc = slc()
+    mesh = slc.mesh
+    lo = np.array([f.lo for f in slc.factors])
+    hi = np.array([f.hi for f in slc.factors])
+    half = 0.5 * np.array([mesh.spacing(j) for j in range(slc.param_dim)])
+    nodes = mesh.params[:: max(1, mesh.n_nodes // 256)]
+    shifts = [np.zeros(slc.param_dim), half, *(half * (np.arange(slc.param_dim) == j) for j in range(slc.param_dim))]
+    u = np.concatenate(
+        [np.random.default_rng(9).uniform(2 * lo - hi, 2 * hi - lo, size=(512, slc.param_dim)), lo[None], hi[None]]
+        + [nodes + shift + eps for shift in shifts for eps in (0.0, 1e-17, -1e-17)]
+    )
+    reference = np.array([np.argmin(reference_node_distances(slc, q)) for q in u])
+    assert np.array_equal(slc.nearest_node(u), reference)
+    assert np.array_equal(slc.nearest_node(u.reshape(-1, 1, slc.param_dim)), reference[:, None])
+    assert slc.nearest_node(np.empty((0, slc.param_dim))).shape == (0,)
 
 
 @pytest.mark.parametrize(

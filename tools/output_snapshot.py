@@ -33,7 +33,10 @@ Inputs:
   / sqrt 2 in s3 and the Clifford torus (cos u, sin u, cos v, sin v) /
   sqrt 2 in s3 at 24x24 nodes (``check``, ``chords`` and ``collar`` once
   disagreed about both, since their interpolants left the sphere between
-  the nodes).
+  the nodes); the exact, non-Legendrian mesh-file curve
+  normalize(cos(0.3 sin t), sin(0.3 sin t), 0.3 cos t, 0) in s3 at 128
+  nodes (``collar`` once said Collarable, exit 0, with no profile
+  constructed).
 
 Two snapshots, one per checkout, are compared with ``diff -r A B``: no
 difference under ``out/*.out`` and ``out/*.code`` means no command
@@ -110,6 +113,9 @@ CURVE_S3 = "mesh_curve_s3"
 # (cos u, sin u, cos v, sin v) / sqrt 2 at 24 x 24 nodes in s3: the Hopf
 # fibers lie in it, so it is not transverse to the Reeb field
 CLIFFORD_S3 = "mesh_clifford_torus_s3"
+# normalize(cos(0.3 sin t), sin(0.3 sin t), 0.3 cos t, 0) at 128 nodes in s3,
+# periodic: exact, not Legendrian, no small chords
+UNCONSTRUCTED_S3 = "repro_unconstructed_curve_s3"
 
 
 def write_mesh(inputs: Path, name: str, model: str, params: np.ndarray, points: np.ndarray, periodic: list[bool]):
@@ -150,6 +156,9 @@ def write_mesh_exports(inputs: Path, src: Path):
     u = np.stack([g.ravel() for g in np.meshgrid(t, t, indexing="ij")], axis=-1)
     torus = np.stack([np.cos(u[:, 0]), np.sin(u[:, 0]), np.cos(u[:, 1]), np.sin(u[:, 1])], axis=-1) / np.sqrt(2)
     write_mesh(inputs, CLIFFORD_S3, "s3", u, torus, [True, True])
+    t = 2 * np.pi * np.arange(128) / 128
+    curve = np.stack([np.cos(0.3 * np.sin(t)), np.sin(0.3 * np.sin(t)), 0.3 * np.cos(t), 0 * t], axis=-1)
+    write_mesh(inputs, UNCONSTRUCTED_S3, "s3", t[:, None], curve / np.linalg.norm(curve, axis=1)[:, None], [True])
 
 
 def run_commands(names: list[str], inputs: Path, out: Path, env: dict) -> list[str]:
@@ -194,7 +203,7 @@ def main(argv=None) -> int:
         (inputs / f"{name}.json").write_text(json.dumps(manifest), encoding="utf-8")
         names.append(name)
     write_mesh_exports(inputs, src)
-    names += [name for name, *_ in MESH_EXPORTS] + [FIGURE_EIGHT, CHORDLESS_R5, CURVE_S3, CLIFFORD_S3]
+    names += [name for name, *_ in MESH_EXPORTS] + [FIGURE_EIGHT, CHORDLESS_R5, CURVE_S3, CLIFFORD_S3, UNCONSTRUCTED_S3]
 
     env = dict(os.environ, PYTHONPATH=str(src))
     tracebacks = run_commands(names, inputs, out, env)
