@@ -19,7 +19,6 @@ from .collar import (
 )
 from .models import (
     DeformationSpec,
-    RhoProfile,
     StandardRModel,
     StandardSphereModel,
     SymplectizationModel,

@@ -38,6 +38,7 @@ LANDING_RESIDUAL_TOL = 1e-9  # Newton tolerance of the shooting landing system
 # any shipped or tested input (hopf_circle at 4096 nodes: 10,240); at the
 # bound the capture scan takes about 85 MB.
 MAX_CAPTURE_PASSES = 2**19
+CLUSTER_RADIUS = 1e-4  # max-norm radius of (start, end, length) triples merged as one chord
 
 
 @dataclass
@@ -59,17 +60,13 @@ class ChordRecord:
 
 @dataclass
 class SearchOptions:
-    """Chord search settings.  ``None`` entries derive from mesh spacing:
-    seed radius 3x projected spacing, exclusion radius 5x parameter
-    spacing, capture radius 2x ambient spacing."""
+    """Chord search settings.  The search radii derive from the mesh
+    spacing: ``_seed_radius``, ``_exclusion_radius`` and the capture
+    radius, 2x ambient spacing."""
 
-    seed_radius: Optional[float] = None
-    exclusion_radius: Optional[float] = None
     min_length: float = 1e-4
     max_time: float = 6.0
-    capture_radius: Optional[float] = None
     launch_stride: int = 2
-    cluster_radius: float = 1e-4
 
 
 def _circle_embedding(mesh, u: np.ndarray) -> np.ndarray:
@@ -106,7 +103,7 @@ def _first_of_clusters(coord: np.ndarray, radius: float, close) -> np.ndarray:
     return keep
 
 
-def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[ChordRecord]:
+def dedup_chords(raw: list[ChordRecord], cluster_radius: float = CLUSTER_RADIUS) -> list[ChordRecord]:
     """Merge chords whose (start, end, length) triples nearly coincide.
 
     Within a cluster the record with the smallest refinement residual
@@ -123,19 +120,19 @@ def dedup_chords(raw: list[ChordRecord], cluster_radius: float = 1e-4) -> list[C
     return sorted((r for r, k in zip(recs, keep) if k), key=ChordRecord.sort_key)
 
 
-def _exclusion_radius(slc: ParamSlice, opts: SearchOptions) -> float:
-    """Parameter distance below which two mesh points count as one: the
-    option, or 5x the largest parameter spacing."""
-    return opts.exclusion_radius or 5.0 * slc.mesh.max_spacing()
+def _exclusion_radius(slc: ParamSlice) -> float:
+    """Parameter distance below which two mesh points count as one: 5x
+    the largest parameter spacing."""
+    return 5.0 * slc.mesh.max_spacing()
 
 
-def _resolve_projection_options(slc: ParamSlice, opts: SearchOptions):
+def _seed_radius(slc: ParamSlice) -> float:
+    """Projection distance of the seed pairs: 3x the projected spacing."""
     edges = slc.mesh.edges()
     proj_spacing = _ambient_spacing(slc.points[:, :-1], edges)
     if proj_spacing <= 0.0:  # projection-degenerate slice (e.g. a Reeb fiber)
         proj_spacing = max(_ambient_spacing(slc.points, edges), 1e-3)
-    seed_radius = opts.seed_radius or 3.0 * proj_spacing
-    return seed_radius, _exclusion_radius(slc, opts)
+    return 3.0 * proj_spacing
 
 
 def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
@@ -156,7 +153,7 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
         raise WrongModel("projection chord search requires a Euclidean model")
     opts = opts or SearchOptions()
     mesh = slc.mesh
-    seed_radius, exclusion = _resolve_projection_options(slc, opts)
+    seed_radius, exclusion = _seed_radius(slc), _exclusion_radius(slc)
 
     index = GridIndex(slc.points[:, :-1], cell_size=seed_radius)
     pairs = index.close_pairs(seed_radius, keep=lambda i, j: mesh.far_apart(i, j, exclusion))
@@ -186,7 +183,7 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
         for i, r in enumerate(result.residual_norm[result.converged])
         if length[i] > opts.min_length
     ]
-    return dedup_chords(raw, opts.cluster_radius)
+    return dedup_chords(raw)
 
 
 def _tangent_bases(p: np.ndarray) -> np.ndarray:
@@ -297,7 +294,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     """
     opts = opts or SearchOptions()
     mesh = slc.mesh
-    capture_radius = opts.capture_radius or 2.0 * _ambient_spacing(slc.points, mesh.edges())
+    capture_radius = 2.0 * _ambient_spacing(slc.points, mesh.edges())
     # pre-cluster events: neighbors launching into the same chord
     events = _capture_events(model, slc, opts, capture_radius)
     events = np.array(events, dtype=float).reshape(-1, 3)
@@ -339,7 +336,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
         ChordRecord(u[i], v[i], p_u[i], p_v[i], float(length[i]), residual=float(residuals[i]))
         for i in np.flatnonzero(~missed)
     ]
-    cluster = opts.cluster_radius
+    cluster = CLUSTER_RADIUS
     if is_sphere:
         # non-isolated chord families: collapse at mesh scale
         cluster = max(cluster, 2.0 * mesh.max_spacing())

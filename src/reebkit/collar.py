@@ -33,7 +33,6 @@ from .chords import (
 from .errors import MissingPrimitive, NonExact, NonFinite, ReparamDegenerate, ReparamUnresolved, WrongModel
 from .models import (
     DeformationSpec,
-    RhoProfile,
     StandardRModel,
     StandardSphereModel,
     SymplectizationModel,
@@ -601,7 +600,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     membership_defect = 0.0
     if isinstance(model, StandardSphereModel):
         membership_defect = float(np.max(np.abs(np.linalg.norm(slc.points, axis=1) - 1.0)))
-    embedded = slc.embedded_at_mesh_scale(_exclusion_radius(slc, opts.search))
+    embedded = slc.embedded_at_mesh_scale(_exclusion_radius(slc))
     checks = {
         "closed": {"pass": closed.passed, "max_residual": closed.value},
         "transverse": {"pass": transverse.passed, "min_sigma": transverse.value},
@@ -660,8 +659,8 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     elif is_euclidean:
         ext = extend_h(model, slc, prim, margin=opts.margin)
         if ext.ok:
-            sym = SymplectizationModel(model, epsilon=0.2)
-            spec = DeformationSpec(h=ext.h, rho=RhoProfile(0.2), margin=opts.margin)
+            sym = SymplectizationModel(model)
+            spec = DeformationSpec(h=ext.h, margin=opts.margin)
             deform = check_deformation(sym, spec, grid_around_slice(slc, per_axis=7, z_axis=opts.grid_z_axis))
             construction_ok = deform.passed
             h_diag = {

@@ -16,7 +16,7 @@ overrides:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +33,7 @@ from .slices import (
     require_on_manifold,
 )
 
-_SEARCH_KEYS = {"seed_radius", "exclusion_radius", "max_time", "min_length", "capture_radius", "launch_stride", "cluster_radius"}
+_SEARCH_KEYS = {f.name for f in fields(SearchOptions)}
 _TOL_KEYS = {"closed", "transverse", "margin"}
 
 

@@ -82,11 +82,8 @@ class StandardSphereModel:
     Inputs near the sphere are radially projected before evaluation, i.e.
     the evaluators act through the scale-invariant extension off the
     constraint surface; points beyond the band raise OffManifold.  The
-    band admits points slightly off the sphere, such as a mesh-file
-    immersion interpolated between its nodes at Newton iterates and
-    finite-difference steps.  No command integrates a sphere field; only
-    the tests do, and their Runge-Kutta stage points sit O(step^2) off
-    the sphere.
+    band admits the tests' Runge-Kutta stage points, which sit O(step^2)
+    off the sphere; no command integrates a sphere field.
     """
 
     #: inputs inside this band are projected; beyond it they are rejected
@@ -191,57 +188,43 @@ def _smoothstep_d(u):
     return np.where(inside, 30.0 * u * u * (1.0 - u) ** 2, 0.0)
 
 
-class RhoProfile:
-    """Quintic ramp on [1-epsilon, 1]: 0 below the window, 1 at t=1.
+COLLAR_EPSILON = 0.2  # half-width of the collar (1 - eps, 1 + eps) and width of the rho ramp
+
+
+def rho(t):
+    """Quintic ramp on [1 - COLLAR_EPSILON, 1]: 0 below the window, 1 at t=1.
 
     Nondecreasing with vanishing derivative at both window ends, so the
     t=1 evaluation of deformed quantities carries no rho' term.
     """
+    return _smoothstep((np.asarray(t, dtype=float) - (1.0 - COLLAR_EPSILON)) / COLLAR_EPSILON)
 
-    def __init__(self, epsilon: float = 0.2):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.epsilon = float(epsilon)
 
-    def __call__(self, t):
-        return _smoothstep((np.asarray(t, dtype=float) - (1.0 - self.epsilon)) / self.epsilon)
-
-    def derivative(self, t):
-        u = (np.asarray(t, dtype=float) - (1.0 - self.epsilon)) / self.epsilon
-        return _smoothstep_d(u) / self.epsilon
+def rho_derivative(t):
+    u = (np.asarray(t, dtype=float) - (1.0 - COLLAR_EPSILON)) / COLLAR_EPSILON
+    return _smoothstep_d(u) / COLLAR_EPSILON
 
 
 @dataclass(frozen=True)
 class DeformationSpec:
-    """Deformation data: ambient profile h, time profile rho, margin in
-    (0, 1) for the strict transversality inequality dh(Reeb) > -1.
+    """Deformation data: ambient profile h and margin in (0, 1) for the
+    strict transversality inequality dh(Reeb) > -1; the time profile is
+    ``rho``.
 
     ``h`` maps points of shape (..., ambient_dim) to values of shape (...).
-    The time profile must ramp
-    from 0 below 1 - rho.epsilon to 1 at t = 1, nondecreasing, with zero
-    slope at t = 1; this is validated on a sample grid at construction.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
-    rho: RhoProfile
     margin: float = 0.05
 
     def __post_init__(self):
         if not 0 < self.margin < 1:
             raise ValueError("margin must lie in (0, 1)")
-        if abs(float(self.rho(1.0)) - 1.0) > 1e-12:
-            raise ValueError("rho(1) must equal 1")
-        if abs(float(self.rho.derivative(1.0))) > 1e-12:
-            raise ValueError("rho'(1) must vanish")
-        if abs(float(self.rho(1.0 - self.rho.epsilon))) > 1e-12:
-            raise ValueError("rho must vanish at 1 - epsilon")
-        ts = np.linspace(1.0 - self.rho.epsilon, 1.0, 64)
-        if np.any(np.diff(self.rho(ts)) < -1e-12):
-            raise ValueError("rho must be nondecreasing")
 
 
 class SymplectizationModel:
-    """Collar (1-eps, 1+eps) x Y with the scaled form t*alpha.
+    """Collar (1-eps, 1+eps) x Y, eps = COLLAR_EPSILON, with the scaled
+    form t*alpha.
 
     The symplectic pairing is dt ^ alpha + t * d_alpha; the undeformed
     expansion field is t * d/dt, whose dt-component is t at every point.
@@ -249,12 +232,9 @@ class SymplectizationModel:
     component first.
     """
 
-    def __init__(self, base: ContactModel, epsilon: float = 0.2):
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
+    def __init__(self, base: ContactModel):
         self.base = base
-        self.epsilon = float(epsilon)
-        self.t_range = (1.0 - epsilon, 1.0 + epsilon)
+        self.t_range = (1.0 - COLLAR_EPSILON, 1.0 + COLLAR_EPSILON)
 
     def liouville_form(self, t: float, point, vector) -> float:
         """Pairing of t*alpha with a collar vector (v_t, v_space)."""
@@ -298,17 +278,17 @@ def hamiltonian_field(sym: SymplectizationModel, spec: DeformationSpec, t: float
         raise UnsupportedModel(
             f"Hamiltonian field not implemented for model {base.name!r}"
         )
-    rho = float(spec.rho(t))
-    rho_d = float(spec.rho.derivative(t))
+    rho_t = float(rho(t))
+    rho_d = float(rho_derivative(t))
     h0 = spec.h(p)
     grad = jacobian_fd(lambda q: np.expand_dims(spec.h(q), -1), p)[..., 0, :]
     gx, gy, gz = grad[..., 0:-1:2], grad[..., 1:-1:2], grad[..., -1:]
     y = p[..., 1:-1:2]
     out = np.empty(p.shape[:-1] + (1 + base.ambient_dim,))
-    out[..., :1] = rho * gz
-    out[..., 1:-1:2] = rho * gy / t            # x-components
-    out[..., 2:-1:2] = -rho * (gx + gz * y) / t  # y-components
-    out[..., -1] = rho * np.sum(y * gy, axis=-1) / t - rho_d * h0
+    out[..., :1] = rho_t * gz
+    out[..., 1:-1:2] = rho_t * gy / t            # x-components
+    out[..., 2:-1:2] = -rho_t * (gx + gz * y) / t  # y-components
+    out[..., -1] = rho_t * np.sum(y * gy, axis=-1) / t - rho_d * h0
     return out
 
 

@@ -26,6 +26,7 @@ DEFAULT_TRANSVERSE_TOL = 1e-4
 PERIOD_ZERO_TOL = 1e-8
 CYCLE_TOL = 1e-6  # largest edge defect of a primitive, f(b) - f(a) against the edge integral
 COINCIDENT_TOL = 1e-9  # ambient distance, relative to the coordinate scale, of coincident nodes
+EVEN_SPACING_TOL = 1e-9  # deviation of mesh-file parameter values from even spacing, relative to their span
 
 
 @dataclass(frozen=True)
@@ -605,7 +606,9 @@ def load_mesh_slice(path, param_dim: int, periodic: Sequence[bool]) -> ParamSlic
 
     Row format: parameter coordinates first, ambient coordinates after; a
     header row names the columns.  Nodes must fill a regular grid (every
-    combination of the per-factor coordinate values present exactly once).
+    combination of the per-factor coordinate values present exactly once)
+    with at least 2 evenly spaced values per factor, and a periodic factor
+    omits its endpoint: its last node slice must not repeat its first.
     Commas or whitespace delimit fields.
     """
     from scipy.interpolate import CubicSpline, RegularGridInterpolator
@@ -632,10 +635,18 @@ def load_mesh_slice(path, param_dim: int, periodic: Sequence[bool]) -> ParamSlic
     order = np.lexsort(tuple(params[:, j] for j in reversed(range(param_dim))))
     grid_vals = ambient[order].reshape(shape + (ambient.shape[1],))
 
+    tol = COINCIDENT_TOL * max(1.0, float(np.max(np.abs(ambient))))
     factors = []
     for j, per in enumerate(periodic):
+        if len(axes[j]) < 2:
+            raise ValueError(f"need at least 2 nodes per factor, factor {j} has 1")
         lo, hi = float(axes[j][0]), float(axes[j][-1])
+        if np.max(np.abs(axes[j] - np.linspace(lo, hi, len(axes[j])))) > EVEN_SPACING_TOL * (hi - lo):
+            raise ValueError(f"factor {j} values are not evenly spaced")
         if per:
+            seam = np.take(grid_vals, -1, axis=j) - np.take(grid_vals, 0, axis=j)
+            if np.all(np.linalg.norm(seam, axis=-1) <= tol):
+                raise ValueError(f"periodic factor {j} repeats its first nodes at its end; omit the duplicate endpoint")
             step = float(np.median(np.diff(axes[j])))
             factors.append(DomainFactor(lo, hi + step, True))
         else:

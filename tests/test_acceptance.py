@@ -28,7 +28,6 @@ from reebkit.collar import (
 )
 from reebkit.models import (
     DeformationSpec,
-    RhoProfile,
     StandardRModel,
     StandardSphereModel,
     SymplectizationModel,
@@ -211,7 +210,7 @@ def test_criterion_07_deformation_cross_validation(unknot_entry, sheared_01_entr
         min_dh_est = a - abs(b * q)
         if abs(min_dh_est - (-1 + margin)) < 0.02:
             continue
-        spec = DeformationSpec(h=h, rho=RhoProfile(0.2), margin=margin)
+        spec = DeformationSpec(h=h, margin=margin)
         chk = check_deformation(sym, spec, grid)
         assert chk.agree
         agreements += 1
@@ -221,7 +220,7 @@ def test_criterion_07_deformation_cross_validation(unknot_entry, sheared_01_entr
         res = extend_h(entry.model, entry.slice, primitives[prim_key], margin=margin)
         assert res.ok
         assert res.max_h_plus_f < 1e-6
-        spec = DeformationSpec(h=res.h, rho=RhoProfile(0.2), margin=margin)
+        spec = DeformationSpec(h=res.h, margin=margin)
         refined = grid_around_slice(entry.slice, per_axis=13, z_axis=65)
         chk = check_deformation(sym, spec, refined)
         assert chk.passed and chk.agree

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -393,7 +394,7 @@ def test_mesh_file_curve_in_r5(manifest_path, tmp_path):
 # manifests that parse as JSON but carry values of the wrong type or range
 BAD_VALUES = {
     "search_string": {"slice": {"catalog": "unknot"}, "search": {"min_length": "a"}},
-    "search_null": {"slice": {"catalog": "unknot"}, "search": {"cluster_radius": None}},
+    "search_null": {"slice": {"catalog": "unknot"}, "search": {"min_length": None}},
     "search_bool": {"slice": {"catalog": "unknot"}, "search": {"max_time": True}},
     "tolerance_bool": {"slice": {"catalog": "unknot"}, "tolerances": {"closed": True}},
     "tolerance_nan": {"slice": {"catalog": "torus_r5", "params": {"resolution": 8}}, "tolerances": {"closed": float("nan")}},
@@ -553,6 +554,82 @@ def test_monitor_dt_is_an_unknown_search_key(manifest_path, command):
     # the capture search samples no trajectory, so it takes no step
     path = manifest_path("hopf", {"slice": {"catalog": "hopf_circle"}, "search": {"monitor_dt": 0.02}})
     assert run_cli([command, path]) == (2, "", "manifest error: unknown search key 'monitor_dt'\n")
+
+
+def test_manifest_search_keys_are_the_search_options():
+    # every SearchOptions field is a search key that reaches the options,
+    # and nothing else is
+    from dataclasses import fields
+
+    from reebkit.chords import SearchOptions
+    from reebkit.manifest import collar_options, parse_manifest
+
+    names = [f.name for f in fields(SearchOptions)]
+    assert sorted(names) == ["launch_stride", "max_time", "min_length"]
+    for name in names:
+        value = 3 if name == "launch_stride" else 0.5
+        man = parse_manifest({"slice": {"catalog": "unknot"}, "search": {name: value}})
+        assert getattr(collar_options(man).search, name) == value
+
+
+@pytest.mark.parametrize("key", ["seed_radius", "exclusion_radius", "capture_radius", "cluster_radius"])
+def test_search_radii_are_unknown_search_keys(manifest_path, key):
+    # the radii derive from the mesh spacing and the cluster radius is fixed
+    path = manifest_path("hopf", {"slice": {"catalog": "hopf_circle"}, "search": {key: 0.1}})
+    assert run_cli(["chords", path]) == (2, "", f"manifest error: unknown search key {key!r}\n")
+
+
+def _grid_rows(param_axes, immersion):
+    return [(*u, *immersion(*u)) for u in itertools.product(*param_axes)]
+
+
+_ANGLES = 2 * np.pi * np.arange(8) / 8
+# mesh files that cannot be meshed at their own nodes: (model, periodic
+# flags, rows, reason); the endpoint files repeat a periodic factor's first
+# nodes at its end, as an export at np.linspace(0, 2 pi, N) does
+UNMESHABLE_FILES = {
+    "uneven_1d": (
+        "r3", [False], _grid_rows([[0, 0.3, 1, 1.5, 2.5, 3, 4, 5.5]], lambda t: (np.cos(t), np.sin(t), 0.1 * t)),
+        "factor 0 values are not evenly spaced",
+    ),
+    "uneven_2d": (
+        "r5", [True, False], _grid_rows([_ANGLES, [0.0, 0.2, 1.0]], lambda v, u: (u, 0.0, np.cos(v), np.sin(v), 0.3 * u)),
+        "factor 1 values are not evenly spaced",
+    ),
+    "single_1d": ("r3", [True], [(0.0, 1.0, 0.0, 0.0)], "need at least 2 nodes per factor"),
+    "single_2d": (
+        "r5", [True, True], _grid_rows([[0.0], _ANGLES], lambda u, v: (1.0, 0.0, np.cos(v), np.sin(v), 0.0)),
+        "need at least 2 nodes per factor",
+    ),
+    "endpoint_1d": (
+        "r3", [True],
+        _grid_rows([np.linspace(0, 2 * np.pi, 65)],
+                   lambda t: (np.cos(t), -np.sin(2 * t), (2 / 3) * np.sin(t) ** 3 + 0.1 * np.sin(t))),
+        "periodic factor 0 repeats its first nodes at its end; omit the duplicate endpoint",
+    ),
+    "endpoint_2d": (
+        "r5", [False, True],
+        _grid_rows([np.linspace(0, 1, 4), np.linspace(0, 2 * np.pi, 9)], lambda u, v: (u, 0.0, np.cos(v), np.sin(v), 0.3 * u)),
+        "periodic factor 1 repeats its first nodes at its end; omit the duplicate endpoint",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "chords", "collar"])
+@pytest.mark.parametrize("name", sorted(UNMESHABLE_FILES))
+def test_mesh_file_that_is_not_a_mesh_exit2(manifest_path, tmp_path, name, command):
+    # a mesh file is meshed at its own nodes: uneven values, a single value
+    # or a repeated periodic endpoint are refused in one line, with no
+    # numpy warning (an error under this suite)
+    model, periodic, rows, reason = UNMESHABLE_FILES[name]
+    mesh_path = tmp_path / f"{name}.csv"
+    header = ",".join(f"c{i}" for i in range(len(rows[0])))
+    mesh_path.write_text(header + "\n" + "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows))
+    slice_src = {"mesh_file": str(mesh_path), "param_dim": len(periodic), "periodic": periodic}
+    code, out, err = run_cli([command, manifest_path(name, {"model": model, "slice": slice_src})])
+    assert (code, out) == (2, "")
+    assert err.startswith("manifest error: cannot load mesh file: ") and err.count("\n") == 1
+    assert reason in err
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ from reebkit.collar import (
     reeb_reparam_check,
 )
 from reebkit.errors import MissingPrimitive, ReparamDegenerate, WrongModel
-from reebkit.models import DeformationSpec, RhoProfile, StandardRModel, SymplectizationModel, liouville_deformed
+from reebkit.models import DeformationSpec, StandardRModel, SymplectizationModel, liouville_deformed
 from reebkit.slices import load_mesh_slice
 
 
@@ -304,7 +304,7 @@ def test_extend_h_success_implies_refined_check(sheared_01_entry, primitives):
     res = extend_h(model, slc, primitives[("sheared_unknot", 0.1)], margin=0.05)
     assert res.ok
     sym = SymplectizationModel(model)
-    spec = DeformationSpec(h=res.h, rho=RhoProfile(0.2), margin=0.05)
+    spec = DeformationSpec(h=res.h, margin=0.05)
     grid = grid_around_slice(slc, per_axis=13, z_axis=65)  # 2x-refined
     chk = check_deformation(sym, spec, grid)
     assert chk.passed
@@ -443,8 +443,8 @@ def test_check_deformation_matches_per_point_loop(unknot_entry, sheared_01_entry
 
         cases.append((lambda h=h: h, grid_around_slice(unknot_entry.slice, per_axis=5, z_axis=21)))
     for make_h, grid in cases:
-        chk = check_deformation(sym, DeformationSpec(h=make_h(), rho=RhoProfile(0.2)), grid)
-        loop = _per_point_minima(sym, DeformationSpec(h=make_h(), rho=RhoProfile(0.2)), grid)
+        chk = check_deformation(sym, DeformationSpec(h=make_h()), grid)
+        loop = _per_point_minima(sym, DeformationSpec(h=make_h()), grid)
         assert (chk.min_dh_reeb, chk.min_dt_liouville) == loop
 
 
@@ -468,7 +468,7 @@ def test_directional_dh_reeb_calls_h_once(sheared_01_entry):
 def test_check_deformation_linear_profile(unknot_entry):
     delta = 0.2
     sym = SymplectizationModel(unknot_entry.model)
-    spec = DeformationSpec(h=lambda p: -(1 - delta) * p[..., 2], rho=RhoProfile(0.2), margin=0.05)
+    spec = DeformationSpec(h=lambda p: -(1 - delta) * p[..., 2], margin=0.05)
     chk = check_deformation(sym, spec, grid_around_slice(unknot_entry.slice, 5, 17))
     assert chk.min_dh_reeb == pytest.approx(-(1 - delta), abs=1e-6)
     assert chk.passed
@@ -477,7 +477,7 @@ def test_check_deformation_linear_profile(unknot_entry):
 
 def test_check_deformation_steep_profile_fails_both(unknot_entry):
     sym = SymplectizationModel(unknot_entry.model)
-    spec = DeformationSpec(h=lambda p: -2.0 * p[..., 2], rho=RhoProfile(0.2), margin=0.05)
+    spec = DeformationSpec(h=lambda p: -2.0 * p[..., 2], margin=0.05)
     chk = check_deformation(sym, spec, grid_around_slice(unknot_entry.slice, 5, 17))
     assert not chk.pass_dh
     assert not chk.pass_dt

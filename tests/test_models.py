@@ -3,8 +3,8 @@ import pytest
 
 from reebkit.errors import OffManifold, UnsupportedModel
 from reebkit.models import (
+    COLLAR_EPSILON,
     DeformationSpec,
-    RhoProfile,
     StandardRModel,
     StandardSphereModel,
     SymplectizationModel,
@@ -12,6 +12,8 @@ from reebkit.models import (
     liouville_deformed,
     make_model,
     reeb_at,
+    rho,
+    rho_derivative,
 )
 from reebkit.numerics import integrate_flow
 
@@ -185,15 +187,16 @@ def test_flow_broadcasts_times(name):
 
 
 def test_rho_profile_shape():
-    rho = RhoProfile(0.2)
+    # the one ramp: 0 at 1 - eps, 1 at t = 1 with zero slope, nondecreasing
     assert rho(1.0) == pytest.approx(1.0, abs=1e-15)
-    assert rho.derivative(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert rho(0.8) == 0.0
+    assert rho_derivative(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert rho(1.0 - COLLAR_EPSILON) == 0.0
     assert rho(0.5) == 0.0
     ts = np.linspace(0.75, 1.0, 200)
     vals = rho(ts)
     assert np.all(np.diff(vals) >= -1e-15)
-    assert np.all(rho.derivative(ts) >= 0.0)
+    assert np.all(rho_derivative(ts) >= 0.0)
+    assert SymplectizationModel(StandardRModel(2)).t_range == (1.0 - COLLAR_EPSILON, 1.0 + COLLAR_EPSILON)
 
 
 def test_symplectization_expansion_field():
@@ -234,13 +237,12 @@ def test_hamiltonian_field_contraction_identity(n):
     sym = SymplectizationModel(model)
     spec = DeformationSpec(
         h=lambda p: np.sin(p[..., 0]) * np.cos(p[..., 1]) + 0.3 * p[..., -1] + 0.1 * p[..., -2] ** 2,
-        rho=RhoProfile(0.2),
     )
     rng = np.random.default_rng(6)
     eps = 1e-6
 
     def H(t, p):
-        return float(spec.rho(t)) * float(spec.h(p))
+        return float(rho(t)) * float(spec.h(p))
 
     for _ in range(25):
         t = rng.uniform(0.85, 1.0)
@@ -259,42 +261,33 @@ def _zero_profile(p):
     return np.zeros(np.shape(p)[:-1])
 
 
-def test_deformation_spec_rejects_bad_rho():
-    class FlatProfile(RhoProfile):
-        def __call__(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-    with pytest.raises(ValueError):
-        DeformationSpec(h=_zero_profile, rho=FlatProfile(0.2))
-
-
 @pytest.mark.parametrize("margin", [0.0, -0.1, 1.0, 1.5, float("nan")])
 def test_deformation_spec_rejects_margin_outside_unit_interval(margin):
     # the checks test 1 + dh(R) > margin and dt > margin, and the profile
     # slopes are scaled by 1 - margin: only 0 < margin < 1 is meaningful
     with pytest.raises(ValueError, match=r"margin must lie in \(0, 1\)"):
-        DeformationSpec(h=_zero_profile, rho=RhoProfile(0.2), margin=margin)
+        DeformationSpec(h=_zero_profile, margin=margin)
 
 
 def test_liouville_deformed_linear_height_profile():
     # dh(Reeb) = -(1 - delta) gives dt-component delta at t = 1
     delta = 0.25
     sym = SymplectizationModel(StandardRModel(2))
-    spec = DeformationSpec(h=lambda p: -(1 - delta) * p[..., 2], rho=RhoProfile(0.2))
+    spec = DeformationSpec(h=lambda p: -(1 - delta) * p[..., 2])
     v = liouville_deformed(sym, spec, 1.0, np.array([0.4, -0.7, 0.1]))
     assert abs(v[0] - delta) < 1e-6
 
 
 def test_liouville_deformed_constant_h():
     sym = SymplectizationModel(StandardRModel(2))
-    spec = DeformationSpec(h=lambda p: 1.7, rho=RhoProfile(0.2))
+    spec = DeformationSpec(h=lambda p: 1.7)
     v = liouville_deformed(sym, spec, 1.0, np.array([0.0, 0.0, 0.0]))
     assert abs(v[0] - 1.0) < 1e-9  # X_H has no dt-component when dh = 0
 
 
 def test_liouville_deformed_unsupported_model():
     sym = SymplectizationModel(StandardSphereModel(2))
-    spec = DeformationSpec(h=lambda p: p[..., 0], rho=RhoProfile(0.2))
+    spec = DeformationSpec(h=lambda p: p[..., 0])
     with pytest.raises(UnsupportedModel):
         liouville_deformed(sym, spec, 1.0, np.array([1.0, 0, 0, 0]))
 
@@ -302,10 +295,10 @@ def test_liouville_deformed_unsupported_model():
 def test_deformed_expansion_grid_identity():
     # dt(V_deformed) - t - rho(t) dh(R) vanishes on a (t, point) grid
     sym = SymplectizationModel(StandardRModel(2))
-    spec = DeformationSpec(h=lambda p: 0.2 * np.sin(p[..., 2]), rho=RhoProfile(0.2))
+    spec = DeformationSpec(h=lambda p: 0.2 * np.sin(p[..., 2]))
     for t in np.linspace(0.85, 1.1, 6):
         for z in np.linspace(-1, 1, 5):
             p = np.array([0.3, 0.5, z])
             v = liouville_deformed(sym, spec, float(t), p)
-            expected = t + float(spec.rho(t)) * 0.2 * np.cos(z)
+            expected = t + float(rho(t)) * 0.2 * np.cos(z)
             assert abs(v[0] - expected) < 1e-6

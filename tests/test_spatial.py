@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reebkit import catalog_get, chords_projection, primitive
-from reebkit.chords import SearchOptions, _resolve_projection_options
+from reebkit.chords import _exclusion_radius, _seed_radius
 from reebkit.collar import FiberBumpField
 from reebkit.slices import Mesh
 from reebkit.spatial import GridIndex
@@ -198,7 +198,7 @@ def test_projection_seeds_match_per_point_probe(stack_solves, name, params, n_cl
     # stencil and the offset test
     entry = catalog_get(name, params)
     slc, mesh = entry.slice, entry.slice.mesh
-    seed_radius, exclusion = _resolve_projection_options(slc, SearchOptions())
+    seed_radius, exclusion = _seed_radius(slc), _exclusion_radius(slc)
     index = GridIndex(slc.points[:, :-1], cell_size=seed_radius)
     close = per_point_close_pairs(index, seed_radius)
     assert np.array_equal(index.close_pairs(seed_radius), close)
