@@ -83,9 +83,16 @@ def _circle_embedding(mesh, u: np.ndarray) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-def _ambient_spacing(points: np.ndarray, edges: np.ndarray) -> float:
-    """Median length of the mesh edges (an (E, 2) index array) under ``points``."""
-    return float(np.median(np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)))
+def _ambient_spacing(points: np.ndarray, mesh) -> float:
+    """Median length of the mesh edges under ``points`` (N, k), one row per
+    node: the differences of the grid-shaped points along each axis,
+    across the seam of a circle factor."""
+    grid = points.reshape(*mesh.shape, points.shape[-1])
+    lengths = []
+    for axis, f in enumerate(mesh.factors):
+        step = np.roll(grid, -1, axis=axis) - grid if f.periodic else np.diff(grid, axis=axis)
+        lengths.append(np.linalg.norm(step, axis=-1).ravel())
+    return float(np.median(np.concatenate(lengths)))
 
 
 def _first_of_clusters(coord: np.ndarray, radius: float, close) -> np.ndarray:
@@ -128,10 +135,9 @@ def _exclusion_radius(slc: ParamSlice) -> float:
 
 def _seed_radius(slc: ParamSlice) -> float:
     """Projection distance of the seed pairs: 3x the projected spacing."""
-    edges = slc.mesh.edges()
-    proj_spacing = _ambient_spacing(slc.points[:, :-1], edges)
+    proj_spacing = _ambient_spacing(slc.points[:, :-1], slc.mesh)
     if proj_spacing <= 0.0:  # projection-degenerate slice (e.g. a Reeb fiber)
-        proj_spacing = max(_ambient_spacing(slc.points, edges), 1e-3)
+        proj_spacing = max(_ambient_spacing(slc.points, slc.mesh), 1e-3)
     return 3.0 * proj_spacing
 
 
@@ -294,7 +300,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     """
     opts = opts or SearchOptions()
     mesh = slc.mesh
-    capture_radius = 2.0 * _ambient_spacing(slc.points, mesh.edges())
+    capture_radius = 2.0 * _ambient_spacing(slc.points, mesh)
     # pre-cluster events: neighbors launching into the same chord
     events = _capture_events(model, slc, opts, capture_radius)
     events = np.array(events, dtype=float).reshape(-1, 3)

@@ -213,7 +213,7 @@ class FiberBumpField:
         self.proj = slc.points[:, :-1]
         self.heights = slc.points[:, -1]
         self.prescriptions = -prim.values
-        spacing = _ambient_spacing(self.proj, slc.mesh.edges())
+        spacing = _ambient_spacing(self.proj, slc.mesh)
         self.r_plateau = 1.5 * spacing
         self.r_cut = 3.0 * spacing
         self._nbr = slc.mesh.neighbors()

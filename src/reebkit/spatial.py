@@ -8,11 +8,12 @@ query inspects the neighbour cells of the query cell, so it is exact for
 radii up to the cell size.  Close pairs are enumerated per occupied cell
 instead of per point: each cell is paired with itself and with the cells
 at one code of each +-pair of neighbour offsets, so every pair of
-neighbouring cells is visited once.  Distinct cells whose codes collide
-only add candidates, which the distance test drops.  This is the spatial
-hashing of Teschner et al., "Optimized Spatial Hashing for Collision
-Detection of Deformable Objects" (VMV 2003), with a sorted table instead
-of buckets.
+neighbouring cells is visited once, and a point meets a neighbour cell's
+points only when it is within the radius of their bounding box.  Distinct
+cells whose codes collide only add candidates, which the distance test
+drops.  This is the spatial hashing of Teschner et al., "Optimized Spatial
+Hashing for Collision Detection of Deformable Objects" (VMV 2003), with a
+sorted table instead of buckets.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class GridIndex:
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         self.points = np.asarray(points, dtype=float)
-        self._columns = np.ascontiguousarray(self.points.T)
         self.cell_size = float(cell_size)
         dim = self.points.shape[1]
         self._origin = self.points.min(axis=0)
@@ -52,6 +52,9 @@ class GridIndex:
         self._cells, self._starts, self._counts = np.unique(
             self._codes[self._order], return_index=True, return_counts=True
         )
+        # the coordinates column by column in cell order: cell c holds the
+        # slots starts[c] to starts[c] + counts[c] - 1, in ascending index order
+        self._columns = np.take(np.ascontiguousarray(self.points.T), self._order, axis=1)
         # occupancy of the top bits of the cell codes: most probes miss
         # and are dropped by one lookup here instead of a binary search
         self._shift = np.uint64(64 - len(self._cells).bit_length() - 6)
@@ -63,6 +66,12 @@ class GridIndex:
 
     def _hash(self, keys) -> np.ndarray:
         return (keys.astype(np.int64).view(np.uint64) * self._mult).sum(axis=-1, dtype=np.uint64)
+
+    def _check_radius(self, radius: float) -> None:
+        if not np.isfinite(radius) or radius < 0:
+            raise ValueError("radius must be finite and non-negative")
+        if radius > self.cell_size:
+            raise ValueError("radius exceeds cell size; rebuild with a larger cell")
 
     def _neighbour_cells(self, codes: np.ndarray, stencil: np.ndarray):
         """(row, cell) for every occupied cell at code ``codes[row] + s``,
@@ -76,25 +85,34 @@ class GridIndex:
         return rows[hit], k[hit]
 
     def _probe(self, codes: np.ndarray):
-        """(query row, stored index) for every stored point in the
-        neighbour cells of each query cell code, grouped by query row."""
+        """(query row, slot) for every stored point in the neighbour cells
+        of each query cell code, grouped by query row."""
         rows, k = self._neighbour_cells(codes, self._stencil)
         counts = self._counts[k]
         first = self._starts[k] - np.cumsum(counts) + counts
-        return np.repeat(rows, counts), self._order[np.repeat(first, counts) + np.arange(counts.sum())]
+        return np.repeat(rows, counts), np.repeat(first, counts) + np.arange(counts.sum())
+
+    def _boxes(self):
+        """(low, high), each (d, cells): the bounding box of each cell's points."""
+        home = np.repeat(np.arange(len(self._cells)), self._counts)  # the cell of each slot
+        low = np.full((len(self._columns), len(self._cells)), np.inf)
+        high = -low
+        for x, x_lo, x_hi in zip(self._columns, low, high):
+            np.minimum.at(x_lo, home, x)
+            np.maximum.at(x_hi, home, x)
+        return low, high
 
     def query_ball(self, points: np.ndarray, radius: float):
         """(rows, indices, d2) of the stored points within ``radius`` of each
         row of ``points`` (Q, d), in ascending (row, index) order, with
         their squared distances to the row."""
-        if radius > self.cell_size:
-            raise ValueError("radius exceeds cell size; rebuild with a larger cell")
-        rows, hits = self._probe(self._hash(self._keys(points)))
+        self._check_radius(radius)
+        rows, slots = self._probe(self._hash(self._keys(points)))
         d2 = np.zeros(len(rows))
         for x, q in zip(self._columns, points.T):  # in order: for d < 8 the sums of np.sum over a row
-            d2 += (x[hits] - q[rows]) ** 2
+            d2 += (x[slots] - q[rows]) ** 2
         near = np.flatnonzero(d2 <= radius * radius)
-        keys = rows[near] * len(self.points) + hits[near]
+        keys = rows[near] * len(self.points) + self._order[slots[near]]
         order = np.argsort(keys)  # unique keys, so in (row, index) order
         return (*np.divmod(keys[order], len(self.points)), d2[near[order]])
 
@@ -114,12 +132,18 @@ class GridIndex:
         """(P, 2) array of the index pairs i < j of points within ``radius``
         of each other, in ascending (i, j) order.
 
-        The candidates are the point pairs of each occupied cell with itself
-        and with the cells at its half stencil, expanded ``_BLOCK`` at a
-        time.  ``keep(i, j)``, given index arrays with i < j, masks them
-        before the distance test."""
-        if radius > self.cell_size:
-            raise ValueError("radius exceeds cell size; rebuild with a larger cell")
+        Each occupied cell a is paired with itself and with the cells b at
+        its half stencil.  A lane is one point of cell a against one cell
+        b; it is dropped when the point is farther than ``radius`` from the
+        bounding box of b's points, with the gaps (a coordinate less its
+        clamp into the box) squared and summed column by column like the
+        distances: a gap is at most the coordinate difference in size, and
+        rounding keeps that order, so no close pair is lost.  The lanes that remain expand to point pairs, about
+        ``_BLOCK`` candidates at a time, and the squared distances decide
+        them.  ``keep(i, j)``, given index arrays with i < j, masks the
+        pairs within ``radius`` only."""
+        self._check_radius(radius)
+        r2 = radius * radius
         step = max(1, _BLOCK // len(self._half))
         a, b = [], []  # the cell pairs: each occupied cell a and a cell b of its half stencil
         for lo in range(0, len(self._cells), step):
@@ -127,28 +151,45 @@ class GridIndex:
             a.append(rows + lo)
             b.append(cells)
         a, b = np.concatenate(a), np.concatenate(b)
-        inside, first_a, first_b, width = a == b, self._starts[a], self._starts[b], self._counts[b]
-        size = self._counts[a] * width
-        end = np.cumsum(size)  # cell pair p holds candidates begin[p] to end[p] - 1
-        begin = end - size
-        n, total = len(self.points), int(end[-1])
-        keys = []
+        a, b = np.minimum(a, b), np.maximum(a, b)  # the slots of cell a come first
+        # a lane is a point of cell a against cell b; within one cell, the
+        # last point has no later point to pair with
+        start, lanes = self._starts[a], self._counts[a] - (a == b)
+        # lane k of cell pair p opens candidate end[p] - (lanes[p] - k) counts[b[p]]
+        end = np.cumsum(lanes * self._counts[b])
+        low, high = self._boxes()
+        stops = self._starts + self._counts
+        n, total, keys = len(self.points), int(end[-1]), [np.zeros(0, dtype=int)]
         for lo in range(0, total, _BLOCK):
+            # the lanes k0 to k1 - 1 of the cell pairs p open a candidate in [lo, hi)
             hi = min(lo + _BLOCK, total)
-            span = np.arange(np.searchsorted(end, lo, side="right"), np.searchsorted(end, hi - 1, side="right") + 1)
-            p = np.repeat(span, np.minimum(end[span], hi) - np.maximum(begin[span], lo))
-            s, u = np.divmod(np.arange(lo, hi) - begin[p], width[p])  # candidate = (s-th of a, u-th of b)
-            upper = ~inside[p] | (s < u)  # inside a cell, ascending index order gives i < j
-            i = self._order[first_a[p] + s][upper]
-            j = self._order[first_b[p] + u][upper]
+            p = slice(np.searchsorted(end, lo, side="right"), np.searchsorted(end, hi - 1, side="right") + 1)
+            width = self._counts[b[p]]
+            begin = end[p] - lanes[p] * width
+            k0 = np.maximum(-((begin - lo) // width), 0)
+            k1 = np.minimum(-((begin - hi) // width), lanes[p])
+            count = k1 - k0
+            s = np.repeat(start[p] + k0 - np.cumsum(count) + count, count) + np.arange(count.sum())
+            cell = np.repeat(b[p], count)
+            gap2 = np.zeros(len(s))
+            for x, x_lo, x_hi in zip(self._columns, low, high):
+                x_s = x[s]
+                gap2 += (np.minimum(np.maximum(x_s, x_lo[cell]), x_hi[cell]) - x_s) ** 2
+            live = gap2 <= r2
+            s, cell = s[live], cell[live]
+            first = np.maximum(self._starts[cell], s + 1)  # the slots of b, those after s in its own cell
+            count = stops[cell] - first
+            u = np.repeat(s, count)
+            t = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+            d2 = np.zeros(len(t))
+            for x in self._columns:  # in order: for d < 8 the sums of np.sum over a row
+                d2 += (x[u] - x[t]) ** 2
+            near = d2 <= r2
+            i, j = self._order[u[near]], self._order[t[near]]
             i, j = np.minimum(i, j), np.maximum(i, j)
             if keep is not None:
                 kept = keep(i, j)
                 i, j = i[kept], j[kept]
-            d2 = np.zeros(len(i))
-            for x in self._columns:  # in order: for d < 8 the sums of np.sum over a row
-                d2 += (x[i] - x[j]) ** 2
-            near = d2 <= radius * radius
-            keys.append(i[near] * n + j[near])
+            keys.append(i * n + j)
         keys = np.sort(np.concatenate(keys))
         return np.stack(np.divmod(keys, n), axis=1)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reebkit import catalog_get, chords
+from reebkit import catalog_get, catalog_list, chords
 from reebkit.chords import (
     ChordRecord,
     SearchOptions,
@@ -18,7 +18,7 @@ from reebkit.errors import NewtonFailuresExceeded, SearchTooLong, WrongModel
 from reebkit.models import StandardSphereModel, make_model
 from reebkit.numerics import integrate_flow, newton_solve_stack
 from reebkit.report import chord_table
-from reebkit.slices import ParamSlice, circle_factor, interval_factor
+from reebkit.slices import ParamSlice, circle_factor, interval_factor, load_mesh_slice
 from reebkit.spatial import GridIndex
 
 TWO_PI = 2 * np.pi
@@ -274,7 +274,7 @@ CAPTURE_CASES = SHOOTING_CASES + [
 def test_capture_events_match_loop(entry_name, opts, request):
     entry = request.getfixturevalue(entry_name)
     slc = entry.slice
-    capture_radius = 2.0 * _ambient_spacing(slc.points, slc.mesh.edges())
+    capture_radius = 2.0 * _ambient_spacing(slc.points, slc.mesh)
     events = _capture_events(entry.model, slc, opts, capture_radius)
     if entry.expected is None:
         assert events
@@ -357,7 +357,7 @@ def test_capture_queries_are_blocked(entry_name, opts, capture_radius, request, 
     # change the events
     entry = request.getfixturevalue(entry_name)
     slc = entry.slice
-    capture_radius = capture_radius or 2.0 * _ambient_spacing(slc.points, slc.mesh.edges())
+    capture_radius = capture_radius or 2.0 * _ambient_spacing(slc.points, slc.mesh)
     want = _capture_events(entry.model, slc, opts, capture_radius)
     candidates = []
     query_ball = GridIndex.query_ball
@@ -400,7 +400,7 @@ def precluster_loop(mesh, events, capture_radius):
 def test_preclustering_matches_loop(entry_name, opts, request, monkeypatch):
     entry = request.getfixturevalue(entry_name)
     mesh = entry.slice.mesh
-    capture_radius = 2.0 * _ambient_spacing(entry.slice.points, mesh.edges())
+    capture_radius = 2.0 * _ambient_spacing(entry.slice.points, mesh)
     events = _capture_events(entry.model, entry.slice, opts, capture_radius)
     reps = precluster_loop(mesh, events, capture_radius)
     if entry_name == "hopf_entry":
@@ -523,4 +523,28 @@ def test_ambient_spacing_matches_loop(entry_name, request):
     edges = slc.mesh.edges()
     for points in (slc.points, slc.points[:, :-1]):
         looped = np.median([np.linalg.norm(points[a] - points[b]) for a, b in edges.tolist()])
-        assert _ambient_spacing(points, edges) == pytest.approx(looped, rel=1e-15)
+        assert _ambient_spacing(points, slc.mesh) == pytest.approx(looped, rel=1e-15)
+
+
+def _edge_gather_spacing(points, mesh):
+    """The median edge length gathered row by row over ``mesh.edges()``."""
+    edges = mesh.edges()
+    return float(np.median(np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)))
+
+
+def _assert_spacing_matches_edge_gather(slc):
+    for points in (slc.points, slc.points[:, :-1]):
+        assert _ambient_spacing(points, slc.mesh) == _edge_gather_spacing(points, slc.mesh)  # bit for bit
+
+
+@pytest.mark.parametrize("name", catalog_list())
+def test_ambient_spacing_matches_edge_gather_on_catalog(name):
+    # grid differences, wrapped on circle factors, against the edge gather
+    _assert_spacing_matches_edge_gather(catalog_get(name).slice)
+
+
+@pytest.mark.parametrize("param_dim, periodic", [(1, [True]), (2, [False, True])])
+def test_ambient_spacing_matches_edge_gather_on_mesh_files(model_mesh_files, param_dim, periodic):
+    # a circle and an interval x circle strip, read from node tables
+    for width in (3, 5, 8):
+        _assert_spacing_matches_edge_gather(load_mesh_slice(model_mesh_files[param_dim, width], param_dim, periodic))

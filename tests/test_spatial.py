@@ -1,6 +1,8 @@
 """The grid index against brute force and against the per-point probe it
 replaced, and the fiber field that queries it against an all-nodes scan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,21 +43,76 @@ def test_close_pairs_match_brute_force(dim, radius):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_close_pairs_keep_masks_before_the_distance_test(dim):
+def test_close_pairs_keep_sees_exactly_the_pairs_within_the_radius(dim):
     pts = _points(dim, seed=20 + dim)
     seen = []
 
     def odd_sum(i, j):
         assert np.all(i < j)
-        seen.append(len(i))
+        seen.append(np.stack([i, j], axis=1))
         return (i + j) % 2 == 1
 
     got = GridIndex(pts, cell_size=CELL).close_pairs(CELL, keep=odd_sum)
-    want = _brute_pairs(pts, CELL)
-    want = want[want.sum(axis=1) % 2 == 1]
+    brute = _brute_pairs(pts, CELL)
+    want = brute[brute.sum(axis=1) % 2 == 1]
     assert len(want) >= 10
     assert np.array_equal(got, want)
-    assert sum(seen) > len(_brute_pairs(pts, CELL))  # keep saw candidates beyond the close pairs
+    seen = np.concatenate(seen)
+    assert len(seen) == len(brute)  # each close pair once, after the distance test
+    assert np.array_equal(np.unique(seen, axis=0), brute)
+
+
+# integer offsets of length 5 per dimension, across cell faces and corners
+_RADIUS_OFFSETS = {
+    1: [[5]],
+    2: [[3, 4], [5, 0]],
+    3: [[0, 3, 4], [4, 3, 0], [0, 0, 5]],
+    4: [[1, 2, 2, 4], [0, 0, 3, 4]],
+    5: [[2, 2, 2, 2, 3], [1, 2, 2, 4, 0], [0, 0, 0, 0, 5]],
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("scale", [2.0**-7, 2.0**-1, 2.0**4])
+def test_close_pairs_exact_at_the_radius(dim, scale):
+    # radius 5 scale and points on the grid of multiples of scale, so every
+    # coordinate difference and square is exact: pairs planted at distance
+    # exactly the radius, with random signs, across cell faces and corners,
+    # pairs one step of rounding beyond it, and duplicates
+    rng = np.random.default_rng(dim)
+    radius = 5 * scale
+    base = rng.integers(-30, 30, size=(80, dim)) * scale
+    offsets = np.array(_RADIUS_OFFSETS[dim])[rng.integers(0, len(_RADIUS_OFFSETS[dim]), size=80)]
+    exact = base + offsets * rng.choice([-1, 1], size=(80, dim)) * scale
+    rows, axes = np.arange(20), np.argmax(offsets[:20], axis=1)  # a nonzero offset of each row
+    beyond = exact[:20].copy()
+    away = np.where(exact[rows, axes] > base[rows, axes], np.inf, -np.inf)
+    beyond[rows, axes] = np.nextafter(exact[rows, axes], away)
+    pts = np.concatenate([base, exact, beyond, base[:10], exact[:10]])
+    index = GridIndex(pts, cell_size=radius)
+    brute = _brute_pairs(pts, radius)
+    assert set(zip(range(80), range(80, 160))) <= set(map(tuple, brute.tolist()))  # every planted pair at r
+    assert np.array_equal(index.close_pairs(radius), brute)
+
+    def every_third(i, j):
+        return (3 * i + j) % 3 != 0
+
+    want = brute[(3 * brute[:, 0] + brute[:, 1]) % 3 != 0]
+    assert np.array_equal(index.close_pairs(radius, keep=every_third), want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_close_pairs_without_a_pair(dim):
+    # a single point; points three cells apart on the diagonal (no two in
+    # neighbouring cells); points in neighbouring cells beyond the radius
+    apart = np.arange(6)[:, None] * np.full(dim, 3 * CELL)
+    steps = np.zeros((6, dim))
+    steps[:, 0] = 1.5 * CELL * np.arange(6)
+    for pts in (np.zeros((1, dim)), apart, steps):
+        index = GridIndex(pts, cell_size=CELL)
+        for keep in (None, lambda i, j: np.ones(len(i), dtype=bool)):
+            got = index.close_pairs(CELL, keep=keep)
+            assert got.shape == (0, 2)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
@@ -167,6 +224,14 @@ def test_radius_beyond_cell_rejected():
         index.nearest_within(np.zeros(3), 1.01 * CELL)
     with pytest.raises(ValueError):
         index.close_pairs(1.01 * CELL)
+    for radius in (-0.1 * CELL, -0.0 - 1e-300, np.nan, np.inf, -np.inf):
+        for query in (
+            lambda r: index.query_ball(np.zeros((1, 3)), r),
+            lambda r: index.nearest_within(np.zeros((1, 3)), r),
+            lambda r: index.close_pairs(r),
+        ):
+            with pytest.raises(ValueError):
+                query(radius)
     with pytest.raises(ValueError):
         GridIndex(np.zeros((2, 3)), cell_size=0.0)
 
@@ -178,7 +243,8 @@ def per_point_close_pairs(index: GridIndex, radius: float) -> np.ndarray:
     (i, j) per block."""
     blocks = []
     for lo in range(0, len(index.points), 200):
-        rows, j = index._probe(index._codes[lo : lo + 200])
+        rows, slots = index._probe(index._codes[lo : lo + 200])
+        j = index._order[slots]
         upper = rows + lo < j
         i, j = rows[upper] + lo, j[upper]
         near = np.sum((index.points[i] - index.points[j]) ** 2, axis=1) <= radius * radius
@@ -190,7 +256,11 @@ def per_point_close_pairs(index: GridIndex, radius: float) -> np.ndarray:
 
 @pytest.mark.parametrize(
     "name, params, n_close, n_seeds",
-    [("torus_r5", {"resolution": 96}, 129_024, 0), ("sheared_unknot", {"c": 0.1, "resolution": 4096}, None, 749)],
+    [
+        ("torus_r5", {"resolution": 96}, 129_024, 0),
+        ("sheared_unknot", {"c": 0.1, "resolution": 4096}, None, 749),
+        ("warped_torus", {}, 115_912, 0),
+    ],
 )
 def test_projection_seeds_match_per_point_probe(stack_solves, name, params, n_close, n_seeds):
     # the seed pairs: close projections (per-point probe) whose parameters
@@ -212,10 +282,9 @@ def test_projection_seeds_match_per_point_probe(stack_solves, name, params, n_cl
 
 
 def test_projection_seed_scan_work_on_torus(monkeypatch):
-    # on torus_r5 at 96x96 the half stencil enumerates the 471,680 upper
-    # candidates of the per-point probe once each, and the grid-offset rule
-    # leaves 159,396 of them (parameters beyond the exclusion radius) for
-    # the projection distance test; no seed survives both
+    # on torus_r5 at 96x96 the projection distance test leaves the 129,024
+    # close pairs of the per-point probe for the grid-offset rule, which
+    # keeps none of them (no parameters beyond the exclusion radius): no seed
     candidates, tested = [], []
     original = Mesh.far_apart
 
@@ -228,8 +297,25 @@ def test_projection_seed_scan_work_on_torus(monkeypatch):
     monkeypatch.setattr(Mesh, "far_apart", counted)
     entry = catalog_get("torus_r5", {"resolution": 96})
     assert chords_projection(entry.model, entry.slice) == []
-    assert sum(candidates) == 471_680
-    assert sum(tested) == 159_396
+    assert sum(candidates) == 129_024
+    assert sum(tested) == 0
+
+
+def test_projection_seed_scan_memory_on_torus():
+    # torus_r5 at 192x192 (36,864 nodes): the cell pairs expand to lanes and
+    # candidates a block at a time, so the scan's traced peak stays small
+    entry = catalog_get("torus_r5", {"resolution": 192})
+    slc, mesh = entry.slice, entry.slice.mesh
+    seed_radius, exclusion = _seed_radius(slc), _exclusion_radius(slc)
+    index = GridIndex(slc.points[:, :-1], cell_size=seed_radius)
+    tracemalloc.start()
+    try:
+        pairs = index.close_pairs(seed_radius, keep=lambda i, j: mesh.far_apart(i, j, exclusion))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape == (0, 2)
+    assert peak < 6 * 2**20
 
 
 def _clusters_scan(adjacency, near):
