@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NewtonFailuresExceeded, SearchTooLong, WrongModel
 from .models import StandardRModel, StandardSphereModel
 from .numerics import _row_norms, newton_solve_stack
-from .slices import ParamSlice
+from .slices import ParamSlice, _ambient_spacing
 from .spatial import GridIndex
 
 PROJECTION_RESIDUAL_TOL = 1e-10  # Newton tolerance of the projection double-point system
@@ -61,7 +61,8 @@ class ChordRecord:
 @dataclass
 class SearchOptions:
     """Chord search settings.  The search radii derive from the mesh
-    spacing: ``_seed_radius``, ``_exclusion_radius`` and the capture
+    spacing: the seed radius (the cell size of the slice's
+    ``projection_index``), ``_exclusion_radius`` and the capture
     radius, 2x ambient spacing."""
 
     min_length: float = 1e-4
@@ -81,18 +82,6 @@ def _circle_embedding(mesh, u: np.ndarray) -> np.ndarray:
         else:
             columns.append(u[:, j])
     return np.stack(columns, axis=1)
-
-
-def _ambient_spacing(points: np.ndarray, mesh) -> float:
-    """Median length of the mesh edges under ``points`` (N, k), one row per
-    node: the differences of the grid-shaped points along each axis,
-    across the seam of a circle factor."""
-    grid = points.reshape(*mesh.shape, points.shape[-1])
-    lengths = []
-    for axis, f in enumerate(mesh.factors):
-        step = np.roll(grid, -1, axis=axis) - grid if f.periodic else np.diff(grid, axis=axis)
-        lengths.append(np.linalg.norm(step, axis=-1).ravel())
-    return float(np.median(np.concatenate(lengths)))
 
 
 def _first_of_clusters(coord: np.ndarray, radius: float, close) -> np.ndarray:
@@ -133,14 +122,6 @@ def _exclusion_radius(slc: ParamSlice) -> float:
     return 5.0 * slc.mesh.max_spacing()
 
 
-def _seed_radius(slc: ParamSlice) -> float:
-    """Projection distance of the seed pairs: 3x the projected spacing."""
-    proj_spacing = _ambient_spacing(slc.points[:, :-1], slc.mesh)
-    if proj_spacing <= 0.0:  # projection-degenerate slice (e.g. a Reeb fiber)
-        proj_spacing = max(_ambient_spacing(slc.points, slc.mesh), 1e-3)
-    return 3.0 * proj_spacing
-
-
 def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
     """All Reeb chords of a slice in a Euclidean model via projection
     double points.
@@ -159,10 +140,8 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
         raise WrongModel("projection chord search requires a Euclidean model")
     opts = opts or SearchOptions()
     mesh = slc.mesh
-    seed_radius, exclusion = _seed_radius(slc), _exclusion_radius(slc)
-
-    index = GridIndex(slc.points[:, :-1], cell_size=seed_radius)
-    pairs = index.close_pairs(seed_radius, keep=lambda i, j: mesh.far_apart(i, j, exclusion))
+    index, exclusion = slc.projection_index, _exclusion_radius(slc)
+    pairs = index.close_pairs(index.cell_size, keep=lambda i, j: mesh.far_apart(i, j, exclusion))
     pdim = slc.param_dim
 
     def system(w, lanes):

@@ -26,7 +26,6 @@ import numpy as np
 from .chords import (
     ChordRecord,
     SearchOptions,
-    _ambient_spacing,
     _exclusion_radius,
     find_chords,
 )
@@ -52,7 +51,6 @@ from .slices import (
     primitive,
     pullback_alpha,
 )
-from .spatial import GridIndex
 
 _SMOOTHSTEP_MAX_SLOPE = 1.875  # max of d/du [u^3 (10 - 15u + 6u^2)] on [0, 1]
 LEGENDRIAN_TOL = 1e-9
@@ -213,11 +211,13 @@ class FiberBumpField:
         self.proj = slc.points[:, :-1]
         self.heights = slc.points[:, -1]
         self.prescriptions = -prim.values
-        spacing = _ambient_spacing(self.proj, slc.mesh)
-        self.r_plateau = 1.5 * spacing
-        self.r_cut = 3.0 * spacing
-        self._nbr = slc.mesh.neighbors()
-        self._index = GridIndex(self.proj, cell_size=self.r_cut)
+        self._index = slc.projection_index
+        self.r_cut = self._index.cell_size  # 3x the projected spacing
+        self.r_plateau = 0.5 * self.r_cut
+        nbr, node, m = slc.mesh.neighbors(), np.arange(slc.mesh.n_nodes)[:, None], slc.mesh.shape[-1]
+        along = ((nbr == node + 1) & (nbr % m != 0)) | ((nbr == node - 1) & (node % m != 0))
+        self._cross = np.where(along, -1, nbr)  # the links that runs along the last axis do not cover
+        self._crossed = np.any(self._cross >= 0, axis=1)
         self.profiles, self.bumps, self.reps = np.empty((0, 1, 5)), np.empty(0), np.empty((0, 0), dtype=int)
         self._row: dict[bytes, int] = {}
 
@@ -226,27 +226,42 @@ class FiberBumpField:
         one node per fiber intersection, row by row and by height; their
         number per row; the distance to the nearest node (inf if none).
 
-        The nodes in reach of a row are grouped by min-label propagation
-        with pointer jumping (Shiloach & Vishkin, J. Algorithms 3 (1982))
-        over the mesh edges inside the row's ball.  A group is represented
-        by its nearest node, the lowest one on an exact tie; equal heights
-        keep the order of the groups' lowest nodes."""
+        The nodes in reach of a row are grouped in two steps.  Nodes
+        consecutive along the grid's last axis form runs, broken at each
+        line end; then the runs joined by the remaining mesh edges inside
+        the row's ball (a circle's seam, the earlier axes) are merged by
+        min-label propagation with pointer jumping (Shiloach & Vishkin,
+        J. Algorithms 3 (1982)) that hooks the runs' roots.  A group is
+        represented by its nearest node, the lowest one on an exact tie;
+        equal heights keep the order of the groups' lowest nodes."""
         rows, nodes, d2 = self._index.query_ball(shadows, self.r_cut)
-        keys = rows * len(self.proj) + nodes  # ascending
-        want = np.where(self._nbr[nodes] < 0, -1, rows[:, None] * len(self.proj) + self._nbr[nodes])
+        n, pairs = len(self.proj), np.arange(len(rows))
+        keys = rows * n + nodes  # ascending
+        head = (np.diff(keys, prepend=-1) != 1) | (nodes % self.slice.mesh.shape[-1] == 0)
+        run = np.cumsum(head) - 1
+        crossed = np.flatnonzero(self._crossed[nodes])  # the pairs at nodes with cross links
+        j, k = np.nonzero(self._cross[nodes[crossed]] >= 0)
+        a = crossed[j]
+        want = rows[a] * n + self._cross[nodes[a], k]
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        a, k = np.nonzero(keys[at] == want)  # pair a is linked to pair at[a, k]
-        label, settled = np.arange(len(keys)), False  # settles on the lowest pair of each group
+        linked = keys[at] == want  # pair a is linked to pair at
+        ra, rb = run[a[linked]], run[at[linked]]
+        label, settled = np.arange(np.count_nonzero(head)), False  # settles on the lowest run of each group
         while not settled:
             new = label.copy()
-            np.minimum.at(new, a, label[at[a, k]])
+            np.minimum.at(new, label[ra], label[rb])  # hook the roots
             new = new[new]  # pointer jumping
             settled, label = np.array_equal(new, label), new
-        by_group = np.lexsort((d2, label))  # stable, so ascending node within a tie
-        reps = by_group[np.flatnonzero(np.diff(label[by_group], prepend=-1))]
+        group = label[run]
+        nearest = np.full(len(label), np.inf)
+        np.minimum.at(nearest, group, d2)
+        near = d2 == nearest[group]
+        reps = np.full(len(label), len(keys))
+        np.minimum.at(reps, group[near], pairs[near])
+        reps = reps[reps < len(keys)]  # by group, so by its lowest node
         reps = reps[np.lexsort((self.heights[nodes[reps]], rows[reps]))]
         dist = np.full(len(shadows), np.inf)
-        np.minimum.at(dist, rows, d2)
+        np.minimum.at(dist, rows[reps], d2[reps])
         return nodes[reps], np.bincount(rows[reps], minlength=len(shadows)), np.sqrt(dist)
 
     def rows(self, shadows: np.ndarray) -> np.ndarray:
@@ -256,23 +271,21 @@ class FiberBumpField:
         narrower of the table and the new rows.
 
         Only the first shadow of each run of bitwise equal consecutive
-        shadows is looked up by its bytes: grids repeat each shadow along
-        their last axis."""
+        shadows is looked up (grids repeat each shadow along their last
+        axis): the run heads are sliced from one bytes blob and keyed by
+        their exact bytes in a dict, all in one pass."""
         shadows = np.asarray(shadows, dtype=float)
         bits = shadows.view(np.uint64)
         starts = np.ones(len(shadows), dtype=bool)
         starts[1:] = np.any(bits[1:] != bits[:-1], axis=1)
         heads = np.flatnonzero(starts)
-        first, head_rows = [], np.empty(len(heads), dtype=int)
-        for j, i in enumerate(heads.tolist()):
-            key = shadows[i].tobytes()
-            row = self._row.get(key)
-            if row is None:
-                row = self._row[key] = len(self.bumps) + len(first)
-                first.append(i)
-            head_rows[j] = row
-        if first:
-            self._append(shadows[first])
+        blob, width, table, known = shadows[heads].tobytes(), 8 * shadows.shape[1], len(self.bumps), self._row
+        head_rows = np.fromiter((known.setdefault(blob[i : i + width], len(known)) for i in range(0, len(blob), width)),
+                                dtype=int, count=len(heads))
+        found, first = np.unique(head_rows, return_index=True)
+        fresh = heads[first[found >= table]]  # new rows in the order of their first shadows
+        if len(fresh):
+            self._append(shadows[fresh])
         return np.repeat(head_rows, np.diff(heads, append=len(shadows)))
 
     def _append(self, shadows: np.ndarray):

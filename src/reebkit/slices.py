@@ -65,6 +65,18 @@ def _wrap(factors: Sequence[DomainFactor], u) -> np.ndarray:
     return u
 
 
+def _ambient_spacing(points: np.ndarray, mesh) -> float:
+    """Median length of the mesh edges under ``points`` (N, k), one row per
+    node: the differences of the grid-shaped points along each axis,
+    across the seam of a circle factor."""
+    grid = points.reshape(*mesh.shape, points.shape[-1])
+    lengths = []
+    for axis, f in enumerate(mesh.factors):
+        step = np.roll(grid, -1, axis=axis) - grid if f.periodic else np.diff(grid, axis=axis)
+        lengths.append(np.linalg.norm(step, axis=-1).ravel())
+    return float(np.median(np.concatenate(lengths)))
+
+
 class Mesh:
     """Regular grid on a product-of-intervals domain.
 
@@ -234,6 +246,16 @@ class ParamSlice:
     def node_jacobian(self) -> np.ndarray:
         """The Jacobian (N, ambient_dim, param_dim) at the nodes, shared by the slice checks."""
         return self.jacobian_at(self.mesh.params)
+
+    @functools.cached_property
+    def projection_index(self) -> GridIndex:
+        """Grid index over the node shadows (the nodes without their last
+        coordinate) at 3x their spacing, or 3x the ambient one (at least
+        1e-3) on a projection-degenerate slice such as a Reeb fiber."""
+        spacing = _ambient_spacing(self.points[:, :-1], self.mesh)
+        if spacing <= 0.0:
+            spacing = max(_ambient_spacing(self.points, self.mesh), 1e-3)
+        return GridIndex(self.points[:, :-1], cell_size=3.0 * spacing)
 
     def nearest_node(self, u):
         """Index of the nearest mesh node to each parameter point of u

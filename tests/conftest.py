@@ -56,10 +56,11 @@ def sheared_entries():
     return {c: catalog_get("sheared_unknot", {"c": c}) for c in SHEAR_SWEEP if c != 0.0}
 
 
-def _exact_torus(resolution: int):
+def _exact_torus(resolution: int, factors=(circle_factor(2 * np.pi),) * 2):
     """(model, slice, g): the torus (cos u, 0, cos v, 0, g(u, v)) in r5 at
-    resolution x resolution nodes.  y = 0 makes the pullback of
-    dz - y1 dx1 - y2 dx2 equal to dg, and the projection folds up to 4:1."""
+    resolution x resolution nodes, or the strip over other ``factors``.
+    y = 0 makes the pullback of dz - y1 dx1 - y2 dx2 equal to dg, and the
+    projection folds up to 4:1."""
     g = lambda u, v: np.sin(u) * np.cos(v) + 0.3 * np.sin(2 * v) + 0.5 * np.cos(u - v)
     g_u = lambda u, v: np.cos(u) * np.cos(v) - 0.5 * np.sin(u - v)
     g_v = lambda u, v: -np.sin(u) * np.sin(v) + 0.6 * np.cos(2 * v) + 0.5 * np.sin(u - v)
@@ -76,7 +77,7 @@ def _exact_torus(resolution: int):
         dv = np.stack([zero, zero, -np.sin(v), zero, g_v(u, v)], axis=-1)
         return np.stack([du, dv], axis=-1)
 
-    slc = ParamSlice([circle_factor(2 * np.pi)] * 2, immersion, jacobian, resolution=[resolution] * 2)
+    slc = ParamSlice(factors, immersion, jacobian, resolution=[resolution] * 2)
     return StandardRModel(3), slc, g
 
 

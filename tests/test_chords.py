@@ -8,7 +8,6 @@ from reebkit import catalog_get, catalog_list, chords
 from reebkit.chords import (
     ChordRecord,
     SearchOptions,
-    _ambient_spacing,
     _capture_events,
     chords_projection,
     chords_shooting,
@@ -18,7 +17,7 @@ from reebkit.errors import NewtonFailuresExceeded, SearchTooLong, WrongModel
 from reebkit.models import StandardSphereModel, make_model
 from reebkit.numerics import integrate_flow, newton_solve_stack
 from reebkit.report import chord_table
-from reebkit.slices import ParamSlice, circle_factor, interval_factor, load_mesh_slice
+from reebkit.slices import ParamSlice, _ambient_spacing, circle_factor, interval_factor, load_mesh_slice
 from reebkit.spatial import GridIndex
 
 TWO_PI = 2 * np.pi

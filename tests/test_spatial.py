@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from reebkit import catalog_get, chords_projection, primitive
-from reebkit.chords import _exclusion_radius, _seed_radius
+from reebkit.chords import _exclusion_radius
 from reebkit.collar import FiberBumpField
-from reebkit.slices import Mesh
+from reebkit.models import StandardRModel
+from reebkit.slices import Mesh, ParamSlice, _ambient_spacing, circle_factor, interval_factor
 from reebkit.spatial import GridIndex
 
 CELL = 0.1
+CIRCLE = circle_factor(2 * np.pi)
 
 
 def _points(dim: int, seed: int) -> np.ndarray:
@@ -268,7 +270,7 @@ def test_projection_seeds_match_per_point_probe(stack_solves, name, params, n_cl
     # stencil and the offset test
     entry = catalog_get(name, params)
     slc, mesh = entry.slice, entry.slice.mesh
-    seed_radius, exclusion = _seed_radius(slc), _exclusion_radius(slc)
+    seed_radius, exclusion = slc.projection_index.cell_size, _exclusion_radius(slc)
     index = GridIndex(slc.points[:, :-1], cell_size=seed_radius)
     close = per_point_close_pairs(index, seed_radius)
     assert np.array_equal(index.close_pairs(seed_radius), close)
@@ -306,7 +308,7 @@ def test_projection_seed_scan_memory_on_torus():
     # candidates a block at a time, so the scan's traced peak stays small
     entry = catalog_get("torus_r5", {"resolution": 192})
     slc, mesh = entry.slice, entry.slice.mesh
-    seed_radius, exclusion = _seed_radius(slc), _exclusion_radius(slc)
+    seed_radius, exclusion = slc.projection_index.cell_size, _exclusion_radius(slc)
     index = GridIndex(slc.points[:, :-1], cell_size=seed_radius)
     tracemalloc.start()
     try:
@@ -357,16 +359,41 @@ def fiber_data_scan(fld, shadow_point):
     return zs, vs, reps, float(np.sqrt(np.min(d2)))
 
 
-def _sheared_unknot():
-    entry = catalog_get("sheared_unknot", {"c": 0.1, "resolution": 256})
-    return entry.model, entry.slice
+FOLD = interval_factor(0.3, 2 * np.pi - 0.3)  # cos folds it 2:1
 
 
-@pytest.mark.parametrize("build", ["sheared_unknot", "exact_torus"])
+def _fiber_input(build, exact_torus):
+    """(model, slice) of one input of the fiber pass test."""
+    if build == "sheared_unknot":
+        entry = catalog_get("sheared_unknot", {"c": 0.1, "resolution": 256})
+        return entry.model, entry.slice
+    if build == "interval_curve":  # a figure eight, its double point at u = pi/2 and 3 pi/2
+        return StandardRModel(2), ParamSlice(
+            [FOLD], lambda w: np.stack([np.cos(w[..., 0]), np.sin(2 * w[..., 0]) / 2, np.sin(w[..., 0])], axis=-1),
+            resolution=[200],
+        )
+    if build == "line_ends":
+        # x = u + v over integer u and v in [0, 1]: node (i, m - 1) has the
+        # shadow of node (i + 1, 0), the next index, with no edge between
+        # them; the u-edges are longer than the fiber radius
+        return StandardRModel(2), ParamSlice(
+            [interval_factor(0.0, 3.0), interval_factor(0.0, 1.0)],
+            lambda w: np.stack([w[..., 0] + w[..., 1], np.zeros(w.shape[:-1]), w[..., 0]], axis=-1),
+            resolution=[4, 12],
+        )
+    factors = {"exact_torus": [CIRCLE] * 2, "interval_x_circle": [FOLD, CIRCLE], "circle_x_interval": [CIRCLE, FOLD]}
+    return exact_torus(24, factors[build])[:2]
+
+
+@pytest.mark.parametrize(
+    "build",
+    ["sheared_unknot", "exact_torus", "interval_curve", "interval_x_circle", "circle_x_interval", "line_ends"],
+)
 def test_fiber_data_matches_all_nodes_scan(build, exact_torus):
-    # the 1-D curve has one double point in its projection; the 2-D torus
-    # folds its projection up to 4:1, and symmetric shadows tie exactly
-    model, slc = _sheared_unknot() if build == "sheared_unknot" else exact_torus(24)[:2]
+    # the 1-D curves have double points in their projections; the 2-D torus
+    # folds its projection up to 4:1, and symmetric shadows tie exactly; the
+    # strips end on intervals, along the last axis or the first
+    model, slc = _fiber_input(build, exact_torus)
     fld = FiberBumpField(slc, primitive(model, slc), margin=0.05)
     rng = np.random.default_rng(3)
     lo, hi = fld.proj.min(axis=0) - 2 * fld.r_cut, fld.proj.max(axis=0) + 2 * fld.r_cut
@@ -396,3 +423,22 @@ def test_fiber_data_matches_all_nodes_scan(build, exact_torus):
         assert np.array_equal(profile[1 : m + 1, 0], wants[k][0])  # the prescribed heights
         assert np.array_equal(profile[1 : m + 1, 2], wants[k][1])  # and values
         assert np.all(profile[m + 1 :] == profile[m])  # padding repeats the last row
+
+
+def test_projection_index_is_built_once_per_slice(monkeypatch):
+    # the projection seed scan and the fiber field share the slice's index
+    # over the node shadows; the fiber radii stay 3x and 1.5x the projected
+    # spacing, bit for bit
+    entry = catalog_get("sheared_unknot", {"c": 0.1, "resolution": 256})
+    slc, built, init = entry.slice, [], GridIndex.__init__
+
+    def counted(index, points, cell_size):
+        built.append(np.array_equal(points, slc.points[:, :-1]))
+        init(index, points, cell_size)
+
+    monkeypatch.setattr(GridIndex, "__init__", counted)
+    chords_projection(entry.model, slc)
+    fld = FiberBumpField(slc, primitive(entry.model, slc), margin=0.05)
+    assert sum(built) == 1 and fld._index is slc.projection_index
+    spacing = _ambient_spacing(slc.points[:, :-1], slc.mesh)
+    assert fld.r_cut == 3.0 * spacing and fld.r_plateau == 1.5 * spacing
