@@ -280,8 +280,8 @@ class FiberBumpField:
         starts[1:] = np.any(bits[1:] != bits[:-1], axis=1)
         heads = np.flatnonzero(starts)
         blob, width, table, known = shadows[heads].tobytes(), 8 * shadows.shape[1], len(self.bumps), self._row
-        head_rows = np.fromiter((known.setdefault(blob[i : i + width], len(known)) for i in range(0, len(blob), width)),
-                                dtype=int, count=len(heads))
+        lookups = (known.setdefault(blob[i : i + width], len(known)) for i in range(0, len(blob), width))
+        head_rows = np.fromiter(lookups, dtype=int, count=len(heads))
         found, first = np.unique(head_rows, return_index=True)
         fresh = heads[first[found >= table]]  # new rows in the order of their first shadows
         if len(fresh):
