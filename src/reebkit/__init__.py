@@ -2,7 +2,7 @@
 feasibility in standard contact models."""
 
 from .catalog import CatalogEntry, ExpectedFacts, catalog_get, catalog_list
-from .chords import ChordRecord, SearchOptions, chords_projection, chords_shooting, dedup_chords
+from .chords import ChordRecord, chords_projection, chords_shooting, dedup_chords
 from .collar import (
     Classification,
     CollarOptions,

@@ -3,7 +3,8 @@
 Every expected fact below carries its derivation, so the entries double
 as oracles for the test suite.  Entries are registered by name with the
 ``params`` keys they take; other keys are refused, and values are
-validated against documented ranges: every float value must be finite.
+validated against documented ranges: every value must be a finite
+number.
 """
 
 from __future__ import annotations
@@ -42,19 +43,46 @@ class CatalogEntry:
     params: dict = field(default_factory=dict)
 
 
-def _unknot_immersion(shear: float = 0.0):
+def _curve(point: Callable, tangent: Callable):
+    """Immersion and Jacobian of a curve from ``point(t)`` and
+    ``tangent(t)``, each the list of its coordinates at parameters t."""
+
     def immersion(u):
-        t = np.asarray(u, dtype=float)[..., 0]
-        z = (2.0 / 3.0) * np.sin(t) ** 3 + shear * np.sin(t)
-        return np.stack([np.cos(t), -np.sin(2.0 * t), z], axis=-1)
+        return np.stack(point(np.asarray(u, dtype=float)[..., 0]), axis=-1)
 
     def jacobian(u):
-        t = np.asarray(u, dtype=float)[..., 0]
-        dz = 2.0 * np.sin(t) ** 2 * np.cos(t) + shear * np.cos(t)
-        col = np.stack([-np.sin(t), -2.0 * np.cos(2.0 * t), dz], axis=-1)
-        return col[..., None]
+        return np.stack(tangent(np.asarray(u, dtype=float)[..., 0]), axis=-1)[..., None]
 
     return immersion, jacobian
+
+
+def _unknot_curve(shear: float):
+    return _curve(
+        lambda t: [np.cos(t), -np.sin(2.0 * t), (2.0 / 3.0) * np.sin(t) ** 3 + shear * np.sin(t)],
+        lambda t: [-np.sin(t), -2.0 * np.cos(2.0 * t), 2.0 * np.sin(t) ** 2 * np.cos(t) + shear * np.cos(t)],
+    )
+
+
+def _torus_slice(resolution: int, warp: bool) -> ParamSlice:
+    """The torus (cos t1, sin t1, cos t2, sin t2, 0) at resolution^2 nodes,
+    with sin t2 added to y1 when ``warp``."""
+
+    def immersion(u):
+        t1, t2 = np.asarray(u, dtype=float)[..., 0], np.asarray(u, dtype=float)[..., 1]
+        return np.stack(
+            [np.cos(t1), np.sin(t1) + np.sin(t2) if warp else np.sin(t1), np.cos(t2), np.sin(t2), np.zeros_like(t1)],
+            axis=-1,
+        )
+
+    def jacobian(u):
+        t1, t2 = np.asarray(u, dtype=float)[..., 0], np.asarray(u, dtype=float)[..., 1]
+        zero = np.zeros_like(t1)
+        c1 = np.stack([-np.sin(t1), np.cos(t1), zero, zero, zero], axis=-1)
+        c2 = np.stack([zero, np.cos(t2) if warp else zero, -np.sin(t2), np.cos(t2), zero], axis=-1)
+        return np.stack([c1, c2], axis=-1)
+
+    factors = [circle_factor(TWO_PI), circle_factor(TWO_PI)]
+    return ParamSlice(factors, immersion, jacobian, resolution=[resolution, resolution])
 
 
 def _max_time(params: dict, default: float) -> float:
@@ -77,7 +105,7 @@ def _build_unknot(params: dict) -> CatalogEntry:
     and action 0.
     """
     resolution = int(params.get("resolution", 256))
-    immersion, jacobian = _unknot_immersion(0.0)
+    immersion, jacobian = _unknot_curve(0.0)
     slc = ParamSlice([circle_factor(TWO_PI)], immersion, jacobian, resolution=[resolution])
     expected = ExpectedFacts(
         tags=frozenset({"slice", "legendrian", "exact"}),
@@ -103,7 +131,7 @@ def _build_sheared_unknot(params: dict) -> CatalogEntry:
     if c <= -2.0 / 3.0:
         raise ParamOutOfRange("sheared unknot requires c > -2/3 for a positive-length chord")
     resolution = int(params.get("resolution", 256))
-    immersion, jacobian = _unknot_immersion(c)
+    immersion, jacobian = _unknot_curve(c)
     slc = ParamSlice([circle_factor(TWO_PI)], immersion, jacobian, resolution=[resolution])
     tags = {"slice", "exact"}
     if c == 0.0:
@@ -129,16 +157,10 @@ def _build_circle(params: dict) -> CatalogEntry:
     are no chords.
     """
     resolution = int(params.get("resolution", 256))
-
-    def immersion(u):
-        t = np.asarray(u, dtype=float)[..., 0]
-        return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
-
-    def jacobian(u):
-        t = np.asarray(u, dtype=float)[..., 0]
-        col = np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1)
-        return col[..., None]
-
+    immersion, jacobian = _curve(
+        lambda t: [np.cos(t), np.sin(t), np.zeros_like(t)],
+        lambda t: [-np.sin(t), np.cos(t), np.zeros_like(t)],
+    )
     slc = ParamSlice([circle_factor(TWO_PI)], immersion, jacobian, resolution=[resolution])
     expected = ExpectedFacts(
         tags=frozenset({"slice", "non-exact"}),
@@ -158,26 +180,7 @@ def _build_torus(params: dict) -> CatalogEntry:
     identically, so there are no chords.
     """
     resolution = int(params.get("resolution", 96))
-
-    def immersion(u):
-        t1, t2 = np.asarray(u, dtype=float)[..., 0], np.asarray(u, dtype=float)[..., 1]
-        return np.stack(
-            [np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2), np.zeros_like(t1)], axis=-1
-        )
-
-    def jacobian(u):
-        t1, t2 = np.asarray(u, dtype=float)[..., 0], np.asarray(u, dtype=float)[..., 1]
-        zero = np.zeros_like(t1)
-        c1 = np.stack([-np.sin(t1), np.cos(t1), zero, zero, zero], axis=-1)
-        c2 = np.stack([zero, zero, -np.sin(t2), np.cos(t2), zero], axis=-1)
-        return np.stack([c1, c2], axis=-1)
-
-    slc = ParamSlice(
-        [circle_factor(TWO_PI), circle_factor(TWO_PI)],
-        immersion,
-        jacobian,
-        resolution=[resolution, resolution],
-    )
+    slc = _torus_slice(resolution, warp=False)
     expected = ExpectedFacts(
         tags=frozenset({"slice", "non-exact"}),
         periods=(np.pi, np.pi),
@@ -199,27 +202,7 @@ def _build_warped_torus(params: dict) -> CatalogEntry:
     independent everywhere).
     """
     resolution = int(params.get("resolution", 96))
-
-    def immersion(u):
-        t1, t2 = np.asarray(u, dtype=float)[..., 0], np.asarray(u, dtype=float)[..., 1]
-        return np.stack(
-            [np.cos(t1), np.sin(t1) + np.sin(t2), np.cos(t2), np.sin(t2), np.zeros_like(t1)],
-            axis=-1,
-        )
-
-    def jacobian(u):
-        t1, t2 = np.asarray(u, dtype=float)[..., 0], np.asarray(u, dtype=float)[..., 1]
-        zero = np.zeros_like(t1)
-        c1 = np.stack([-np.sin(t1), np.cos(t1), zero, zero, zero], axis=-1)
-        c2 = np.stack([zero, np.cos(t2), -np.sin(t2), np.cos(t2), zero], axis=-1)
-        return np.stack([c1, c2], axis=-1)
-
-    slc = ParamSlice(
-        [circle_factor(TWO_PI), circle_factor(TWO_PI)],
-        immersion,
-        jacobian,
-        resolution=[resolution, resolution],
-    )
+    slc = _torus_slice(resolution, warp=True)
     expected = ExpectedFacts(tags=frozenset({"non-slice", "non-closed"}))
     return CatalogEntry("warped_torus", StandardRModel(3), slc, expected, {"resolution": resolution})
 
@@ -230,18 +213,10 @@ def _build_vertical_segment(params: dict) -> CatalogEntry:
     fails with minimum singular value 0.  Closedness passes vacuously in
     dimension one."""
     resolution = int(params.get("resolution", 129))
-
-    def immersion(u):
-        s = np.asarray(u, dtype=float)[..., 0]
-        zero = np.zeros_like(s)
-        return np.stack([zero, zero, s], axis=-1)
-
-    def jacobian(u):
-        s = np.asarray(u, dtype=float)[..., 0]
-        zero = np.zeros_like(s)
-        col = np.stack([zero, zero, np.ones_like(s)], axis=-1)
-        return col[..., None]
-
+    immersion, jacobian = _curve(
+        lambda s: [np.zeros_like(s), np.zeros_like(s), s],
+        lambda s: [np.zeros_like(s), np.zeros_like(s), np.ones_like(s)],
+    )
     slc = ParamSlice([interval_factor(0.0, 1.0)], immersion, jacobian, resolution=[resolution])
     expected = ExpectedFacts(tags=frozenset({"non-slice", "reeb-tangent"}))
     return CatalogEntry("vertical_segment", StandardRModel(2), slc, expected, {"resolution": resolution})
@@ -262,18 +237,10 @@ def _build_hopf_circle(params: dict) -> CatalogEntry:
     lengths must be multiples of pi/2.
     """
     resolution = int(params.get("resolution", 256))
-
-    def immersion(u):
-        t = np.asarray(u, dtype=float)[..., 0]
-        zero = np.zeros_like(t)
-        return np.stack([np.cos(t), zero, np.sin(t), zero], axis=-1)
-
-    def jacobian(u):
-        t = np.asarray(u, dtype=float)[..., 0]
-        zero = np.zeros_like(t)
-        col = np.stack([-np.sin(t), zero, np.cos(t), zero], axis=-1)
-        return col[..., None]
-
+    immersion, jacobian = _curve(
+        lambda t: [np.cos(t), np.zeros_like(t), np.sin(t), np.zeros_like(t)],
+        lambda t: [-np.sin(t), np.zeros_like(t), np.cos(t), np.zeros_like(t)],
+    )
     slc = ParamSlice([circle_factor(TWO_PI)], immersion, jacobian, resolution=[resolution])
     expected = ExpectedFacts(
         tags=frozenset({"slice", "legendrian", "exact"}),
@@ -318,6 +285,8 @@ def catalog_get(name: str, params: Optional[dict] = None) -> CatalogEntry:
         known = ", ".join(sorted(keys))
         raise ParamOutOfRange(f"catalog entry {name!r} takes no parameter {unknown[0]!r} (known: {known})")
     for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParamOutOfRange(f"catalog parameter {key!r} must be a number, got {value!r}")
         if isinstance(value, float) and not np.isfinite(value):
             raise ParamOutOfRange(f"catalog parameter {key!r} must be finite, got {value}")
         if key == "resolution" and isinstance(value, float) and not value.is_integer():

@@ -21,7 +21,6 @@ output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,6 +38,8 @@ LANDING_RESIDUAL_TOL = 1e-9  # Newton tolerance of the shooting landing system
 # bound the capture scan takes about 85 MB.
 MAX_CAPTURE_PASSES = 2**19
 CLUSTER_RADIUS = 1e-4  # max-norm radius of (start, end, length) triples merged as one chord
+MIN_CHORD_LENGTH = 1e-4  # a chord must be longer: shorter ones are lanes collapsed onto the diagonal
+LAUNCH_STRIDE = 2  # every LAUNCH_STRIDE-th node launches a shooting orbit
 
 
 @dataclass
@@ -56,18 +57,6 @@ class ChordRecord:
         # length at the printed precision, so lengths tied up to solver
         # noise are ordered by their parameters
         return (float(f"{self.length:.9g}"), *self.start_param.tolist(), *self.end_param.tolist())
-
-
-@dataclass
-class SearchOptions:
-    """Chord search settings.  The search radii derive from the mesh
-    spacing: the seed radius (the cell size of the slice's
-    ``projection_index``), ``_exclusion_radius`` and the capture
-    radius, 2x ambient spacing."""
-
-    min_length: float = 1e-4
-    max_time: float = 6.0
-    launch_stride: int = 2
 
 
 def _circle_embedding(mesh, u: np.ndarray) -> np.ndarray:
@@ -122,7 +111,7 @@ def _exclusion_radius(slc: ParamSlice) -> float:
     return 5.0 * slc.mesh.max_spacing()
 
 
-def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
+def chords_projection(model, slc: ParamSlice) -> list[ChordRecord]:
     """All Reeb chords of a slice in a Euclidean model via projection
     double points.
 
@@ -130,7 +119,8 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
     while the parameters are separated beyond the exclusion radius (which
     suppresses the diagonal), refines all seeds in one stacked Newton solve
     on F(u, v) = proj(i(u)) - proj(i(v)), orients start at the lower
-    height, deduplicates and sorts.
+    height, drops chords no longer than ``MIN_CHORD_LENGTH``, deduplicates
+    and sorts.
 
     Raises:
         WrongModel: the model is not a StandardRModel.
@@ -138,7 +128,6 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
     """
     if not isinstance(model, StandardRModel):
         raise WrongModel("projection chord search requires a Euclidean model")
-    opts = opts or SearchOptions()
     mesh = slc.mesh
     index, exclusion = slc.projection_index, _exclusion_radius(slc)
     pairs = index.close_pairs(index.cell_size, keep=lambda i, j: mesh.far_apart(i, j, exclusion))
@@ -166,7 +155,7 @@ def chords_projection(model, slc: ParamSlice, opts: Optional[SearchOptions] = No
     raw = [
         ChordRecord(u[i], v[i], p_u[i], p_v[i], float(length[i]), residual=float(r))
         for i, r in enumerate(result.residual_norm[result.converged])
-        if length[i] > opts.min_length
+        if length[i] > MIN_CHORD_LENGTH
     ]
     return dedup_chords(raw)
 
@@ -178,10 +167,10 @@ def _tangent_bases(p: np.ndarray) -> np.ndarray:
     return vt[:, 1:]
 
 
-def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius: float):
-    """Where the Reeb orbits of a subsample of nodes pass within the
-    capture radius r of a node, in closed form: a list of (launch node,
-    time, captured node), ordered by (time, launch).
+def _capture_events(model, slc: ParamSlice, max_time: float, capture_radius: float):
+    """Where the Reeb orbits of every ``LAUNCH_STRIDE``-th node pass
+    within the capture radius r of a node, in closed form: a list of
+    (launch node, time, captured node), ordered by (time, launch).
 
     The orbit of p comes closest to a node q at distance d and time t0.
     On Euclidean models it is the vertical line over p's shadow (the point
@@ -194,11 +183,12 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
     ball around its start (t > 2r, or t > arcsin r); a pass up to
     ``max_time`` is within r for |t - t0| <= sqrt(r^2 - d^2), or
     (1/2) arccos((1 - r^2/2) / |c|).  A launch's overlapping windows form
-    a run, giving one event at its nearest node later than ``min_length``
-    (the earliest, then the lowest node on a tie).  More than
-    ``MAX_CAPTURE_PASSES`` passes raise SearchTooLong before expansion.
+    a run, giving one event at its nearest node later than
+    ``MIN_CHORD_LENGTH`` (the earliest, then the lowest node on a tie).
+    More than ``MAX_CAPTURE_PASSES`` passes raise SearchTooLong before
+    expansion.
     """
-    launches = np.arange(0, slc.mesh.n_nodes, max(1, opts.launch_stride))
+    launches = np.arange(0, slc.mesh.n_nodes, LAUNCH_STRIDE)
     r = capture_radius
     if isinstance(model, StandardSphereModel):
         if r >= 1:  # no orbit leaves the 2r ball around its start
@@ -214,13 +204,13 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
             t0 = (-np.angle(c) % (2 * np.pi)) / 2
             t0 += np.pi * (t0 <= np.arcsin(r))
             half = 0.5 * np.arccos(np.minimum((1 - r * r / 2) / np.abs(c), 1))
-            return t0, half, np.maximum(np.floor((opts.max_time - t0) / np.pi) + 1, 0)
+            return t0, half, np.maximum(np.floor((max_time - t0) / np.pi) + 1, 0)
     else:
         key, rho = slc.points[:, :-1], r
 
         def approach(p, q, d2):
             t0 = slc.points[q, -1] - slc.points[p, -1]
-            return t0, np.sqrt(r * r - d2), ((t0 > 2 * r) & (t0 <= opts.max_time)).astype(float)
+            return t0, np.sqrt(r * r - d2), ((t0 > 2 * r) & (t0 <= max_time)).astype(float)
     # launches in blocks of at most MAX_CAPTURE_PASSES candidate pairs and
     # cell probes (3^9 per launch on S^5), so memory stays bounded whatever
     # the capture radius; only pairs that pass are kept
@@ -231,7 +221,7 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
         t0, half, passes = approach(launches[lo + rows], node, d2)
         total += float(np.sum(passes))
         if total > MAX_CAPTURE_PASSES:
-            raise SearchTooLong(f"capture passes up to max_time {opts.max_time:.3g} exceed the bound of {MAX_CAPTURE_PASSES}")
+            raise SearchTooLong(f"capture passes up to max_time {max_time:.3g} exceed the bound of {MAX_CAPTURE_PASSES}")
         kept = passes > 0
         found.append((lo + rows[kept], node[kept], d2[kept], t0[kept], half[kept], passes[kept]))
     rows, node, d2, t0, half, passes = map(np.concatenate, zip(*found))
@@ -251,14 +241,14 @@ def _capture_events(model, slc: ParamSlice, opts: SearchOptions, capture_radius:
     run = np.cumsum(head) - 1
     launch, node, d2, t = rows[pair][order], node[pair][order], d2[pair][order], t[order]
     # the nearest node by d2, which grows with d on both models
-    late = np.flatnonzero(t > opts.min_length)
+    late = np.flatnonzero(t > MIN_CHORD_LENGTH)
     best = late[np.lexsort((node[late], t[late], d2[late], run[late]))]
     best = best[np.flatnonzero(np.diff(run[best], prepend=-1))]
     best = best[np.lexsort((launch[best], t[best]))]
     return list(zip(launches[launch[best]].tolist(), t[best].tolist(), node[best].tolist()))
 
 
-def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
+def chords_shooting(model, slc: ParamSlice, max_time: float) -> list[ChordRecord]:
     """Reeb chords by flow shooting, for any built-in model.
 
     Capture events (``_capture_events``, in closed form) are
@@ -277,11 +267,10 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
             ``MAX_CAPTURE_PASSES``.
         NewtonFailuresExceeded: more than half the candidates fail.
     """
-    opts = opts or SearchOptions()
     mesh = slc.mesh
     capture_radius = 2.0 * _ambient_spacing(slc.points, mesh)
     # pre-cluster events: neighbors launching into the same chord
-    events = _capture_events(model, slc, opts, capture_radius)
+    events = _capture_events(model, slc, max_time, capture_radius)
     events = np.array(events, dtype=float).reshape(-1, 3)
     start, t = mesh.params[events[:, 0].astype(int)], events[:, 1]
 
@@ -310,7 +299,7 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     x = result.x[result.converged]
     u, length, v = mesh.wrap(x[:, :pdim]), x[:, pdim], mesh.wrap(x[:, pdim + 1 :])
     residuals = result.residual_norm[result.converged]
-    long = length > opts.min_length
+    long = length > MIN_CHORD_LENGTH
     u, length, v, residuals = u[long], length[long], v[long], residuals[long]
     p_u, p_v = slc.immerse(u), slc.immerse(v)
     missed = _row_norms(model.flow(p_u, length) - p_v) > 1e-6
@@ -328,8 +317,9 @@ def chords_shooting(model, slc: ParamSlice, opts: Optional[SearchOptions] = None
     return dedup_chords(raw, cluster)
 
 
-def find_chords(model, slc: ParamSlice, opts: Optional[SearchOptions] = None) -> list[ChordRecord]:
-    """Chords by projection on Euclidean models, by shooting otherwise."""
+def find_chords(model, slc: ParamSlice, max_time: float) -> list[ChordRecord]:
+    """Chords by projection on Euclidean models, by shooting up to
+    ``max_time`` otherwise."""
     if isinstance(model, StandardRModel):
-        return chords_projection(model, slc, opts)
-    return chords_shooting(model, slc, opts)
+        return chords_projection(model, slc)
+    return chords_shooting(model, slc, max_time)

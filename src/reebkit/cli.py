@@ -53,12 +53,6 @@ def _apply_overrides(manifest, args):
     return manifest
 
 
-def positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
-
-
 def _emit(text: str, out_path: str | None):
     sys.stdout.write(text)
     if out_path:
@@ -74,7 +68,7 @@ def _load(args):
     opts = collar_options(manifest)
     model, slc, expected = resolve(manifest)
     if expected is not None and "max_time" not in manifest.search:
-        opts.search.max_time = expected.search_max_time
+        opts.max_time = expected.search_max_time
     return manifest, opts, model, slc
 
 
@@ -107,26 +101,24 @@ def cmd_chords(args) -> int:
         if not (closed.passed and transverse.passed):
             sys.stderr.write("slice checks failed; rerun with --force to search anyway\n")
             return 1
-    found = find_chords(model, slc, opts.search)
+    found = find_chords(model, slc, opts.max_time)
     _emit(chord_table(found, slc.param_dim, model.ambient_dim), args.output)
     return 0
 
 
 def cmd_collar(args) -> int:
     manifest, opts, model, slc = _load(args)
-    if getattr(args, "grid", None) is not None:
-        opts.grid_z_axis = args.grid
     report = collar_report(model, slc, opts)
     _emit(render_report(report, manifest.to_dict()), args.output)
     return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_export_plot(args) -> int:
-    manifest, opts, model, slc = _load(args)
+    manifest, _, model, slc = _load(args)
     chords = None
     # on other models export_plot raises its own WrongModel before plotting
     if args.what == "chords" and isinstance(model, StandardRModel):
-        chords = chords_projection(model, slc, opts.search)
+        chords = chords_projection(model, slc)
     out_base = args.output or f"{manifest.catalog or 'slice'}_{args.what}"
     try:
         written = export_plot(model, slc, args.what, out_base, chords=chords)
@@ -184,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_collar = sub.add_parser("collar", help="full collar-feasibility report")
     add_common(p_collar)
-    p_collar.add_argument("--grid", type=positive_int, default=None, help="verification grid nodes along the Reeb axis")
     p_collar.set_defaults(fn=cmd_collar)
 
     p_plot = sub.add_parser("export-plot", help="export plot data (SVG + CSV)")

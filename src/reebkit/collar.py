@@ -23,14 +23,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chords import (
-    ChordRecord,
-    SearchOptions,
-    _exclusion_radius,
-    find_chords,
-)
+from .chords import ChordRecord, _exclusion_radius, find_chords
 from .errors import MissingPrimitive, NonExact, NonFinite, ReparamDegenerate, ReparamUnresolved, WrongModel
 from .models import (
+    DEFAULT_MARGIN,
     DeformationSpec,
     StandardRModel,
     StandardSphereModel,
@@ -57,6 +53,8 @@ LEGENDRIAN_TOL = 1e-9
 RUNWAY = 1.0  # least length over which a fiber profile decays to zero beyond its extremes
 DH_STEP = 1e-6  # relative central-difference step of dh along the Reeb vector
 GRID_PADDING = 0.3  # margin of the verification grid around the slice, per coordinate
+GRID_PER_AXIS = 7  # verification grid nodes along each coordinate but the Reeb one
+GRID_Z_AXIS = 33  # verification grid nodes along the Reeb coordinate
 REPARAM_SAMPLES = 256  # Simpson intervals per chord of the rescaled flow time
 REPARAM_DRIFT_TOL = 1e-5  # largest endpoint drift the reparametrized-flow check passes
 REPARAM_MIN_RATE = 1e-6  # least 1 + dh(R) the rescaled Reeb field may meet
@@ -330,7 +328,7 @@ class ExtendResult:
     max_h_plus_f: float = 0.0
 
 
-def extend_h(model, slc: ParamSlice, prim: PrimitiveField, margin: float = 0.05) -> ExtendResult:
+def extend_h(model, slc: ParamSlice, prim: PrimitiveField, margin: float = DEFAULT_MARGIN) -> ExtendResult:
     """Extend the boundary prescription h = -f to a field on the ambient
     space with slope above -1 + margin along every Reeb fiber.
 
@@ -390,7 +388,7 @@ def directional_dh_reeb(model, h: Callable[[np.ndarray], np.ndarray], points) ->
     return (plus - minus) / (2.0 * s[..., 0])
 
 
-def grid_around_slice(slc: ParamSlice, per_axis: int = 9, z_axis: int = 33) -> np.ndarray:
+def grid_around_slice(slc: ParamSlice, per_axis: int, z_axis: int) -> np.ndarray:
     """Evaluation grid covering the slice, padded by ``GRID_PADDING``, with
     extra resolution along the last (Reeb) coordinate."""
     lo = slc.points.min(axis=0) - GRID_PADDING
@@ -546,10 +544,9 @@ def reeb_reparam_check(
 class CollarOptions:
     tol_closed: float = DEFAULT_CLOSED_TOL
     tol_transverse: float = DEFAULT_TRANSVERSE_TOL
-    margin: float = 0.05
+    margin: float = DEFAULT_MARGIN
     convention: Convention = Convention.DIRECT
-    search: SearchOptions = field(default_factory=SearchOptions)
-    grid_z_axis: int = 33
+    max_time: float = 6.0  # how long the shooting search follows each orbit
 
 
 @dataclass
@@ -631,7 +628,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
     period_values = periods(model, slc, closed, cochain)
     exact = all(p == 0.0 for p in period_values)
 
-    found = find_chords(model, slc, opts.search)
+    found = find_chords(model, slc, opts.max_time)
 
     prim, h_diag = None, {"constructed": False}
     if exact:
@@ -674,7 +671,7 @@ def collar_report(model, slc: ParamSlice, opts: Optional[CollarOptions] = None) 
         if ext.ok:
             sym = SymplectizationModel(model)
             spec = DeformationSpec(h=ext.h, margin=opts.margin)
-            deform = check_deformation(sym, spec, grid_around_slice(slc, per_axis=7, z_axis=opts.grid_z_axis))
+            deform = check_deformation(sym, spec, grid_around_slice(slc, GRID_PER_AXIS, GRID_Z_AXIS))
             construction_ok = deform.passed
             h_diag = {
                 "constructed": True,

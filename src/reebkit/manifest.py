@@ -9,32 +9,25 @@ overrides:
       "slice": {"catalog": "unknot", "params": {}},
       "convention": "direct",
       "tolerances": {"closed": 1e-6, "transverse": 1e-4, "margin": 0.05},
-      "search": {"max_time": 3.0, "min_length": 1e-4}
+      "search": {"max_time": 3.0}
     }
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Optional
 
 from .catalog import catalog_get
-from .chords import SearchOptions
 from .collar import CollarOptions, Convention
 from .errors import ManifestError, ReebkitError
 from .models import MODEL_BUILDERS, StandardSphereModel, make_model
-from .slices import (
-    DEFAULT_CLOSED_TOL,
-    DEFAULT_TRANSVERSE_TOL,
-    load_mesh_slice,
-    radial_projection,
-    require_on_manifold,
-)
+from .slices import load_mesh_slice, radial_projection, require_on_manifold
 
-_SEARCH_KEYS = {f.name for f in fields(SearchOptions)}
-_TOL_KEYS = {"closed", "transverse", "margin"}
+_SEARCH_KEYS = {"max_time"}
+_TOL_FIELDS = {"closed": "tol_closed", "transverse": "tol_transverse", "margin": "margin"}  # key -> CollarOptions field
 
 
 @dataclass
@@ -69,7 +62,7 @@ class Manifest:
             raise ManifestError(f"unknown model name {self.model!r}")
         if self.convention not in {c.value for c in Convention}:
             raise ManifestError(f"unknown convention {self.convention!r}")
-        sections = (("tolerance", _TOL_KEYS, self.tolerances), ("search", _SEARCH_KEYS, self.search))
+        sections = (("tolerance", _TOL_FIELDS, self.tolerances), ("search", _SEARCH_KEYS, self.search))
         for section, keys, values in sections:
             for key, value in values.items():
                 if key not in keys:
@@ -79,8 +72,6 @@ class Manifest:
                     raise ManifestError(f"{section} {key!r} must be a finite positive number")
         if not self.tolerances.get("margin", 0.0) < 1:
             raise ManifestError("tolerance 'margin' must lie in (0, 1)")
-        if not isinstance(self.search.get("launch_stride", 1), int):
-            raise ManifestError("search 'launch_stride' must be an integer")
 
     def to_dict(self) -> dict:
         if self.catalog is not None:
@@ -172,13 +163,7 @@ def resolve(manifest: Manifest):
 
 
 def collar_options(manifest: Manifest) -> CollarOptions:
-    tol = manifest.tolerances
-    search_kwargs = dict(manifest.search)
-    search = SearchOptions(**search_kwargs)
-    return CollarOptions(
-        tol_closed=float(tol.get("closed", DEFAULT_CLOSED_TOL)),
-        tol_transverse=float(tol.get("transverse", DEFAULT_TRANSVERSE_TOL)),
-        margin=float(tol.get("margin", 0.05)),
-        convention=Convention(manifest.convention),
-        search=search,
-    )
+    """The options the manifest sets, ``CollarOptions``' defaults for the rest."""
+    values = {_TOL_FIELDS[key]: float(value) for key, value in manifest.tolerances.items()}
+    values.update((key, float(value)) for key, value in manifest.search.items())
+    return CollarOptions(convention=Convention(manifest.convention), **values)

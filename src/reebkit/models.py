@@ -189,6 +189,7 @@ def _smoothstep_d(u):
 
 
 COLLAR_EPSILON = 0.2  # half-width of the collar (1 - eps, 1 + eps) and width of the rho ramp
+DEFAULT_MARGIN = 0.05  # default margin of the strict inequalities dh(Reeb) > -1 + margin and dt > margin
 
 
 def rho(t):
@@ -215,7 +216,7 @@ class DeformationSpec:
     """
 
     h: Callable[[np.ndarray], np.ndarray]
-    margin: float = 0.05
+    margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
         if not 0 < self.margin < 1:

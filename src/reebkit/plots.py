@@ -73,6 +73,14 @@ def _svg_document(polylines, markers, labels, bounds) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _write_csv(path: str, header: list[str], rows: np.ndarray):
+    """Write ``header`` and the rows of ``rows``, each value through ``fmt``,
+    as comma-separated lines."""
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def export_plot(
     model,
     slc: ParamSlice,
@@ -92,11 +100,7 @@ def export_plot(
     if slc.param_dim != 1:
         # no polyline in higher parameter dimension: dump mesh nodes instead
         header = [f"u_{j}" for j in range(slc.param_dim)] + [f"p_{j}" for j in range(slc.points.shape[1])]
-        rows = [",".join(header)]
-        for u, p in zip(slc.mesh.params, slc.points):
-            rows.append(",".join([fmt(v) for v in u] + [fmt(v) for v in p]))
-        with open(out_base + ".csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _write_csv(out_base + ".csv", header, np.concatenate([slc.mesh.params, slc.points], axis=1))
         raise UnsupportedProjection(
             "2-D projections need a one-parameter slice; wrote delimited node data only"
         )
@@ -110,12 +114,7 @@ def export_plot(
 
     if model.ambient_dim != 3:
         # delimited data only in higher dimensions
-        header = ["t"] + [f"p_{j}" for j in range(pts.shape[1])]
-        rows = [",".join(header)]
-        for k in range(PLOT_SAMPLES):
-            rows.append(",".join([fmt(ts[k])] + [fmt(v) for v in pts[k]]))
-        with open(written["csv"], "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _write_csv(written["csv"], ["t"] + [f"p_{j}" for j in range(pts.shape[1])], np.column_stack([ts, pts]))
         raise UnsupportedProjection("vector graphics limited to ambient dimension 3; wrote delimited data")
 
     if what == "front":
@@ -136,11 +135,7 @@ def export_plot(
             written["chord_markers"] = len(markers)
         header = ["t", "x", "y"]
 
-    rows = [",".join(header)]
-    for k in range(PLOT_SAMPLES):
-        rows.append(",".join([fmt(ts[k]), fmt(xy[k, 0]), fmt(xy[k, 1])]))
-    with open(written["csv"], "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_csv(written["csv"], header, np.column_stack([ts, xy]))
 
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)

@@ -642,6 +642,8 @@ def load_mesh_slice(path, param_dim: int, periodic: Sequence[bool]) -> ParamSlic
     delim = "," if "," in lines[0] else None
     header = [c.strip() for c in lines[0].split(delim)]
     rows = np.array([[float(c) for c in ln.split(delim)] for ln in lines[1:]])
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("mesh file holds a value that is not a finite number")
     if rows.shape[1] != len(header):
         raise ValueError("row width does not match header")
     if rows.shape[1] <= param_dim:

@@ -10,7 +10,6 @@ from hypothesis import settings
 
 from reebkit import catalog_get, chords_projection, chords_shooting, primitive
 from reebkit import chords as chords_module
-from reebkit.chords import SearchOptions
 from reebkit.models import StandardRModel
 from reebkit.numerics import newton_solve_stack
 from reebkit.slices import ParamSlice, circle_factor
@@ -93,28 +92,29 @@ def sheared_01_entry():
 
 @pytest.fixture(scope="session")
 def projection_chords(unknot_entry, circle_entry, torus_entry, sheared_entries, sheared_01_entry):
-    opts = SearchOptions(max_time=3.0)
     out = {
-        "unknot": chords_projection(unknot_entry.model, unknot_entry.slice, opts),
-        "circle": chords_projection(circle_entry.model, circle_entry.slice, opts),
-        "torus_r5": chords_projection(torus_entry.model, torus_entry.slice, opts),
-        ("sheared_unknot", 0.1): chords_projection(sheared_01_entry.model, sheared_01_entry.slice, opts),
+        "unknot": chords_projection(unknot_entry.model, unknot_entry.slice),
+        "circle": chords_projection(circle_entry.model, circle_entry.slice),
+        "torus_r5": chords_projection(torus_entry.model, torus_entry.slice),
+        ("sheared_unknot", 0.1): chords_projection(sheared_01_entry.model, sheared_01_entry.slice),
     }
     for c, entry in sheared_entries.items():
-        out[("sheared_unknot", c)] = chords_projection(entry.model, entry.slice, opts)
+        out[("sheared_unknot", c)] = chords_projection(entry.model, entry.slice)
     return out
 
 
 @pytest.fixture(scope="session")
 def shooting_chords(unknot_entry, circle_entry, torus_entry, sheared_entries, hopf_entry):
     out = {
-        "unknot": chords_shooting(unknot_entry.model, unknot_entry.slice, SearchOptions(max_time=3.0)),
-        "circle": chords_shooting(circle_entry.model, circle_entry.slice, SearchOptions(max_time=10.0)),
-        "torus_r5": chords_shooting(torus_entry.model, torus_entry.slice, SearchOptions(max_time=3.0, launch_stride=128)),
-        "hopf_circle": chords_shooting(hopf_entry.model, hopf_entry.slice, SearchOptions(max_time=2.0, launch_stride=4)),
+        "unknot": chords_shooting(unknot_entry.model, unknot_entry.slice, 3.0),
+        "circle": chords_shooting(circle_entry.model, circle_entry.slice, 10.0),
+        "torus_r5": chords_shooting(torus_entry.model, torus_entry.slice, 3.0),
     }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chords_module, "LAUNCH_STRIDE", 4)
+        out["hopf_circle"] = chords_shooting(hopf_entry.model, hopf_entry.slice, 2.0)
     for c, entry in sheared_entries.items():
-        out[("sheared_unknot", c)] = chords_shooting(entry.model, entry.slice, SearchOptions(max_time=3.0))
+        out[("sheared_unknot", c)] = chords_shooting(entry.model, entry.slice, 3.0)
     return out
 
 
@@ -143,11 +143,8 @@ def collar_reports(
 ):
     from reebkit.collar import CollarOptions, Convention, collar_report
 
-    def opts(max_time=3.0, convention=Convention.DIRECT, stride=2):
-        return CollarOptions(
-            convention=convention,
-            search=SearchOptions(max_time=max_time, launch_stride=stride),
-        )
+    def opts(max_time=3.0, convention=Convention.DIRECT):
+        return CollarOptions(convention=convention, max_time=max_time)
 
     out = {
         "unknot": collar_report(unknot_entry.model, unknot_entry.slice, opts()),
@@ -155,9 +152,11 @@ def collar_reports(
         "torus_r5": collar_report(torus_entry.model, torus_entry.slice, opts()),
         "vertical_segment": collar_report(vertical_entry.model, vertical_entry.slice, opts()),
         "warped_torus": collar_report(warped_entry.model, warped_entry.slice, opts()),
-        "hopf_circle": collar_report(hopf_entry.model, hopf_entry.slice, opts(max_time=2.0, stride=4)),
         ("sheared_unknot", 0.1): collar_report(sheared_01_entry.model, sheared_01_entry.slice, opts()),
     }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chords_module, "LAUNCH_STRIDE", 4)
+        out["hopf_circle"] = collar_report(hopf_entry.model, hopf_entry.slice, opts(max_time=2.0))
     for c, entry in sheared_entries.items():
         out[("sheared_unknot", c)] = collar_report(entry.model, entry.slice, opts())
     out[("sheared_unknot", -0.5, "feasibility")] = collar_report(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from reebkit import catalog_get, catalog_list
-from reebkit.chords import SearchOptions, chords_projection, chords_shooting
+from reebkit.chords import chords_projection, chords_shooting
 from reebkit.cli import main as cli_main
 from reebkit.collar import (
     Classification,
@@ -135,15 +135,14 @@ def test_criterion_04_chords_derived_oracles(projection_chords, shooting_chords)
 def test_criterion_04_runtime_budget():
     # fresh end-to-end timing for the searches the criterion names
     start = time.perf_counter()
-    opts = SearchOptions(max_time=3.0)
     for c in SHEAR_SWEEP:
         entry = catalog_get("unknot") if c == 0.0 else catalog_get("sheared_unknot", {"c": c})
-        chords_projection(entry.model, entry.slice, opts)
-        chords_shooting(entry.model, entry.slice, opts)
+        chords_projection(entry.model, entry.slice)
+        chords_shooting(entry.model, entry.slice, 3.0)
     for name, max_time in (("circle", 10.0), ("torus_r5", 3.0)):
         entry = catalog_get(name)
-        chords_projection(entry.model, entry.slice, SearchOptions(max_time=max_time))
-        chords_shooting(entry.model, entry.slice, SearchOptions(max_time=max_time, launch_stride=128))
+        chords_projection(entry.model, entry.slice)
+        chords_shooting(entry.model, entry.slice, max_time)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(4, f"chord search runtime {elapsed:.1f}s < 60s")

@@ -1,3 +1,4 @@
+from collections import namedtuple
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,7 +8,6 @@ import pytest
 from reebkit import catalog_get, catalog_list, chords
 from reebkit.chords import (
     ChordRecord,
-    SearchOptions,
     _capture_events,
     chords_projection,
     chords_shooting,
@@ -21,6 +21,8 @@ from reebkit.slices import ParamSlice, _ambient_spacing, circle_factor, interval
 from reebkit.spatial import GridIndex
 
 TWO_PI = 2 * np.pi
+# a search up to max_time with every stride-th node launching
+Search = namedtuple("Search", "max_time stride", defaults=[chords.LAUNCH_STRIDE])
 
 
 def brute_force_double_points(slc, tol=5e-2, exclusion=0.5):
@@ -150,7 +152,7 @@ def test_hopf_fine_mesh_finds_antipodal_chords():
     # displacement of one step of the former sampled scan, which once
     # stepped over every capture ball here
     entry = catalog_get("hopf_circle", {"resolution": 1024})
-    found = chords_shooting(entry.model, entry.slice, SearchOptions(max_time=2.0))
+    found = chords_shooting(entry.model, entry.slice, 2.0)
     assert found
     for chord in found:
         k = chord.length / (np.pi / 2)
@@ -168,10 +170,12 @@ def test_search_determinism(unknot_entry):
         assert x.length == y.length
 
 
-def capture_events_reference(model, slc, opts, capture_radius):
+def capture_events_reference(model, slc, max_time, capture_radius):
     """Reference for ``_capture_events``: the closed-form closest approach
     of every (launch, node) pair, one launch at a time, with no grid index;
-    the windows of a launch are merged into runs by a loop."""
+    the windows of a launch are merged into runs by a loop.  It reads
+    ``LAUNCH_STRIDE`` and ``MIN_CHORD_LENGTH`` when called, as the search
+    does."""
     r, points = capture_radius, slc.points
     sphere = isinstance(model, StandardSphereModel)
     if sphere:
@@ -183,7 +187,7 @@ def capture_events_reference(model, slc, opts, capture_radius):
     else:
         key, radius, armed = points[:, :-1], r, 2.0 * r
     events = []
-    for launch in range(0, slc.mesh.n_nodes, max(1, opts.launch_stride)):
+    for launch in range(0, slc.mesh.n_nodes, chords.LAUNCH_STRIDE):
         d2 = np.zeros(len(points))
         for x in key.T:
             d2 += (x - x[launch]) ** 2
@@ -193,7 +197,7 @@ def capture_events_reference(model, slc, opts, capture_radius):
             half = 0.5 * np.arccos(np.minimum((1 - r * r / 2) / np.abs(c), 1))
             first = (-np.angle(c) % (2 * np.pi)) / 2
             first = np.where(first <= armed, first + np.pi, first)
-            times = [first[i] + np.pi * np.arange(int(opts.max_time / np.pi) + 1) for i in range(len(near))]
+            times = [first[i] + np.pi * np.arange(int(max_time / np.pi) + 1) for i in range(len(near))]
         else:
             half = np.sqrt(r * r - d2[near])
             times = [[points[q, -1] - points[launch, -1]] for q in near]
@@ -201,7 +205,7 @@ def capture_events_reference(model, slc, opts, capture_radius):
             (t - h, t + h, d2[q], t, q)
             for q, h, ts in zip(near, half, times)
             for t in ts
-            if armed < t <= opts.max_time
+            if armed < t <= max_time
         )
         runs, reach = [], -np.inf
         for window in windows:
@@ -210,7 +214,7 @@ def capture_events_reference(model, slc, opts, capture_radius):
             runs[-1].append(window)
             reach = max(reach, window[1])
         for run in runs:
-            late = [(d, t, q) for _, _, d, t, q in run if t > opts.min_length]
+            late = [(d, t, q) for _, _, d, t, q in run if t > chords.MIN_CHORD_LENGTH]
             if late:
                 _, t, q = min(late)
                 events.append((launch, t, q))
@@ -253,33 +257,34 @@ def exact_torus_entry(exact_torus):
 
 
 SHOOTING_CASES = [
-    ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=1)),
-    ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=2)),
-    ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=4)),
-    ("unknot_entry", SearchOptions(max_time=3.0)),
-    ("torus_entry", SearchOptions(max_time=3.0, launch_stride=128)),
-    ("unknot_entry", SearchOptions(max_time=6.0, launch_stride=8)),  # beyond the slice's height
+    ("hopf_entry", Search(2.0, stride=1)),
+    ("hopf_entry", Search(2.0, stride=2)),
+    ("hopf_entry", Search(2.0, stride=4)),
+    ("unknot_entry", Search(3.0)),
+    ("torus_entry", Search(3.0, stride=128)),
+    ("unknot_entry", Search(6.0, stride=8)),  # beyond the slice's height
 ]
 # more passes of each orbit (a Hopf circle returns every pi), S^5, and r5
 CAPTURE_CASES = SHOOTING_CASES + [
-    ("hopf_entry", SearchOptions(max_time=10.0, launch_stride=3)),
-    ("s3_curve_entry", SearchOptions(max_time=7.0, launch_stride=1)),
-    ("s5_entry", SearchOptions(max_time=4.0, launch_stride=1)),
-    ("exact_torus_entry", SearchOptions(max_time=3.0, launch_stride=1)),
+    ("hopf_entry", Search(10.0, stride=3)),
+    ("s3_curve_entry", Search(7.0, stride=1)),
+    ("s5_entry", Search(4.0, stride=1)),
+    ("exact_torus_entry", Search(3.0, stride=1)),
 ]
 
 
 @pytest.mark.parametrize("entry_name, opts", CAPTURE_CASES)
-def test_capture_events_match_loop(entry_name, opts, request):
+def test_capture_events_match_loop(entry_name, opts, request, monkeypatch):
     entry = request.getfixturevalue(entry_name)
     slc = entry.slice
     capture_radius = 2.0 * _ambient_spacing(slc.points, slc.mesh)
-    events = _capture_events(entry.model, slc, opts, capture_radius)
+    monkeypatch.setattr(chords, "LAUNCH_STRIDE", opts.stride)
+    events = _capture_events(entry.model, slc, opts.max_time, capture_radius)
     if entry.expected is None:
         assert events
     else:
         assert bool(events) == (entry.expected.chord_count != 0)
-    assert events == capture_events_reference(entry.model, slc, opts, capture_radius)
+    assert events == capture_events_reference(entry.model, slc, opts.max_time, capture_radius)
 
 
 def _node_slice(*points):
@@ -293,7 +298,7 @@ def _node_slice(*points):
 
 
 @pytest.mark.parametrize("name", ["s3", "s5", "r3", "r5"])
-def test_closest_approach_matches_sampled_flow(name):
+def test_closest_approach_matches_sampled_flow(name, monkeypatch):
     # the orbit of p, sampled every 1e-4, comes closest to q at (d, t): the
     # closed form captures q from p at t, within a capture radius just
     # above d and not just below it
@@ -301,7 +306,7 @@ def test_closest_approach_matches_sampled_flow(name):
     sphere = isinstance(model, StandardSphereModel)
     rng = np.random.default_rng(22)
     ts = np.arange(0.0, np.pi, 1e-4)
-    opts = SearchOptions(max_time=3.1, launch_stride=1)
+    monkeypatch.setattr(chords, "LAUNCH_STRIDE", 1)
     for _ in range(10):
         p = rng.normal(size=model.ambient_dim)
         p = p / np.linalg.norm(p) if sphere else p
@@ -310,9 +315,9 @@ def test_closest_approach_matches_sampled_flow(name):
         dist = np.linalg.norm(model.flow(p, ts) - q, axis=1)
         d, t = dist.min(), ts[dist.argmin()]
         slc = _node_slice(p, q)
-        above = [e for e in _capture_events(model, slc, opts, d * (1 + 1e-3)) if e[::2] == (0, 1)]
+        above = [e for e in _capture_events(model, slc, 3.1, d * (1 + 1e-3)) if e[::2] == (0, 1)]
         assert len(above) == 1 and abs(above[0][1] - t) <= 1e-4
-        assert [e for e in _capture_events(model, slc, opts, d * (1 - 1e-3)) if e[::2] == (0, 1)] == []
+        assert [e for e in _capture_events(model, slc, 3.1, d * (1 - 1e-3)) if e[::2] == (0, 1)] == []
         # the pass's window: q's sampled window within r = 1.5 d ends at
         # b, and a node on the orbit is within r for |s| <= w of its
         # time; a node on the orbit at b + w + gap is a run of its own
@@ -322,33 +327,32 @@ def test_closest_approach_matches_sampled_flow(name):
         w = ts[(ts < 1.0) & (np.linalg.norm(model.flow(p, ts) - p, axis=1) <= r)].max()  # before p's return at pi
         for gap, runs in ((1e-3, 2), (-1e-3, 1)):
             slc = _node_slice(p, q, model.flow(p, b + w + gap))
-            assert len([e for e in _capture_events(model, slc, opts, r) if e[0] == 0]) == runs
+            assert len([e for e in _capture_events(model, slc, 3.1, r) if e[0] == 0]) == runs
 
 
-def test_capture_skips_reentry_before_min_length():
+def test_capture_skips_reentry_before_min_length(monkeypatch):
     # the chord of sheared_unknot at c = -0.6 runs from node 192 (t = 3 pi / 2)
     # up to node 64 (t = pi / 2), 4/3 + 2c = 2/15 long: the closed form
-    # captures it at that time, which is a chord only while min_length
-    # stays below it
+    # captures it at that time, which is a chord only while
+    # MIN_CHORD_LENGTH stays below it
     entry = catalog_get("sheared_unknot", {"c": -0.6})
-    short = SearchOptions(max_time=1.0, min_length=1e-4)
-    events = _capture_events(entry.model, entry.slice, short, 0.01)
+    events = _capture_events(entry.model, entry.slice, 1.0, 0.01)
     assert events == [(192, pytest.approx(2 / 15, abs=1e-15), 64)]
-    assert _capture_events(entry.model, entry.slice, replace(short, min_length=0.2), 0.01) == []
+    monkeypatch.setattr(chords, "MIN_CHORD_LENGTH", 0.2)
+    assert _capture_events(entry.model, entry.slice, 1.0, 0.01) == []
 
 
 def test_capture_passes_are_bounded(hopf_entry):
     # a pair of nodes passes every pi: a count beyond every integer type
     # is refused before any pass is expanded
-    opts = SearchOptions(max_time=1e300)
     with pytest.raises(SearchTooLong, match=f"exceed the bound of {chords.MAX_CAPTURE_PASSES}"):
-        _capture_events(hopf_entry.model, hopf_entry.slice, opts, 0.05)
+        _capture_events(hopf_entry.model, hopf_entry.slice, 1e300, 0.05)
 
 
 @pytest.mark.parametrize("entry_name, opts, capture_radius", [
-    ("hopf_entry", SearchOptions(max_time=2.0, launch_stride=1), None),
-    ("unknot_entry", SearchOptions(max_time=3.0), None),
-    ("unknot_entry", SearchOptions(max_time=3.0), 10.0),  # every (launch, node) pair is a candidate
+    ("hopf_entry", Search(2.0, stride=1), None),
+    ("unknot_entry", Search(3.0), None),
+    ("unknot_entry", Search(3.0), 10.0),  # every (launch, node) pair is a candidate
 ])
 def test_capture_queries_are_blocked(entry_name, opts, capture_radius, request, monkeypatch):
     # the launches are queried in blocks of at most MAX_CAPTURE_PASSES
@@ -357,7 +361,8 @@ def test_capture_queries_are_blocked(entry_name, opts, capture_radius, request, 
     entry = request.getfixturevalue(entry_name)
     slc = entry.slice
     capture_radius = capture_radius or 2.0 * _ambient_spacing(slc.points, slc.mesh)
-    want = _capture_events(entry.model, slc, opts, capture_radius)
+    monkeypatch.setattr(chords, "LAUNCH_STRIDE", opts.stride)
+    want = _capture_events(entry.model, slc, opts.max_time, capture_radius)
     candidates = []
     query_ball = GridIndex.query_ball
 
@@ -367,7 +372,7 @@ def test_capture_queries_are_blocked(entry_name, opts, capture_radius, request, 
 
     monkeypatch.setattr(GridIndex, "query_ball", recording)
     monkeypatch.setattr(chords, "MAX_CAPTURE_PASSES", 2**12)
-    assert _capture_events(entry.model, slc, opts, capture_radius) == want
+    assert _capture_events(entry.model, slc, opts.max_time, capture_radius) == want
     assert len(candidates) > 1 and max(candidates) <= 2**12
 
 
@@ -375,7 +380,7 @@ def test_capture_queries_are_blocked(entry_name, opts, capture_radius, request, 
 def test_sphere_orbit_is_never_armed_beyond_unit_capture_radius(hopf_entry, capture_radius):
     # an orbit of the unit sphere stays within 2 of its start, so it never
     # leaves a ball of twice a capture radius of 1 or more
-    assert _capture_events(hopf_entry.model, hopf_entry.slice, SearchOptions(max_time=10.0), capture_radius) == []
+    assert _capture_events(hopf_entry.model, hopf_entry.slice, 10.0, capture_radius) == []
 
 
 def precluster_loop(mesh, events, capture_radius):
@@ -400,7 +405,8 @@ def test_preclustering_matches_loop(entry_name, opts, request, monkeypatch):
     entry = request.getfixturevalue(entry_name)
     mesh = entry.slice.mesh
     capture_radius = 2.0 * _ambient_spacing(entry.slice.points, mesh)
-    events = _capture_events(entry.model, entry.slice, opts, capture_radius)
+    monkeypatch.setattr(chords, "LAUNCH_STRIDE", opts.stride)
+    events = _capture_events(entry.model, entry.slice, opts.max_time, capture_radius)
     reps = precluster_loop(mesh, events, capture_radius)
     if entry_name == "hopf_entry":
         assert len(reps) < len(events)  # neighbouring launches merge
@@ -411,7 +417,7 @@ def test_preclustering_matches_loop(entry_name, opts, request, monkeypatch):
         return newton_solve_stack(system, stack, residual_tol)
 
     monkeypatch.setattr(chords, "newton_solve_stack", recording_solve)
-    chords_shooting(entry.model, entry.slice, opts)
+    chords_shooting(entry.model, entry.slice, opts.max_time)
     want = [[*mesh.params[u], t, *mesh.params[v]] for u, t, v in reps]
     assert np.array_equal(seeds[0], np.reshape(want, (len(reps), 2 * mesh.param_dim + 1)))
 

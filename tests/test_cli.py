@@ -198,17 +198,17 @@ def test_collar_report_schema(manifest_path):
     ]
 
 
-@pytest.mark.parametrize("grid", ["0", "-3"])
-def test_collar_grid_below_one_exit2(manifest_path, grid):
+@pytest.mark.parametrize("grid", ["0", "-3", "33"])
+def test_collar_grid_flag_exit2(manifest_path, grid):
+    # the verification grid is fixed (GRID_PER_AXIS, GRID_Z_AXIS), so the
+    # collar command takes no --grid
     path = manifest_path("sheared", {"slice": {"catalog": "sheared_unknot", "params": {"resolution": 256}}})
     err = io.StringIO()
     with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
         main(["collar", path, "--grid", grid])
     assert exc.value.code == 2
-    assert f"argument --grid: must be at least 1, got {grid}" in err.getvalue()
+    assert f"unrecognized arguments: --grid {grid}" in err.getvalue()
     assert "Traceback" not in err.getvalue()
-    code, out, _ = run_cli(["collar", path, "--grid", "1"])  # one node along the Reeb axis still works
-    assert code == 3 and json.loads(out)["verdict"] == "SchemeObstructed"
 
 
 def test_collar_determinism(manifest_path):
@@ -393,18 +393,20 @@ def test_mesh_file_curve_in_r5(manifest_path, tmp_path):
 
 # manifests that parse as JSON but carry values of the wrong type or range
 BAD_VALUES = {
-    "search_string": {"slice": {"catalog": "unknot"}, "search": {"min_length": "a"}},
-    "search_null": {"slice": {"catalog": "unknot"}, "search": {"min_length": None}},
+    "search_string": {"slice": {"catalog": "unknot"}, "search": {"max_time": "a"}},
+    "search_null": {"slice": {"catalog": "unknot"}, "search": {"max_time": None}},
     "search_bool": {"slice": {"catalog": "unknot"}, "search": {"max_time": True}},
     "tolerance_bool": {"slice": {"catalog": "unknot"}, "tolerances": {"closed": True}},
     "tolerance_nan": {"slice": {"catalog": "torus_r5", "params": {"resolution": 8}}, "tolerances": {"closed": float("nan")}},
     "tolerance_infinity": {"slice": {"catalog": "unknot"}, "tolerances": {"margin": float("inf")}},
     "margin_one": {"slice": {"catalog": "unknot"}, "tolerances": {"margin": 1}},
     "margin_above_one": {"slice": {"catalog": "hopf_circle"}, "tolerances": {"margin": 1.5}},
-    "search_infinity": {"slice": {"catalog": "unknot"}, "search": {"min_length": float("inf")}},
+    "search_infinity": {"slice": {"catalog": "unknot"}, "search": {"max_time": float("inf")}},
     "search_max_time_infinity": {"slice": {"catalog": "hopf_circle"}, "search": {"max_time": float("inf")}},
     "c_nan": {"slice": {"catalog": "sheared_unknot", "params": {"c": float("nan")}}},
     "c_infinity": {"slice": {"catalog": "sheared_unknot", "params": {"c": float("inf")}}},
+    "c_bool": {"slice": {"catalog": "sheared_unknot", "params": {"c": True}}},
+    "c_string": {"slice": {"catalog": "sheared_unknot", "params": {"c": "0.1"}}},
     "resolution_infinity": {"slice": {"catalog": "unknot", "params": {"resolution": float("inf")}}},
     "resolution_fractional": {"slice": {"catalog": "torus_r5", "params": {"resolution": 8.9}}},
     "max_time_zero": {"slice": {"catalog": "hopf_circle", "params": {"max_time": 0}}},
@@ -415,8 +417,10 @@ BAD_VALUES = {
     "cluster_radius_zero": {"slice": {"catalog": "unknot"}, "search": {"cluster_radius": 0}},
     "capture_radius_negative": {"slice": {"catalog": "hopf_circle"}, "search": {"capture_radius": -1}},
     "monitor_dt_zero": {"slice": {"catalog": "hopf_circle"}, "search": {"monitor_dt": 0}},
-    "launch_stride_fraction": {"slice": {"catalog": "hopf_circle"}, "search": {"launch_stride": 2.5}},
+    "launch_stride_fraction": {"slice": {"catalog": "hopf_circle"}, "search": {"launch_stride": 2.5}},  # an unknown key
     "resolution_string": {"slice": {"catalog": "unknot", "params": {"resolution": "x"}}},
+    "resolution_numeric_string": {"slice": {"catalog": "torus_r5", "params": {"resolution": "96"}}},
+    "max_time_string": {"slice": {"catalog": "hopf_circle", "params": {"max_time": "2"}}},
     "resolution_one": {"slice": {"catalog": "unknot", "params": {"resolution": 1}}},
     "resolution_null": {"slice": {"catalog": "unknot", "params": {"resolution": None}}},
     "params_list": {"slice": {"catalog": "unknot", "params": [1]}},
@@ -557,24 +561,23 @@ def test_monitor_dt_is_an_unknown_search_key(manifest_path, command):
 
 
 def test_manifest_search_keys_are_the_search_options():
-    # every SearchOptions field is a search key that reaches the options,
-    # and nothing else is
-    from dataclasses import fields
+    # max_time is the one search key and reaches the options; a manifest
+    # that sets nothing gets every CollarOptions default
+    from reebkit.collar import CollarOptions
+    from reebkit.manifest import _SEARCH_KEYS, collar_options, parse_manifest
 
-    from reebkit.chords import SearchOptions
-    from reebkit.manifest import collar_options, parse_manifest
-
-    names = [f.name for f in fields(SearchOptions)]
-    assert sorted(names) == ["launch_stride", "max_time", "min_length"]
-    for name in names:
-        value = 3 if name == "launch_stride" else 0.5
-        man = parse_manifest({"slice": {"catalog": "unknot"}, "search": {name: value}})
-        assert getattr(collar_options(man).search, name) == value
+    assert _SEARCH_KEYS == {"max_time"}
+    man = parse_manifest({"slice": {"catalog": "unknot"}, "search": {"max_time": 0.5}})
+    assert collar_options(man).max_time == 0.5
+    assert collar_options(parse_manifest({"slice": {"catalog": "unknot"}})) == CollarOptions()
 
 
-@pytest.mark.parametrize("key", ["seed_radius", "exclusion_radius", "capture_radius", "cluster_radius"])
+@pytest.mark.parametrize(
+    "key", ["seed_radius", "exclusion_radius", "capture_radius", "cluster_radius", "min_length", "launch_stride"]
+)
 def test_search_radii_are_unknown_search_keys(manifest_path, key):
-    # the radii derive from the mesh spacing and the cluster radius is fixed
+    # the radii derive from the mesh spacing; the cluster radius, the
+    # minimum chord length and the launch stride are fixed
     path = manifest_path("hopf", {"slice": {"catalog": "hopf_circle"}, "search": {key: 0.1}})
     assert run_cli(["chords", path]) == (2, "", f"manifest error: unknown search key {key!r}\n")
 
@@ -613,14 +616,25 @@ UNMESHABLE_FILES = {
         "periodic factor 1 repeats its first nodes at its end; omit the duplicate endpoint",
     ),
 }
+_CURVE_64 = _grid_rows(
+    [2 * np.pi * np.arange(64) / 64], lambda t: (np.cos(t), -np.sin(2 * t), (2 / 3) * np.sin(t) ** 3 + 0.1 * np.sin(t))
+)
+_TORUS_12 = _grid_rows([2 * np.pi * np.arange(12) / 12] * 2, lambda u, v: (np.cos(u), np.sin(u), np.cos(v), np.sin(v), 0.0))
+# one non-finite ambient value: refused before the spline, the seam test
+# or the manifold test meets it
+for _name, _model, _periodic, _rows in (("1d", "r3", [True], _CURVE_64), ("2d", "r5", [True, True], _TORUS_12)):
+    for _value in ("nan", "inf"):
+        _bad = [list(row) for row in _rows]
+        _bad[5][-2] = float(_value)
+        UNMESHABLE_FILES[f"{_value}_{_name}"] = (_model, _periodic, _bad, "holds a value that is not a finite number")
 
 
 @pytest.mark.parametrize("command", ["check", "chords", "collar"])
 @pytest.mark.parametrize("name", sorted(UNMESHABLE_FILES))
 def test_mesh_file_that_is_not_a_mesh_exit2(manifest_path, tmp_path, name, command):
-    # a mesh file is meshed at its own nodes: uneven values, a single value
-    # or a repeated periodic endpoint are refused in one line, with no
-    # numpy warning (an error under this suite)
+    # a mesh file is meshed at its own nodes: a non-finite value, uneven
+    # values, a single value or a repeated periodic endpoint are refused in
+    # one line, with no numpy warning (an error under this suite)
     model, periodic, rows, reason = UNMESHABLE_FILES[name]
     mesh_path = tmp_path / f"{name}.csv"
     header = ",".join(f"c{i}" for i in range(len(rows[0])))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reebkit import catalog_get, primitive
-from reebkit.chords import ChordRecord, SearchOptions, chords_projection
+from reebkit.chords import ChordRecord, chords_projection
 from reebkit.collar import (
     Classification,
     CollarOptions,
@@ -410,7 +410,7 @@ def test_reparam_check_adds_one_row_per_chord_start(resolution, new_rows):
     # per chord-start shadow the table lacks: none when the start is a mesh
     # node (256 nodes), one otherwise (250 nodes)
     entry = catalog_get("sheared_unknot", {"c": 0.1, "resolution": resolution})
-    chords = chords_projection(entry.model, entry.slice, SearchOptions(max_time=3.0))
+    chords = chords_projection(entry.model, entry.slice)
     fld = extend_h(entry.model, entry.slice, primitive(entry.model, entry.slice)).h
     before = len(fld.bumps)
     starts = {c.start_point[:-1].tobytes() for c in chords}
@@ -637,7 +637,7 @@ def test_failed_reparam_check_blocks_collarable(sheared_01_entry, monkeypatch):
     # the reparam check runs on a constructed profile only
     from reebkit import collar
 
-    opts = collar.CollarOptions(search=collar.SearchOptions(max_time=3.0))
+    opts = collar.CollarOptions(max_time=3.0)
     report = collar.collar_report(sheared_01_entry.model, sheared_01_entry.slice, opts)
     assert report.verdict == Verdict.COLLARABLE and not report.h_diagnostics["trivial"]
     failing = lambda *args, **kwargs: {"max_endpoint_drift": 1.0, "pass": False}

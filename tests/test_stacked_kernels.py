@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reebkit import catalog_get, numerics
-from reebkit.chords import ChordRecord, SearchOptions, chords_projection, chords_shooting
+from reebkit.chords import ChordRecord, chords_projection, chords_shooting
 from reebkit.collar import (
     REPARAM_DRIFT_TOL,
     REPARAM_ROOT_ITERATIONS,
@@ -184,7 +184,7 @@ def projection_system(slc):
 
 def test_projection_stack_matches_seed_loop(stack_solves):
     entry = catalog_get("sheared_unknot", {"c": 0.1, "resolution": 4096})
-    found = chords_projection(entry.model, entry.slice, SearchOptions())
+    found = chords_projection(entry.model, entry.slice)
     assert len(found) == 1
     ((seeds, residual_tol, result),) = stack_solves
     assert len(seeds) == 749
@@ -202,7 +202,7 @@ def test_projection_stack_matches_seed_loop_r5_curve(stack_solves):
         return np.stack([x, y, np.zeros_like(x), np.zeros_like(x), z], axis=-1)
 
     slc = ParamSlice([circle_factor()], immersion5, resolution=[128])
-    found = chords_projection(StandardRModel(3), slc, SearchOptions())
+    found = chords_projection(StandardRModel(3), slc)
     assert len(found) == 1
     ((seeds, residual_tol, result),) = stack_solves
     assert len(seeds) > 1
@@ -212,7 +212,7 @@ def test_projection_stack_matches_seed_loop_r5_curve(stack_solves):
 def test_shooting_stack_matches_seed_loop(stack_solves):
     entry = catalog_get("hopf_circle")
     model, slc = entry.model, entry.slice
-    chords_shooting(model, slc, SearchOptions(max_time=2.0))
+    chords_shooting(model, slc, 2.0)
     ((seeds, residual_tol, result),) = stack_solves
     assert len(seeds) == 34
 
@@ -425,7 +425,7 @@ def test_reparam_root_solve_has_a_cap(monkeypatch):
 
     entry = catalog_get("sheared_unknot", {"c": 0.1})
     h = extend_h(entry.model, entry.slice, primitive(entry.model, entry.slice)).h
-    chords = chords_projection(entry.model, entry.slice, SearchOptions())
+    chords = chords_projection(entry.model, entry.slice)
     assert reeb_reparam_check(entry.model, entry.slice, h, chords)["pass"]
     monkeypatch.setattr(reebkit.collar, "REPARAM_ROOT_ITERATIONS", 1)
     with pytest.raises(ReparamUnresolved, match="did not converge"):
